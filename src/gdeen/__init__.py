@@ -47,9 +47,7 @@ from .cayley import (
     GroupTable,
     enumerate_group,
     geodesic_distance,
-    load_table,
     regular_representation,
-    save_table,
 )
 from .polyring import Poly
 from .hecke import (
@@ -57,6 +55,7 @@ from .hecke import (
     HeckeElement,
     HeckeParams,
     action_matrix,
+    apply_word,
     as_word,
     basis_element,
     basis_enumerate,

@@ -6,17 +6,15 @@ multiplication by the positive generating alphabet (no inverses), so
 the oracle against which the normal-form lengths are certified.
 
 Elements are stored in canonical order, lexicographic on (perm, exps), so
-indices are reproducible across runs.  Tables can be persisted to a small
-binary cache; the cache is an optimization only, never an oracle.
+indices are reproducible across runs.
 """
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BadFormat, EnumerationTooLarge, NotInGroup
+from .errors import EnumerationTooLarge, NotInGroup
 from .group import GroupElement, Params, identity, mul
 from .words import Sym, alphabet, generator
 
@@ -25,14 +23,9 @@ __all__ = [
     "enumerate_group",
     "geodesic_distance",
     "regular_representation",
-    "save_table",
-    "load_table",
 ]
 
 DEFAULT_CAP = 10**6
-
-_CACHE_MAGIC = b"GDEENTBL"
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -88,38 +81,3 @@ def regular_representation(table: GroupTable, sym: Sym) -> list[int]:
     x = generator(table.params, sym)
     return [table.index[mul(x, g)] for g in table.elements]
 
-
-def save_table(table: GroupTable, path) -> None:
-    """Persist a table: magic, format version, (d, e, n), then per element
-    the permutation, exponents and BFS distance as u32 fields."""
-    p = table.params
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<5I", _CACHE_VERSION, p.d, p.e, p.n, len(table)))
-        for g, dist in zip(table.elements, table.dist):
-            fh.write(struct.pack(f"<{2 * p.n + 1}I", *g.perm, *g.exps, dist))
-
-
-def load_table(path, params: Params | None = None) -> GroupTable:
-    """Load a cached table; validates header, version and, when given,
-    the expected parameters."""
-    with open(path, "rb") as fh:
-        if fh.read(8) != _CACHE_MAGIC:
-            raise BadFormat("not a gdeen table cache (bad magic)")
-        version, d, e, n, count = struct.unpack("<5I", fh.read(20))
-        if version != _CACHE_VERSION:
-            raise BadFormat(f"unsupported table cache version {version}")
-        p = Params(d, e, n)
-        if params is not None and p != params:
-            raise BadFormat(f"cache holds {p}, expected {params}")
-        if count != p.order():
-            raise BadFormat("cache element count does not match the group order")
-        elements = []
-        dist = []
-        row = struct.Struct(f"<{2 * n + 1}I")
-        for _ in range(count):
-            vals = row.unpack(fh.read(row.size))
-            elements.append(GroupElement(p, tuple(vals[:n]), tuple(vals[n : 2 * n])))
-            dist.append(vals[2 * n])
-    index = {g: i for i, g in enumerate(elements)}
-    return GroupTable(p, tuple(elements), index, tuple(dist))

@@ -137,15 +137,22 @@ def element_from_json(text: str | dict) -> GroupElement:
     if not isinstance(obj, dict):
         raise BadFormat("matrix JSON must be an object")
     try:
-        params = Params(int(obj["d"]), int(obj["e"]), int(obj["n"]))
+        params = Params(_json_int(obj["d"]), _json_int(obj["e"]), _json_int(obj["n"]))
         rows = obj["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise BadFormat(f"matrix JSON needs integer d, e, n and a rows list: {exc}") from exc
     if not isinstance(rows, list) or len(rows) != params.n:
         raise BadFormat(f"rows must be a list of {params.n} [col, exp] pairs")
     try:
-        perm = [int(r[0]) for r in rows]
-        exps = [int(r[1]) for r in rows]
-    except (TypeError, ValueError, IndexError) as exc:
+        perm = [_json_int(r[0]) for r in rows]
+        exps = [_json_int(r[1]) for r in rows]
+    except (TypeError, IndexError, KeyError) as exc:
         raise BadFormat(f"each row must be a [col, exp] pair: {exc}") from exc
     return element(params, perm, exps)
+
+
+def _json_int(v) -> int:
+    """A JSON integer: bools and floats are refused, not coerced."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{v!r} is not an integer")
+    return v

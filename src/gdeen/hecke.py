@@ -43,6 +43,7 @@ throughout the tests.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,6 +69,7 @@ __all__ = [
     "basis_element",
     "leftmul_generator",
     "reduce_word",
+    "apply_word",
     "hecke_mul",
     "pow_s2zs2",
     "s2_zk_s2",
@@ -149,21 +151,29 @@ def _levels(hp: HeckeParams) -> range:
     return range(1, hp.n + 1) if hp.family == "d1n" else range(2, hp.n + 1)
 
 
+@lru_cache(maxsize=None)
+def _shape_table(hp: HeckeParams) -> tuple[list[list[Shape]], list[frozenset]]:
+    """Per level: the valid shapes in canonical order, and the same as a set."""
+    ordered = [_level_shapes(hp, i) for i in _levels(hp)]
+    return ordered, [frozenset(shapes) for shapes in ordered]
+
+
 def basis_enumerate(hp: HeckeParams) -> list[BasisIndex]:
     """All shape-valid tuples, in canonical order: |Lambda| = e^{n-1} n!
     for H(e,e,n) and d^n n! for H(d,1,n)."""
-    import itertools
-
-    per_level = [_level_shapes(hp, i) for i in _levels(hp)]
-    return [tuple(t) for t in itertools.product(*per_level)]
+    return list(itertools.product(*_shape_table(hp)[0]))
 
 
 def validate_basis_index(hp: HeckeParams, lam: BasisIndex) -> None:
-    levels = list(_levels(hp))
+    levels = _levels(hp)
     if len(lam) != len(levels):
         raise ParamsMismatch(f"basis index needs {len(levels)} levels for {hp}")
-    for shape, i in zip(lam, levels):
-        if shape not in _level_shapes(hp, i):
+    for shape, i, valid in zip(lam, levels, _shape_table(hp)[1]):
+        try:
+            ok = shape in valid
+        except TypeError:  # unhashable, so not a shape
+            ok = False
+        if not ok:
             raise ParamsMismatch(f"shape {shape} is not valid at level {i} of {hp}")
 
 
@@ -223,10 +233,8 @@ class HeckeElement:
     def __add__(self, other: HeckeElement) -> HeckeElement:
         if self.params != other.params:
             raise ParamsMismatch(f"{self.params} vs {other.params}")
-        combo = dict(self.combo)
-        for lam, c in other.combo.items():
-            combo[lam] = combo.get(lam, Poly.const(c.arity, 0)) + c
-        return HeckeElement(self.params, combo)
+        terms = [(c, lam) for h in (self, other) for lam, c in h.combo.items()]
+        return _element(self.params, _collect(terms))
 
     def scaled(self, c: Poly) -> HeckeElement:
         return HeckeElement(self.params, {lam: v * c for lam, v in self.combo.items()})
@@ -282,6 +290,20 @@ def _basis_key(lam: BasisIndex):
 
 TermList = list  # list[(Poly, BasisIndex)]
 LocList = list  # list[(Poly, tuple[Sym, ...], Shape)]
+
+
+def _collect(pairs) -> list:
+    """Sum (coeff, key) pairs with equal keys and drop the zero sums; keys
+    keep the order in which they first appear."""
+    acc: dict = {}
+    for c, key in pairs:
+        cur = acc.get(key)
+        acc[key] = c if cur is None else cur + c
+    return [(c, key) for key, c in acc.items() if not c.is_zero()]
+
+
+def _element(hp: HeckeParams, terms: TermList) -> HeckeElement:
+    return HeckeElement(hp, {lam: c for c, lam in terms})
 
 
 class _Engine:
@@ -343,15 +365,11 @@ class _Engine:
             return [(self.A, ("x", j)), (self.one, ONE)]
         if i == 0:
             return [(self.one, ("xa", j, 2))]
-        acc: dict[Shape, Poly] = {("xa", (j - i) % e, 2): self.one}
+        pairs = [(self.one, ("xa", (j - i) % e, 2))]
         for r in range(i):
-            self._acc(acc, ("x", (i - r) % e), self.A)
-            self._acc(acc, ("x", (j - 1 - r) % e), -self.A)
-        return [(c, sh) for sh, c in acc.items() if not c.is_zero()]
-
-    def _acc(self, acc: dict, key, poly: Poly) -> None:
-        cur = acc.get(key)
-        acc[key] = poly if cur is None else cur + poly
+            pairs.append((self.A, ("x", (i - r) % e)))
+            pairs.append((-self.A, ("x", (j - 1 - r) % e)))
+        return _collect(pairs)
 
     def _rmul2_t0(self, sh: Shape) -> list[tuple[Poly, Shape]]:
         """(Lambda_2 shape) * t_0."""
@@ -370,22 +388,9 @@ class _Engine:
             return [(self.one, ("x", l % self.p))]
         if sh[0] == "x":
             return self._expand2_tt(l, sh[1])
-        out: dict[Shape, Poly] = {}
-        for c, v in self._expand2_tt(l, sh[1]):
-            for c2, v2 in self._rmul2_t0(v):
-                self._acc(out, v2, c * c2)
-        return [(c, sh2) for sh2, c in out.items() if not c.is_zero()]
-
-    def _prod2_word(self, syms) -> list[tuple[Poly, Shape]]:
-        """Reduce a word of t-letters over Lambda_2."""
-        res: list[tuple[Poly, Shape]] = [(self.one, ONE)]
-        for sym in reversed(list(syms)):
-            acc: dict[Shape, Poly] = {}
-            for c, sh in res:
-                for c2, sh2 in self._leftmul2(sym.i, sh):
-                    self._acc(acc, sh2, c * c2)
-            res = [(c, sh) for sh, c in acc.items() if not c.is_zero()]
-        return res
+        return _collect(
+            (c * c2, v2) for c, v in self._expand2_tt(l, sh[1]) for c2, v2 in self._rmul2_t0(v)
+        )
 
     # -- H(e,e,n) rank-3 local machinery --------------------------------------
     #
@@ -475,14 +480,11 @@ class _Engine:
             return [(self.one, m)]
         if m in self._zpow:
             return self._zpow[m]
-        acc: dict[int, Poly] = {}
+        pairs = []
         for i in range(1, d):
             bi = Poly.variable(self.hp.arity, i)
-            for c, cc in self._zpow_reduce(m - i):
-                self._acc(acc, cc, c * bi)
-        for c, cc in self._zpow_reduce(m - d):
-            self._acc(acc, cc, c)
-        res = [(c, cc) for cc, c in acc.items() if not c.is_zero()]
+            pairs += [(c * bi, cc) for c, cc in self._zpow_reduce(m - i)]
+        res = _collect(pairs + self._zpow_reduce(m - d))
         self._zpow[m] = res
         return res
 
@@ -556,11 +558,10 @@ class _Engine:
 
     def _norm12(self, raw: list[tuple[Poly, int, Shape]]) -> list[tuple[Poly, int, Shape]]:
         """Reduce raw z powers mod the cyclotomic relation; drop zeros."""
-        acc: dict[tuple[int, Shape], Poly] = {}
-        for c, cc, sh in raw:
-            for c2, cr in self._zpow_reduce(cc):
-                self._acc(acc, (cr, sh), c * c2)
-        return [(c, cc, sh) for (cc, sh), c in acc.items() if not c.is_zero()]
+        pairs = (
+            (c * c2, (cr, sh)) for c, cc, sh in raw for c2, cr in self._zpow_reduce(cc)
+        )
+        return [(c, cc, sh) for c, (cc, sh) in _collect(pairs)]
 
     def _expand_pows(self, raw) -> list[tuple[Poly, int, Shape]]:
         """Turn intermediate (pow/s2z/s2/one) tags into genuine shapes."""
@@ -727,18 +728,14 @@ class _Engine:
     # -- the level handler: folds -------------------------------------------------
 
     def _fold(self, m: int, terms: LocList, op: tuple) -> LocList:
-        out: dict[tuple, Poly] = {}
-        for c, pw, tail in terms:
-            if op[0] == "s":
-                news = self._loc_s(m, c, pw, tail, op[1])
-            elif op[0] == "t":
-                news = self._loc_t(m, c, pw, tail, op[1])
-            else:
-                news = self._loc_zp(m, c, pw, tail, op[1])
-            for c2, pw2, tail2 in news:
-                self._acc(out, (pw2, tail2), c2)
+        loc = getattr(self, "_loc_" + op[0])  # _loc_s, _loc_t or _loc_zp
+        out = _collect(
+            (c2, (pw2, tail2))
+            for c, pw, tail in terms
+            for c2, pw2, tail2 in loc(m, c, pw, tail, op[1])
+        )
         self._tick(len(out))
-        return [(c, pw, tail) for (pw, tail), c in out.items() if not c.is_zero()]
+        return [(c, pw, tail) for c, (pw, tail) in out]
 
     def _loc_s(self, m: int, c: Poly, pw, tail: Shape, j: int) -> LocList:
         """Right-multiply (prefix, tail) by s_j: commutation shift, braid
@@ -791,10 +788,10 @@ class _Engine:
             return out
         k, i2 = tail[1], tail[2]
         if i2 == 2:
-            out = []
-            for c2, v in self._prod2_word((T(k), T(0), T(l))):
-                out.append((c * c2, pw, ("d", 3) if v == ONE else v))
-            return out
+            return [
+                (c * c2, pw, ("d", 3) if v == ONE else v)
+                for c2, (v,) in self._reduce_at(2, (T(k), T(0), T(l)))
+            ]
         # splice the rank-3 expansion of s_3 (t_k t_0) s_3 t_l back into
         # s_m .. s_4 [ .. ] s_4 .. s_{i2}
         out: LocList = []
@@ -865,15 +862,16 @@ class _Engine:
             res = self._base_een(sym, shapes) if self.een else self._base_d1n_s2(shapes)
         else:
             locterms = self._pair_terms(m, shapes[-2], shapes[-1])
-            head: list[Sym] = []
-            levels = list(_levels(self.hp))[: len(shapes) - 2]
-            for sh, lev in zip(shapes[:-2], levels):
-                head.extend(_shape_word(self.hp, lev, sh))
-            acc: dict[BasisIndex, Poly] = {}
-            for c, pw, tail in locterms:
-                for c2, presh in self._reduce_at(m - 1, tuple(head) + tuple(pw)):
-                    self._acc(acc, presh + (tail,), c * c2)
-            res = [(c, sh) for sh, c in acc.items() if not c.is_zero()]
+            head = tuple(
+                s
+                for sh, lev in zip(shapes[:-2], _levels(self.hp))
+                for s in _shape_word(self.hp, lev, sh)
+            )
+            res = _collect(
+                (c * c2, presh + (tail,))
+                for c, pw, tail in locterms
+                for c2, presh in self._reduce_at(m - 1, head + pw)
+            )
         self._lm[key] = res
         return res
 
@@ -886,40 +884,43 @@ class _Engine:
             terms = self._fold(m, terms, op)
         return terms
 
+    def _apply_at(self, m: int, word: tuple[Sym, ...], terms: TermList) -> TermList:
+        """word * terms at level m, one letter at a time from the right."""
+        for sym in reversed(word):
+            terms = _collect(
+                (c * c2, sh2) for c, sh in terms for c2, sh2 in self._leftmul_at(m, sym, sh)
+            )
+        return terms
+
     def _reduce_at(self, m: int, word: tuple[Sym, ...]) -> TermList:
         key = (m, word)
-        cached = self._rw.get(key)
-        if cached is not None:
-            return cached
-        res: TermList = [(self.one, self._identity_shapes(m))]
-        for sym in reversed(word):
-            acc: dict[BasisIndex, Poly] = {}
-            for c, sh in res:
-                for c2, sh2 in self._leftmul_at(m, sym, sh):
-                    self._acc(acc, sh2, c * c2)
-            res = [(c, sh) for sh, c in acc.items() if not c.is_zero()]
-        self._rw[key] = res
+        res = self._rw.get(key)
+        if res is None:
+            res = self._apply_at(m, word, [(self.one, self._identity_shapes(m))])
+            self._rw[key] = res
         return res
 
     # -- public entry points -----------------------------------------------------
 
-    def leftmul(self, sym: Sym, lam: BasisIndex) -> HeckeElement:
+    def _run(self, fn, *args) -> HeckeElement:
+        """Run one top-level computation; the move budget counts from zero
+        unless it is nested inside another."""
         fresh = self._enter()
         try:
-            terms = self._leftmul_at(self.n, sym, lam)
+            terms = fn(self.n, *args)
         finally:
             if fresh:
                 self._active = False
-        return HeckeElement(self.hp, {sh: c for c, sh in terms})
+        return _element(self.hp, terms)
+
+    def leftmul(self, sym: Sym, lam: BasisIndex) -> HeckeElement:
+        return self._run(self._leftmul_at, sym, lam)
 
     def reduce(self, syms: tuple[Sym, ...]) -> HeckeElement:
-        fresh = self._enter()
-        try:
-            terms = self._reduce_at(self.n, tuple(syms))
-        finally:
-            if fresh:
-                self._active = False
-        return HeckeElement(self.hp, {sh: c for c, sh in terms})
+        return self._run(self._reduce_at, tuple(syms))
+
+    def apply(self, syms: tuple[Sym, ...], terms: TermList) -> HeckeElement:
+        return self._run(self._apply_at, tuple(syms), terms)
 
 
 @lru_cache(maxsize=None)
@@ -950,24 +951,25 @@ def reduce_word(hp: HeckeParams, word: Word | str) -> HeckeElement:
     return _engine(hp).reduce(word.syms)
 
 
+def apply_word(word: Word, h: HeckeElement) -> HeckeElement:
+    """word * h: the letters of the word act on h one at a time, from the right."""
+    hp = h.params
+    if word.params != hp.group_params():
+        raise ParamsMismatch(f"word over {word.params}, algebra {hp}")
+    return _engine(hp).apply(word.syms, [(c, lam) for lam, c in h.combo.items()])
+
+
 def hecke_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
-    """Bilinear product: fold the left factor's words onto the right factor."""
+    """Bilinear product: the sum of c * (lambda * h2) over the terms of h1."""
     if h1.params != h2.params:
         raise ParamsMismatch(f"{h1.params} vs {h2.params}")
     hp = h1.params
-    eng = _engine(hp)
-    out = HeckeElement(hp, {})
-    for lam, c in h1.combo.items():
-        acc = h2
-        for sym in reversed(as_word(hp, lam).syms):
-            combo: dict[BasisIndex, Poly] = {}
-            for mu, c2 in acc.combo.items():
-                for nu, c3 in eng.leftmul(sym, mu).combo.items():
-                    cur = combo.get(nu)
-                    combo[nu] = c2 * c3 if cur is None else cur + c2 * c3
-            acc = HeckeElement(hp, combo)
-        out = out + acc.scaled(c)
-    return out
+    terms = _collect(
+        (c * c2, mu)
+        for lam, c in h1.combo.items()
+        for mu, c2 in apply_word(as_word(hp, lam), h2).combo.items()
+    )
+    return _element(hp, terms)
 
 
 def unit(hp: HeckeParams) -> HeckeElement:
@@ -985,12 +987,7 @@ def pow_s2zs2(hp: HeckeParams, k: int) -> HeckeElement:
         raise ParamsMismatch("pow_s2zs2 is an H(d,1,n) helper")
     if not 1 <= k <= hp.p - 1:
         raise ParamsMismatch(f"need 1 <= k <= d-1, got {k}")
-    eng = _engine(hp)
-    pad = (ONE,) * (hp.n - 2)
-    combo: dict[BasisIndex, Poly] = {}
-    for c, cc, sh in eng._norm12(eng._pow_expand(k)):
-        combo[(("zp", cc), sh) + pad] = c
-    return HeckeElement(hp, combo)
+    return reduce_word(hp, make_word(hp.group_params(), (S(2), Z, S(2)) * k))
 
 
 def s2_zk_s2(hp: HeckeParams, k: int) -> HeckeElement:
@@ -999,12 +996,7 @@ def s2_zk_s2(hp: HeckeParams, k: int) -> HeckeElement:
         raise ParamsMismatch("s2_zk_s2 is an H(d,1,n) helper")
     if not 1 <= k <= hp.p - 1:
         raise ParamsMismatch(f"need 1 <= k <= d-1, got {k}")
-    eng = _engine(hp)
-    pad = (ONE,) * (hp.n - 2)
-    combo: dict[BasisIndex, Poly] = {}
-    for c, cc, sh in eng._s2zs2_full(k):
-        combo[(("zp", cc), sh) + pad] = c
-    return HeckeElement(hp, combo)
+    return reduce_word(hp, make_word(hp.group_params(), (S(2),) + (Z,) * k + (S(2),)))
 
 
 def specialize_to_group(h: HeckeElement, table) -> dict[GroupElement, int]:

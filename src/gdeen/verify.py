@@ -13,8 +13,8 @@ import random
 from .cayley import DEFAULT_CAP, enumerate_group
 from .group import Params, mul
 from .hecke import (
-    HeckeElement,
     HeckeParams,
+    apply_word,
     as_word,
     basis_element,
     basis_enumerate,
@@ -24,7 +24,7 @@ from .hecke import (
     specialize_to_group,
     validate_basis_index,
 )
-from .normal_form import census_expected, length, normal_form
+from .normal_form import census_expected, normal_form
 from .polyring import Poly
 from .words import Z, alphabet, eval_word, generator, make_word, word_text
 
@@ -37,7 +37,8 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     histogram: dict[int, int] = {}
     max_len, max_count = -1, 0
     for g, dist in zip(table.elements, table.dist):
-        ln = length(g)
+        nf = normal_form(g)
+        ln = len(nf.word)
         if ln != dist:
             return {
                 "ok": False,
@@ -48,7 +49,6 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
                     "bfs_distance": dist,
                 },
             }
-        nf = normal_form(g)
         if eval_word(nf.word) != g:
             return {
                 "ok": False,
@@ -111,15 +111,7 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     # just against the identity: this certifies the generator action
     # matrices as a representation of the presented algebra over R0
     def act(word, lam):
-        acc = basis_element(hp, lam)
-        for sym in reversed(word.syms):
-            combo = {}
-            for mu, c in acc.combo.items():
-                for nu, c2 in leftmul_generator(hp, sym, mu).combo.items():
-                    cur = combo.get(nu)
-                    combo[nu] = c * c2 if cur is None else cur + c * c2
-            acc = HeckeElement(hp, combo)
-        return acc
+        return apply_word(word, basis_element(hp, lam))
 
     matrix_entries = 0
     for u, v in hecke_relations(hp):

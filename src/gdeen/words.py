@@ -140,7 +140,7 @@ def parse_word(params: Params, text: str) -> Word:
     for tok in tokens:
         if tok == "z":
             syms.append(Z)
-        elif tok[:1] in ("t", "s") and tok[1:].isdigit():
+        elif tok[:1] in ("t", "s") and tok[1:].isascii() and tok[1:].isdigit():
             syms.append(Sym(tok[0], int(tok[1:])))
         else:
             raise BadFormat(f"bad word token {tok!r} (expected z, tK or sJ)")

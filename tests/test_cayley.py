@@ -124,36 +124,3 @@ def test_canonical_order_is_lex():
     keys = [(g.perm, g.exps) for g in table.elements]
     assert keys == sorted(keys)
 
-
-def test_table_cache_roundtrip(tmp_path):
-    from gdeen.cayley import load_table, save_table
-
-    params = Params(3, 1, 2)
-    table = enumerate_group(params)
-    path = tmp_path / "g312.tbl"
-    save_table(table, path)
-    loaded = load_table(path, params)
-    assert loaded.params == table.params
-    assert loaded.elements == table.elements
-    assert loaded.dist == table.dist
-
-
-def test_table_cache_rejects_garbage(tmp_path):
-    from gdeen import BadFormat
-    from gdeen.cayley import load_table
-
-    path = tmp_path / "junk.tbl"
-    path.write_bytes(b"NOTATBLE" + b"\x00" * 40)
-    with pytest.raises(BadFormat):
-        load_table(path)
-
-
-def test_table_cache_params_mismatch(tmp_path):
-    from gdeen import BadFormat
-    from gdeen.cayley import load_table, save_table
-
-    table = enumerate_group(Params(3, 1, 2))
-    path = tmp_path / "g312.tbl"
-    save_table(table, path)
-    with pytest.raises(BadFormat):
-        load_table(path, Params(2, 1, 2))

@@ -138,6 +138,22 @@ def test_exit_2_on_bad_word(capsys):
     assert "UnknownSymbol" in err
 
 
+def test_exit_2_on_unicode_digit(capsys):
+    code, _, err = run(
+        capsys, "length", "--d", "1", "--e", "3", "--n", "3", "--word", "t\u00b2"
+    )
+    assert code == 2
+    assert "BadFormat" in err
+
+
+def test_exit_2_on_matrix_directory(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "normal-form", "--d", "3", "--e", "3", "--n", "4", "--matrix", str(tmp_path)
+    )
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_exit_2_on_invariant_violation(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"d":3,"e":3,"n":4,"rows":[[1,1],[3,0],[4,1],[2,2]]}')

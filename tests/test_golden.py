@@ -1,0 +1,122 @@
+"""Golden outputs: refactors must leave every byte of output unchanged.
+
+Each case is a fixed CLI call or library product.  Its output (stdout and
+exit code for the CLI, ``to_json()`` for library values) is hashed and
+compared with the SHA-256 recorded from the seed implementation, so any
+change in normal-form words, RE-parts, Hecke terms, coefficient
+renderings, report layout or exit codes fails here.
+
+To re-pin after an intended output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and paste what it prints
+over GOLDEN.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from gdeen import d1n, een, hecke_mul, pow_s2zs2, reduce_word, s2_zk_s2
+from gdeen.cli import main
+
+
+def _reduce(family, p, n, word):
+    flag = "--e" if family == "een" else "--d"
+    return ["hecke-reduce", "--family", family, flag, str(p), "--n", str(n), "--word", word]
+
+
+CLI_CASES = {
+    "reduce-h333-a": _reduce("een", 3, 3, "t1 t0 t0"),
+    "reduce-h333-b": _reduce("een", 3, 3, "s3 t2 t1 s3 t0 t2 s3 t1"),
+    "reduce-h333-c": _reduce("een", 3, 3, "t2 s3 t1 t0 s3 t2 t2 s3 t0 t1"),
+    "reduce-h443-a": _reduce("een", 4, 3, "t3 t1 s3 t2 t0 s3 t1"),
+    "reduce-h443-b": _reduce("een", 4, 3, "s3 t1 t0 s3 t3 t2 s3 t0 t1 t3"),
+    "reduce-h213-a": _reduce("d1n", 2, 3, "z s2 z s3 s2 z s2"),
+    "reduce-h213-b": _reduce("d1n", 2, 3, "s3 s2 z s3 z s2 s3 z s2 z"),
+    "reduce-h313-a": _reduce("d1n", 3, 3, "z z s2 z s3 s2 z z s2"),
+    "reduce-h313-b": _reduce("d1n", 3, 3, "s2 z s3 z z s2 s3 z s2 s3 z"),
+    "reduce-bad-token": _reduce("een", 3, 3, "t1 q0"),
+    "verify-h333": ["hecke-verify", "--family", "een", "--e", "3", "--n", "3", "--samples", "3"],
+    "verify-h213": ["hecke-verify", "--family", "d1n", "--d", "2", "--n", "3", "--samples", "3"],
+    "verify-geodesic-g623": ["verify-geodesic", "--d", "3", "--e", "2", "--n", "3"],
+    "normal-form-g623": ["normal-form", "--d", "3", "--e", "2", "--n", "3", "--word", "z t3 s3 t1 z t0 s3 t5"],
+    "normal-form-g313": ["normal-form", "--d", "3", "--e", "1", "--n", "3", "--word", "z s2 z z s2 s3 s2 z z"],
+    "census-g623": ["census", "--d", "3", "--e", "2", "--n", "3"],
+}
+
+
+def _lib_mul(hp, w1, w2):
+    return hecke_mul(reduce_word(hp, w1), reduce_word(hp, w2)).to_json()
+
+
+LIB_CASES = {
+    "mul-h333": lambda: _lib_mul(een(3, 3), "t1 t0 s3 t2", "s3 t2 t1 s3 t0"),
+    "mul-h443": lambda: _lib_mul(een(4, 3), "t3 t1 s3", "t2 s3 t0 t1"),
+    "mul-h313": lambda: _lib_mul(d1n(3, 3), "z s2 z s3 z", "s2 z z s3 s2 z"),
+    "pow-s2zs2-h313": lambda: "\n".join(pow_s2zs2(d1n(3, 3), k).to_json() for k in (1, 2)),
+    "pow-s2zs2-h412": lambda: "\n".join(pow_s2zs2(d1n(4, 2), k).to_json() for k in (1, 2, 3)),
+    "s2-zk-s2-h313": lambda: "\n".join(s2_zk_s2(d1n(3, 3), k).to_json() for k in (1, 2)),
+    "s2-zk-s2-h412": lambda: "\n".join(s2_zk_s2(d1n(4, 2), k).to_json() for k in (1, 2, 3)),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, _sha(out.getvalue())
+
+
+def run_lib(name):
+    return _sha(LIB_CASES[name]())
+
+
+GOLDEN = {
+    'census-g623': (0, '01cd4d4079cde3e251d6820e50e55b4f4379425a6e1a11155a61be42d8d85d3a'),
+    'normal-form-g313': (0, '8e863e6d66c9900eccfa0431d1e7dde3f661ce095addaefbddb10f6a5c624073'),
+    'normal-form-g623': (0, '973499257a316b836b236874790a77276e6179ef7396cb958b292f33bf600a92'),
+    'reduce-bad-token': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'reduce-h213-a': (0, '037f78fb4b329b9c8879daa1b2198b5073bf035c7347c58a7069201e7d0e82b8'),
+    'reduce-h213-b': (0, '8d1462adbb9f3c8267d76a0366cb58b29040274b7ef3fa31de34e90ed30ce03a'),
+    'reduce-h313-a': (0, '20952787639aa1d528a461fa6a7b211c007a34deb628111f300ca3480f569c8f'),
+    'reduce-h313-b': (0, '896b9d95eae103b93642aa690a5901c3dc2ff03f887a26d1a50123aeaf5bf1fd'),
+    'reduce-h333-a': (0, 'c17608fd5e1d3e872c7a97ba1d98bef0b67d3580fbec657731e04b9be736a994'),
+    'reduce-h333-b': (0, '35d94dde0b200a612fcc276c689d68418eb0ea6d3d187270b0eb9c40547d4062'),
+    'reduce-h333-c': (0, 'de06dbb8898efa808125363ce3064e1415dba197ebfcdc430defea8e1337af04'),
+    'reduce-h443-a': (0, 'a496234073fc524521577806c56cd1b87bd4dd30a08ed2879dd90355165a7aec'),
+    'reduce-h443-b': (0, '342cfc847011868c88017b9c2281dd83df117e55a9642145ae76134b217e1e4d'),
+    'verify-geodesic-g623': (0, 'b03841c38e0cffc3974df8c8c9f418edf95a3fa524035ca1809059362121ceef'),
+    'verify-h213': (0, '7e1240474b443581d67c43486bd1cbd6c4ba5958ad58e68a614749125ba998c1'),
+    'verify-h333': (0, '8525b58cd36819c9c23f05de76db9940f3a8f884723396204f43585db9a0f35b'),
+    'mul-h313': '68bb8f07887b65e9ef13539807ff37764f2611035f324ebd030de05425528144',
+    'mul-h333': '638cafc3cdeae0a9c8978e51c0cf642ab61c823b052359a51007027d4c2ab0ee',
+    'mul-h443': 'ac62d4f0ef37871f3f2f98dd06cd7fc86db0b4aa71c68040c65318a8c6e75c6f',
+    'pow-s2zs2-h313': '925c076d145777158b5670bfb151d339f1dd8e74a284e7a2b025a7500031581b',
+    'pow-s2zs2-h412': '0ea57fbe70c46656fc522573798595da549fb81c54e9536779e5b8568e890991',
+    's2-zk-s2-h313': '7122ff9ba8f01cd932b119b1ec6d95f24b4986cdb79f962a059adbc38f63115c',
+    's2-zk-s2-h412': '78e7774d2001b194c35f1a760817b68ac92b0e30351bc26e2d22e59bcddc0471',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_golden(name):
+    assert run_cli(CLI_CASES[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(LIB_CASES))
+def test_library_golden(name):
+    assert run_lib(name) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name in sorted(CLI_CASES):
+        print(f"    {name!r}: {run_cli(CLI_CASES[name])!r},")
+    for name in sorted(LIB_CASES):
+        print(f"    {name!r}: {run_lib(name)!r},")
+    print("}")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gdeen import (
+    BadFormat,
     InvariantViolation,
     Params,
     ParamsMismatch,
@@ -130,6 +131,21 @@ def test_json_example_34():
 def test_json_sum_invariant_violation():
     bad = '{"d":3,"e":3,"n":4,"rows":[[1,1],[3,0],[4,1],[2,2]]}'
     with pytest.raises(InvariantViolation, match="sum"):
+        element_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        '{"d":2.7,"e":true,"n":2,"rows":[[1,0],[2,1.9]]}',
+        '{"d":2,"e":true,"n":2,"rows":[[1,0],[2,1]]}',
+        '{"d":2,"e":1,"n":2,"rows":[[1,0],[2,1.9]]}',
+        '{"d":2,"e":1,"n":2,"rows":[[1,false],[2,1]]}',
+        '{"d":2,"e":1,"n":2,"rows":[[1,0],{"col":2}]}',
+    ],
+)
+def test_json_rejects_non_integers(bad):
+    with pytest.raises(BadFormat):
         element_from_json(bad)
 
 

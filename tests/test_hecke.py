@@ -16,6 +16,7 @@ from gdeen import (
     ParamsMismatch,
     Poly,
     RecursionGuardExceeded,
+    apply_word,
     as_word,
     basis_element,
     basis_enumerate,
@@ -33,7 +34,7 @@ from gdeen import (
     s2_zk_s2,
     specialize_to_group,
 )
-from gdeen.hecke import ONE, identity_index, unit
+from gdeen.hecke import ONE, identity_index, unit, validate_basis_index
 from gdeen.words import S, T, Z, alphabet, generator
 
 
@@ -362,6 +363,30 @@ def test_reduce_word_params_mismatch():
     w = make_word(Params(2, 1, 2), [Z])
     with pytest.raises(ParamsMismatch):
         reduce_word(hp, w)
+    with pytest.raises(ParamsMismatch):
+        apply_word(w, unit(hp))
+
+
+@pytest.mark.parametrize("hp", [een(3, 3), een(4, 3), d1n(2, 3), d1n(3, 2)])
+def test_apply_word_is_left_multiplication(hp):
+    # w * h computed letter by letter equals the product of the reduced
+    # word with h, on random words and two-term combinations
+    gp = hp.group_params()
+    syms = alphabet(gp)
+    basis = basis_enumerate(hp)
+    rng = random.Random(13)
+    for _ in range(8):
+        w = make_word(gp, [rng.choice(syms) for _ in range(rng.randrange(7))])
+        h = basis_element(hp, rng.choice(basis)) + basis_element(hp, rng.choice(basis)).scaled(A(hp))
+        assert apply_word(w, h) == hecke_mul(reduce_word(hp, w), h)
+
+
+def test_validate_basis_index_rejects_non_shapes():
+    hp = een(3, 3)
+    validate_basis_index(hp, (("x", 1), ("d", 3)))
+    for bad in [(ONE,), (ONE, ("d", 2)), (ONE, ["one"]), (ONE, ("x", [1]))]:
+        with pytest.raises(ParamsMismatch):
+            validate_basis_index(hp, bad)
 
 
 @pytest.mark.parametrize("hp", [een(1, 3), een(3, 3), d1n(2, 3)])

@@ -108,6 +108,8 @@ def test_parse_rejects_bad_tokens():
     params = Params(1, 2, 3)
     with pytest.raises(BadFormat):
         parse_word(params, "t0 q3")
+    with pytest.raises(BadFormat):
+        parse_word(params, "t\u00b2")  # a Unicode digit is not an index
     with pytest.raises(UnknownSymbol):
         parse_word(params, "z t0")  # z needs d > 1
     with pytest.raises(UnknownSymbol):
