@@ -11,11 +11,10 @@ indices are reproducible across runs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import EnumerationTooLarge, NotInGroup
-from .group import GroupElement, Params, identity, mul
+from .group import GroupElement, Params, mul
 from .words import Sym, alphabet, generator
 
 __all__ = [
@@ -45,23 +44,49 @@ def enumerate_group(params: Params, cap: int = DEFAULT_CAP) -> GroupTable:
         raise EnumerationTooLarge(
             f"|G({params.de},{params.e},{params.n})| = {order} exceeds cap {cap}"
         )
-    gens = [generator(params, sym) for sym in alphabet(params)]
-    start = identity(params)
-    dist_map: dict[GroupElement, int] = {start: 0}
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        dg = dist_map[g]
-        for x in gens:
-            h = mul(x, g)
-            if h not in dist_map:
-                dist_map[h] = dg + 1
-                queue.append(h)
-    assert len(dist_map) == order, "alphabet failed to generate the predicted group"
-    elements = tuple(sorted(dist_map, key=lambda g: (g.perm, g.exps)))
+    # An element is coded as an int whose digits are its 0-based columns
+    # (base n, most significant first), then its exponents (base de), so
+    # numeric order on codes is the canonical (perm, exps) order.
+    n, de = params.n, params.de
+    ew = [de ** (n - 1 - r) for r in range(n)]
+    cw = [de**n * n ** (n - 1 - r) for r in range(n)]
+    # Left multiplication by x sets row r to row x.perm[r] of g with x.exps[r]
+    # added; only the (at most two) rows a letter moves are recomputed.
+    moves = []
+    for sym in alphabet(params):
+        x = generator(params, sym)
+        rows = enumerate(zip(x.perm, x.exps))
+        moves.append([(r, c - 1, k) for r, (c, k) in rows if c != r + 1 or k])
+    start = sum(r * w for r, w in enumerate(cw))
+    dist = {start: 0}
+    frontier, depth = [start], 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for code in frontier:
+            cols = [code // w % n for w in cw]
+            exps = [code // w % de for w in ew]
+            for mv in moves:
+                h = code
+                for r, src, k in mv:
+                    h += (cols[src] - cols[r]) * cw[r] + ((exps[src] + k) % de - exps[r]) * ew[r]
+                if h not in dist:
+                    dist[h] = depth
+                    nxt.append(h)
+        frontier = nxt
+    assert len(dist) == order, "alphabet failed to generate the predicted group"
+    codes = sorted(dist)
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal tuples are stored once
+    elements = tuple(
+        GroupElement(
+            params,
+            shared.setdefault(p := tuple(c // w % n + 1 for w in cw), p),
+            shared.setdefault(ks := tuple(c // w % de for w in ew), ks),
+        )
+        for c in codes
+    )
     index = {g: i for i, g in enumerate(elements)}
-    dist = tuple(dist_map[g] for g in elements)
-    return GroupTable(params, elements, index, dist)
+    return GroupTable(params, elements, index, tuple(dist[c] for c in codes))
 
 
 def geodesic_distance(table: GroupTable, g: GroupElement) -> int:

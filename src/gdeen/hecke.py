@@ -166,8 +166,8 @@ def basis_enumerate(hp: HeckeParams) -> list[BasisIndex]:
 
 def validate_basis_index(hp: HeckeParams, lam: BasisIndex) -> None:
     levels = _levels(hp)
-    if len(lam) != len(levels):
-        raise ParamsMismatch(f"basis index needs {len(levels)} levels for {hp}")
+    if not isinstance(lam, tuple) or len(lam) != len(levels):
+        raise ParamsMismatch(f"basis index needs a tuple of {len(levels)} levels for {hp}")
     for shape, i, valid in zip(lam, levels, _shape_table(hp)[1]):
         try:
             ok = shape in valid

@@ -73,11 +73,10 @@ def normal_form(g: GroupElement) -> NormalForm:
     else:
         parts = _sweep_general(g)
         levels = tuple(range(1, p.n + 1)) if p.d > 1 else tuple(range(2, p.n + 1))
-    words = tuple(make_word(p, syms) for syms in parts)
-    flat: list[Sym] = []
-    for syms in parts:
-        flat.extend(syms)
-    return NormalForm(make_word(p, flat), words, levels)
+    # the sweep emits only alphabet letters, so the words skip make_word's check
+    words = tuple(Word(p, tuple(syms)) for syms in parts)
+    flat = tuple(sym for syms in parts for sym in syms)
+    return NormalForm(Word(p, flat), words, levels)
 
 
 def _sweep_general(g: GroupElement) -> list[list[Sym]]:

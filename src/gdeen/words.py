@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BadFormat, UnknownSymbol
-from .group import GroupElement, Params, identity, mul
+from .group import GroupElement, Params
 
 __all__ = [
     "Sym",
@@ -52,10 +53,12 @@ class Sym:
 Z = Sym("z")
 
 
+@lru_cache(maxsize=256)  # the normal-form sweeps rebuild the same few letters per element
 def T(k: int) -> Sym:
     return Sym("t", k)
 
 
+@lru_cache(maxsize=256)
 def S(j: int) -> Sym:
     return Sym("s", j)
 
@@ -153,10 +156,23 @@ def word_text(word: Word) -> str:
 
 def eval_word(word: Word) -> GroupElement:
     """Fold the generator matrices left to right."""
-    g = identity(word.params)
+    p, de = word.params, word.params.de
+    mats = _matrices(p)
+    perm, exps = list(range(1, p.n + 1)), [0] * p.n
     for sym in word.syms:
-        g = mul(g, generator(word.params, sym))
-    return g
+        # generator() raises UnknownSymbol for a letter outside the alphabet
+        xp, xe = mats.get(sym) or generator(p, sym)
+        # right multiplication moves the entry in column c to column xp[c]
+        exps = [(k + xe[c]) % de for k, c in zip(exps, perm)]
+        perm = [xp[c] for c in perm]
+    return GroupElement(p, tuple(perm), tuple(exps))
+
+
+@lru_cache(maxsize=64)
+def _matrices(params: Params) -> dict[Sym, tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each letter's column images and exponents, indexed by 1-based column."""
+    gens = {sym: generator(params, sym) for sym in alphabet(params)}
+    return {sym: ((0, *x.perm), (0, *x.exps)) for sym, x in gens.items()}
 
 
 def relations(params: Params) -> list[tuple[Word, Word]]:

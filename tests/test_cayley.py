@@ -1,5 +1,7 @@
 """The brute-force group table and left-regular representation."""
 
+from collections import deque
+
 import pytest
 
 from gdeen import (
@@ -124,3 +126,35 @@ def test_canonical_order_is_lex():
     keys = [(g.perm, g.exps) for g in table.elements]
     assert keys == sorted(keys)
 
+
+def reference_bfs(params):
+    """The table by a plain BFS over group elements, with group.mul only."""
+    gens = [generator(params, sym) for sym in alphabet(params)]
+    dist = {identity(params): 0}
+    queue = deque(dist)
+    while queue:
+        g = queue.popleft()
+        for x in gens:
+            if (h := mul(x, g)) not in dist:
+                dist[h] = dist[g] + 1
+                queue.append(h)
+    elements = tuple(sorted(dist, key=lambda g: (g.perm, g.exps)))
+    return elements, {g: i for i, g in enumerate(elements)}, tuple(dist[g] for g in elements)
+
+
+# G(1,1,4), G(2,2,2), G(3,3,3) | G(6,3,3) | G(3,1,3), G(4,1,2): all three
+# presentations, with the degenerate symmetric and dihedral cases
+@pytest.mark.parametrize(
+    "params",
+    [
+        Params(1, 1, 4),
+        Params(1, 2, 2),
+        Params(1, 3, 3),
+        Params(2, 3, 3),
+        Params(3, 1, 3),
+        Params(4, 1, 2),
+    ],
+)
+def test_bfs_matches_reference(params):
+    table = enumerate_group(params)
+    assert (table.elements, table.index, table.dist) == reference_bfs(params)

@@ -389,6 +389,17 @@ def test_validate_basis_index_rejects_non_shapes():
             validate_basis_index(hp, bad)
 
 
+@pytest.mark.parametrize("bad", [[ONE, ONE], 5])
+def test_basis_index_must_be_a_tuple(bad):
+    # a list or an int used to reach the memo key or the term dict and
+    # raise a bare TypeError there
+    hp = een(3, 3)
+    with pytest.raises(ParamsMismatch):
+        basis_element(hp, bad)
+    with pytest.raises(ParamsMismatch):
+        leftmul_generator(hp, T(0), bad)
+
+
 @pytest.mark.parametrize("hp", [een(1, 3), een(3, 3), d1n(2, 3)])
 def test_as_word_is_the_normal_form(hp):
     # every basis word is literally the geodesic normal form of its element

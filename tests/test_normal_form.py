@@ -162,6 +162,15 @@ def test_soundness_and_block_oracle(params):
     assert len(seen) == params.order()
 
 
+@pytest.mark.parametrize("params", [Params(1, 3, 3), Params(2, 3, 2), Params(3, 1, 3)])
+def test_normal_form_words_are_valid_words(params):
+    # normal_form builds its words without make_word's alphabet check
+    for g in all_elements(params):
+        nf = normal_form(g)
+        for w in (nf.word, *nf.parts):
+            assert make_word(params, w.syms) == w
+
+
 @pytest.mark.parametrize("params", [Params(1, 3, 3), Params(2, 1, 3), Params(3, 2, 2)])
 def test_geodesy_against_bfs(params):
     table = enumerate_group(params)

@@ -1,5 +1,7 @@
 """Alphabets, word evaluation and the relation tables."""
 
+import random
+
 import pytest
 
 from gdeen import (
@@ -9,6 +11,7 @@ from gdeen import (
     alphabet,
     element,
     eval_word,
+    generator,
     identity,
     make_word,
     mul,
@@ -16,7 +19,7 @@ from gdeen import (
     relations,
     word_text,
 )
-from gdeen.words import S, T, Z
+from gdeen.words import S, T, Word, Z
 
 
 def test_alphabet_g333():
@@ -95,6 +98,24 @@ def test_eval_is_homomorphism():
     v = parse_word(params, "t1 t1 s3")
     uv = make_word(params, u.syms + v.syms)
     assert eval_word(uv) == mul(eval_word(u), eval_word(v))
+
+
+@pytest.mark.parametrize("params", [Params(1, 3, 4), Params(3, 3, 3), Params(3, 1, 3)])
+def test_eval_word_is_the_mul_fold(params):
+    rng = random.Random(7)
+    syms = alphabet(params)
+    for size in [0, 1, 2, 5, 9, 17, 30]:
+        w = make_word(params, [rng.choice(syms) for _ in range(size)])
+        g = identity(params)
+        for sym in w.syms:
+            g = mul(g, generator(params, sym))
+        assert eval_word(w) == g, word_text(w)
+
+
+def test_eval_word_rejects_a_letter_outside_the_alphabet():
+    # a Word built directly skips make_word's check
+    with pytest.raises(UnknownSymbol):
+        eval_word(Word(Params(1, 3, 3), (T(0), T(99))))
 
 
 def test_parse_roundtrip_and_json_form():
