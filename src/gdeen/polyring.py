@@ -1,10 +1,17 @@
 """Sparse multivariate polynomials over the integers.
 
 The coefficient ring of the Hecke algebras is Z[a] or Z[a, b_1..b_{d-1}];
-a polynomial is a map from exponent vectors (fixed arity = number of
-variables, variable 0 is ``a``) to nonzero Python ints.  Values are
-immutable and hashable, equal polynomials have identical term maps, and
-text rendering uses a fixed degree-lex order so renderings are canonical.
+a polynomial is a map from monomials (fixed arity = number of variables,
+variable 0 is ``a``) to nonzero Python ints.  Values are immutable and
+hashable, equal polynomials have identical term maps, and text rendering
+uses a fixed degree-lex order so renderings are canonical.
+
+A monomial is stored as one int code: its total degree, followed by the
+exponents of every variable but the last, each in a field of ``WIDTH``
+bits (for arity 1 the code is the exponent).  A monomial product is then
+one int add, and numeric order on codes is the degree-lex order.  For
+arity 2 and up every total degree must stay below ``2**WIDTH``; a product
+that would pass it raises rather than carry into the next field.
 
 No GCDs, no factorization, no Laurent exponents: the Hecke relations are
 normalized to live over the plain polynomial ring.
@@ -12,36 +19,85 @@ normalized to live over the plain polynomial ring.
 
 from __future__ import annotations
 
-from .errors import ArityMismatch
+from functools import lru_cache
 
-__all__ = ["Poly", "var_names"]
+from .errors import ArityMismatch, InvariantViolation
+
+__all__ = ["Poly", "var_names", "WIDTH"]
+
+WIDTH = 16
+_MASK = (1 << WIDTH) - 1
 
 
 def var_names(arity: int) -> list[str]:
     return ["a"] + [f"b_{i}" for i in range(1, arity)]
 
 
+def _encode(arity: int, mono) -> int:
+    if len(mono) != arity:
+        raise ArityMismatch(f"monomial {mono!r} for arity {arity}")
+    if not all(isinstance(p, int) and p >= 0 for p in mono):
+        raise InvariantViolation(f"monomial {mono!r} needs exponents that are ints >= 0")
+    code = sum(mono)
+    if arity > 1 and code >> WIDTH:
+        raise InvariantViolation(f"monomial {mono!r} has degree {code} >= 2^{WIDTH}")
+    for p in mono[:-1]:
+        code = code << WIDTH | p
+    return code
+
+
+def _decode(arity: int, code: int) -> list[int]:
+    exps = [code >> (WIDTH * k) & _MASK for k in range(arity - 2, -1, -1)]
+    return exps + [(code >> (WIDTH * (arity - 1))) - sum(exps)]
+
+
+@lru_cache(maxsize=4096)
+def _factors(arity: int, code: int) -> str:
+    """The monomial as text, such as ``a^2*b_1``; ``""`` for 1."""
+    pairs = zip(var_names(arity), _decode(arity, code))
+    return "*".join(name if p == 1 else f"{name}^{p}" for name, p in pairs if p)
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    """``terms`` without its zero coefficients, as a fresh dict if it had any."""
+    return {m: c for m, c in terms.items() if c} if 0 in terms.values() else terms
+
+
+_set = object.__setattr__
+
+
+def _make(arity: int, terms: dict[int, int]) -> Poly:
+    """A Poly on a code map already known to be valid and free of zeros."""
+    p = object.__new__(Poly)
+    _set(p, "arity", arity)
+    _set(p, "terms", terms)
+    return p
+
+
 class Poly:
-    """Immutable sparse polynomial with arbitrary-precision int coefficients."""
+    """Immutable sparse polynomial with arbitrary-precision int coefficients:
+    ``terms`` maps monomial codes to them, the constructor takes exponent tuples."""
 
     __slots__ = ("arity", "terms", "_hash")
 
     def __init__(self, arity: int, terms: dict[tuple[int, ...], int]):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
-        object.__setattr__(self, "_hash", None)
+        if not isinstance(arity, int) or arity < 1:
+            raise ArityMismatch(f"arity {arity!r} is not an int >= 1")
+        _set(self, "arity", arity)
+        _set(self, "terms", _nonzero({_encode(arity, m): c for m, c in terms.items()}))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @staticmethod
     def const(arity: int, c: int) -> Poly:
-        return Poly(arity, {(0,) * arity: c} if c else {})
+        return Poly(arity, {(0,) * arity: c})
 
     @staticmethod
     def variable(arity: int, i: int) -> Poly:
-        mono = tuple(1 if j == i else 0 for j in range(arity))
-        return Poly(arity, {mono: 1})
+        if not 0 <= i < arity:
+            raise ArityMismatch(f"no variable {i} in arity {arity}")
+        return Poly(arity, {tuple(int(j == i) for j in range(arity)): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -55,25 +111,39 @@ class Poly:
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
-        return Poly(self.arity, terms)
+        return _make(self.arity, _nonzero(terms))
 
     def __neg__(self) -> Poly:
-        return Poly(self.arity, {m: -c for m, c in self.terms.items()})
+        return _make(self.arity, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __mul__(self, other: Poly) -> Poly:
         self._check(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+        t1, t2, big = self.terms, other.terms, other
+        if len(t1) > len(t2):
+            t1, t2, big = t2, t1, self
+        if not t1:
+            return _make(self.arity, {})
+        if len(t1) == 1 and t1.get(0) == 1:
+            return big
+        arity = self.arity
+        if arity > 1 and (max(t1) + max(t2)) >> (WIDTH * arity):
+            raise InvariantViolation(f"product degree reaches 2^{WIDTH} in arity {arity}")
+        if len(t1) == 1:
+            ((m0, c0),) = t1.items()
+            # Z has no zero divisors: no coefficient becomes 0
+            return _make(arity, {m0 + m: c0 * c for m, c in t2.items()})
+        terms: dict[int, int] = {}
+        for m1, c1 in t1.items():
+            for m2, c2 in t2.items():
+                m = m1 + m2
                 terms[m] = terms.get(m, 0) + c1 * c2
-        return Poly(self.arity, terms)
+        return _make(arity, _nonzero(terms))
 
     def scaled(self, c: int) -> Poly:
-        return Poly(self.arity, {m: c * v for m, v in self.terms.items()})
+        return _make(self.arity, {m: c * v for m, v in self.terms.items()} if c else {})
 
     def specialize(self, assignment) -> int:
         """Evaluate at integer values; ``assignment`` is a full dict over
@@ -89,9 +159,9 @@ class Poly:
             if len(values) != self.arity:
                 raise ArityMismatch(f"need {self.arity} values, got {len(values)}")
         total = 0
-        for mono, coeff in self.terms.items():
+        for code, coeff in self.terms.items():
             prod = coeff
-            for v, p in zip(values, mono):
+            for v, p in zip(values, _decode(self.arity, code)):
                 if p:
                     prod *= v**p
             total += prod
@@ -105,39 +175,25 @@ class Poly:
         )
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.arity, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _set(self, "_hash", h)
+            return h
 
     def __str__(self):
         if not self.terms:
             return "0"
-        names = var_names(self.arity)
         # degree-lex, a before b_1 before b_2 ..., highest first
-        order = sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
         pieces = []
-        for mono in order:
-            coeff = self.terms[mono]
-            factors = []
-            for name, p in zip(names, mono):
-                if p == 1:
-                    factors.append(name)
-                elif p > 1:
-                    factors.append(f"{name}^{p}")
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(coeff))] + factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        for code in sorted(self.terms, reverse=True):
+            c = self.terms[code]
+            body, a = _factors(self.arity, code), abs(c)
+            body = (body if a == 1 else f"{a}*{body}") if body else str(a)
+            pieces.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     def __repr__(self):
         return f"Poly({self})"
