@@ -22,6 +22,7 @@ __all__ = [
     "enumerate_group",
     "geodesic_distance",
     "regular_representation",
+    "row_moves",
 ]
 
 DEFAULT_CAP = 10**6
@@ -38,6 +39,21 @@ class GroupTable:
         return len(self.elements)
 
 
+def row_moves(params: Params) -> list[list[tuple[int, int, int]]]:
+    """Per alphabet letter x, the rows that left multiplication by x rewrites.
+
+    Row r of x*g is row x.perm[r] of g with x.exps[r] added to its
+    exponent.  Each letter lists (r, source row, added exponent), 0-based,
+    for the rows where that is not row r unchanged: at most two.
+    """
+    moves = []
+    for sym in alphabet(params):
+        x = generator(params, sym)
+        rows = enumerate(zip(x.perm, x.exps))
+        moves.append([(r, c - 1, k) for r, (c, k) in rows if c != r + 1 or k])
+    return moves
+
+
 def enumerate_group(params: Params, cap: int = DEFAULT_CAP) -> GroupTable:
     order = params.order()
     if order > cap:
@@ -50,13 +66,8 @@ def enumerate_group(params: Params, cap: int = DEFAULT_CAP) -> GroupTable:
     n, de = params.n, params.de
     ew = [de ** (n - 1 - r) for r in range(n)]
     cw = [de**n * n ** (n - 1 - r) for r in range(n)]
-    # Left multiplication by x sets row r to row x.perm[r] of g with x.exps[r]
-    # added; only the (at most two) rows a letter moves are recomputed.
-    moves = []
-    for sym in alphabet(params):
-        x = generator(params, sym)
-        rows = enumerate(zip(x.perm, x.exps))
-        moves.append([(r, c - 1, k) for r, (c, k) in rows if c != r + 1 or k])
+    # only the (at most two) rows a letter moves are recomputed
+    moves = row_moves(params)
     start = sum(r * w for r, w in enumerate(cw))
     dist = {start: 0}
     frontier, depth = [start], 0

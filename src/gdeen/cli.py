@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     add_group_flags(p)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
-    p = sub.add_parser("verify-geodesic", help="certify lengths against BFS distances")
+    p = sub.add_parser("verify-geodesic", help="certify that every normal form is geodesic")
     add_group_flags(p)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 

@@ -83,11 +83,20 @@ class Poly:
     def __init__(self, arity: int, terms: dict[tuple[int, ...], int]):
         if not isinstance(arity, int) or arity < 1:
             raise ArityMismatch(f"arity {arity!r} is not an int >= 1")
+        for c in terms.values():
+            if isinstance(c, bool) or not isinstance(c, int):
+                raise InvariantViolation(f"coefficient {c!r} is not an integer")
         _set(self, "arity", arity)
         _set(self, "terms", _nonzero({_encode(arity, m): c for m, c in terms.items()}))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the validated constructor, since
+        # restoring the slots would go through the __setattr__ above
+        a = self.arity
+        return Poly, (a, {tuple(_decode(a, m)): c for m, c in self.terms.items()})
 
     @staticmethod
     def const(arity: int, c: int) -> Poly:

@@ -2,16 +2,24 @@
 
 Each function returns a JSON-serializable report with an "ok" flag and,
 on failure, the first counterexample.  These are the desk-scale witnesses
-for the geodesic and freeness theorems: exhaustive, exact, and driven by
-the brute-force Cayley oracle rather than by the code under test.
+for the geodesic and freeness theorems: exhaustive, exact, and checked
+against the generator matrices rather than against the code under test.
+The geodesic certificate evaluates words with the generators' row moves
+(``cayley.row_moves``) and needs no BFS table; the Hecke suite uses the
+brute-force Cayley oracle.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from collections import Counter
+from itertools import chain
+from operator import sub
 
-from .cayley import DEFAULT_CAP, enumerate_group
-from .group import Params, mul
+from .cayley import DEFAULT_CAP, enumerate_group, row_moves
+from .errors import InvariantViolation
+from .group import GroupElement, Params, mul
 from .hecke import (
     HeckeParams,
     apply_word,
@@ -24,7 +32,7 @@ from .hecke import (
     specialize_to_group,
     validate_basis_index,
 )
-from .normal_form import census_expected, normal_form
+from .normal_form import _rank_order, _sweeps, census_expected, normal_form
 from .polyring import Poly
 from .words import Z, alphabet, eval_word, generator, make_word, word_text
 
@@ -32,41 +40,73 @@ __all__ = ["verify_geodesic", "verify_hecke"]
 
 
 def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
-    """Check length(g) == BFS distance for every g; censuses cross-checked."""
-    table = enumerate_group(params, cap)
-    histogram: dict[int, int] = {}
-    max_len, max_count = -1, 0
-    for g, dist in zip(table.elements, table.dist):
-        nf = normal_form(g)
-        ln = len(nf.word)
-        if ln != dist:
-            return {
-                "ok": False,
-                "group": _gname(params),
-                "counterexample": {
-                    "element": {"perm": list(g.perm), "exps": list(g.exps)},
-                    "normal_form_length": ln,
-                    "bfs_distance": dist,
-                },
-            }
-        if eval_word(nf.word) != g:
-            return {
-                "ok": False,
-                "group": _gname(params),
-                "counterexample": {
-                    "element": {"perm": list(g.perm), "exps": list(g.exps)},
-                    "reason": "normal form does not evaluate back to the element",
-                },
-            }
-        histogram[ln] = histogram.get(ln, 0) + 1
-        if ln > max_len:
-            max_len, max_count = ln, 1
-        elif ln == max_len:
-            max_count += 1
+    """Certify that every normal form is geodesic; censuses cross-checked.
+
+    Let f(g) be the length of g's normal form, stored in one array indexed
+    by the rank of g (see ``normal_form._rank_order``).  f is the word
+    metric d of the left Cayley graph when three checks hold:
+
+    * f(1) = 0;
+    * every normal form spells its element, evaluated from the identity
+      with the generators' row moves;
+    * f(x*g) <= f(g) + 1 for every g and every letter x.
+
+    Spelling gives d <= f.  The other two give f <= d, by induction along
+    a geodesic.  No BFS table is built; ``cap`` bounds the order as it does
+    for ``enumerate_group``.
+    """
+    perms, vecs = _rank_order(params, cap)
+    perms = list(perms)
+    width = len(vecs)
+    # left multiplication acts on the permutation and on the exponents
+    # separately, so a letter maps rank P * width + E to ptab[P] * width + etab[E]
+    tables = _left_tables(params, perms, vecs)
+    n, d = params.n, params.d
+    # a level-i part has at most 2i + d letters; wider lengths still raise
+    f = array("B" if n * (n + 1 + d) < 256 else "H", [0]) * params.order()
+    for rank, (perm, ks, parts) in enumerate(_sweeps(params, perms, vecs)):
+        word = list(chain.from_iterable(parts))
+        at, ke = 0, 0  # the identity's ranks
+        for x in reversed(word):
+            ptab, etab = tables[x]
+            at, ke = ptab[at], etab[ke]
+        if at * width + ke != rank:
+            why = "normal form does not evaluate back to the element"
+            return _geodesic_failure(params, perm, ks, len(word), reason=why)
+        try:
+            f[rank] = len(word)
+        except OverflowError:
+            raise InvariantViolation(
+                f"normal form of length {len(word)} does not fit the length array"
+            ) from None
+    if f[0]:
+        why = "the identity has a non-empty normal form"
+        return _geodesic_failure(params, perms[0], vecs[0], f[0], reason=why)
+    letters = alphabet(params)
+    for p_rank in range(len(perms)):
+        here = f[p_rank * width : (p_rank + 1) * width]
+        for x, (ptab, etab) in enumerate(tables):
+            q_rank = ptab[p_rank]
+            there = f[q_rank * width : (q_rank + 1) * width]
+            if max(map(sub, map(there.__getitem__, etab), here)) > 1:
+                e_rank = next(i for i, j in enumerate(etab) if there[j] > here[i] + 1)
+                g = GroupElement(params, perms[p_rank], vecs[e_rank])
+                shorter = f"{letters[x]} {word_text(normal_form(g).word)}".strip()
+                return _geodesic_failure(
+                    params,
+                    perms[q_rank],
+                    vecs[etab[e_rank]],
+                    there[etab[e_rank]],
+                    reason="a shorter word spells the element",
+                    shorter_word=shorter,
+                )
+    histogram = Counter(f)
+    max_len = max(histogram)
+    max_count = histogram[max_len]
     report = {
         "ok": True,
         "group": _gname(params),
-        "order": len(table),
+        "order": len(f),
         "length_histogram": {str(k): histogram[k] for k in sorted(histogram)},
         "max_length": max_len,
         "max_length_count": max_count,
@@ -77,6 +117,41 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
         if expected != (max_len, max_count):
             report["ok"] = False
     return report
+
+
+def _left_tables(params: Params, perms, vecs) -> list[tuple[list[int], list[int]]]:
+    """Per letter x, the rank of x*g's permutation for each permutation rank
+    of g, and the rank of its exponents for each exponent rank of g."""
+    p_rank = {p: i for i, p in enumerate(perms)}
+    e_rank = {v: i for i, v in enumerate(vecs)}
+    de = params.de
+    tables = []
+    for mv in row_moves(params):
+        ptab, etab = [], []
+        for p in perms:
+            q = list(p)
+            for r, src, _ in mv:
+                q[r] = p[src]
+            ptab.append(p_rank[tuple(q)])
+        for v in vecs:
+            w = list(v)
+            for r, src, k in mv:
+                w[r] = (v[src] + k) % de
+            etab.append(e_rank[tuple(w)])
+        tables.append((ptab, etab))
+    return tables
+
+
+def _geodesic_failure(params: Params, perm, exps, length: int, **why) -> dict:
+    return {
+        "ok": False,
+        "group": _gname(params),
+        "counterexample": {
+            "element": {"perm": list(perm), "exps": list(exps)},
+            "normal_form_length": length,
+            **why,
+        },
+    }
 
 
 def _gname(params: Params) -> str:

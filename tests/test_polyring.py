@@ -1,5 +1,7 @@
 """Exact sparse polynomial arithmetic over Z[a, b_1..b_{d-1}]."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -119,6 +121,27 @@ def test_malformed_monomials_are_refused():
         Poly(2, {(-1, 0): 1})
     with pytest.raises(InvariantViolation):
         Poly(1, {(-2,): 0})
+
+
+def test_coefficients_must_be_integers():
+    for make in (
+        lambda: Poly.const(1, 2.5),
+        lambda: Poly(1, {(1,): True}),
+        lambda: Poly(2, {(0, 1): "3"}),
+    ):
+        with pytest.raises(InvariantViolation):
+            make()
+
+
+def test_copy_and_pickle_round_trip():
+    from gdeen import een, reduce_word
+
+    p = A(3) * A(3) * B(2, 3) - B(1, 3) + Poly.const(3, 7)
+    h = reduce_word(een(3, 3), "t1 t0 t0")
+    for value in (p, Poly.const(2, 0), h):
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert copied == value and str(copied) == str(value)
+    assert hash(pickle.loads(pickle.dumps(p))) == hash(p)
 
 
 def test_degree_limit_raises_instead_of_carrying():
