@@ -27,6 +27,7 @@ __all__ = ["Poly", "var_names", "WIDTH"]
 
 WIDTH = 16
 _MASK = (1 << WIDTH) - 1
+_UNIT = {0: 1}  # the terms of the constant 1
 
 
 def var_names(arity: int) -> list[str]:
@@ -206,3 +207,27 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self})"
+
+
+def _dot(pairs: list[tuple[Poly, Poly]]) -> Poly:
+    """The sum of ``p * q`` over the pairs, multiplied and summed on the
+    monomial codes, so that only the result is built as a Poly."""
+    if len(pairs) == 1:
+        ((p, q),) = pairs
+        return p if q.terms == _UNIT and q.arity == p.arity else p * q
+    arity = pairs[0][0].arity
+    acc: dict[int, int] = {}
+    get = acc.get
+    for p, q in pairs:
+        if p.arity != arity or q.arity != arity:
+            raise ArityMismatch(f"arity {p.arity} times {q.arity} in arity {arity}")
+        t2 = q.terms
+        for m1, c1 in p.terms.items():
+            for m2, c2 in t2.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    # an overflowing product sets a bit at or past the top of the total
+    # degree field, so no code below that is ever a carried one
+    if arity > 1 and acc and max(acc) >> (WIDTH * arity):
+        raise InvariantViolation(f"product degree reaches 2^{WIDTH} in arity {arity}")
+    return _make(arity, _nonzero(acc))

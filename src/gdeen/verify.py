@@ -18,7 +18,7 @@ from itertools import chain
 from operator import sub
 
 from .cayley import DEFAULT_CAP, enumerate_group, row_moves
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ParamsMismatch
 from .group import GroupElement, Params, mul
 from .hecke import (
     HeckeParams,
@@ -161,6 +161,8 @@ def _gname(params: Params) -> str:
 def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, seed: int = 0) -> dict:
     """Basis count, Lambda <-> group bijection, relation fidelity,
     specialization-permutation check per generator, associativity samples."""
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+        raise ParamsMismatch(f"samples must be an int >= 0, got {samples!r}")
     gp = hp.group_params()
     table = enumerate_group(gp, cap)
     basis = basis_enumerate(hp)

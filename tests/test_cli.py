@@ -130,6 +130,14 @@ def test_hecke_verify(capsys):
     assert obj["ok"] and obj["basis_size"] == 18
 
 
+def test_exit_2_on_negative_samples(capsys):
+    code, out, err = run(
+        capsys, "hecke-verify", "--family", "een", "--e", "3", "--n", "3", "--samples", "-1"
+    )
+    assert code == 2 and out == ""
+    assert "ParamsMismatch" in err
+
+
 def test_exit_2_on_bad_word(capsys):
     code, _, err = run(
         capsys, "normal-form", "--d", "1", "--e", "3", "--n", "3", "--word", "z t0"

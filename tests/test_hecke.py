@@ -13,6 +13,7 @@ import pytest
 import gdeen.hecke as hecke_mod
 from gdeen import (
     HeckeElement,
+    InvariantViolation,
     ParamsMismatch,
     Poly,
     RecursionGuardExceeded,
@@ -164,6 +165,96 @@ def test_mul_associativity_samples():
     for _ in range(25):
         x, y, z = (basis_element(hp, rng.choice(basis)) for _ in range(3))
         assert hecke_mul(hecke_mul(x, y), z) == hecke_mul(x, hecke_mul(y, z))
+
+
+MUL_ALGEBRAS = [een(3, 4), d1n(3, 3), een(4, 3), d1n(2, 3)]
+
+
+def _random_poly(hp, rng):
+    monos = [tuple(rng.randrange(3) for _ in range(hp.arity)) for _ in range(rng.randrange(1, 4))]
+    return Poly(hp.arity, {m: rng.choice([-2, -1, 1, 3]) for m in monos})
+
+
+def _with_prefix(hp, rng):
+    """A random basis index and one whose word is a proper prefix of its word:
+    the same low levels, the levels above a cut set to the identity."""
+    while True:
+        lam = rng.choice(basis_enumerate(hp))
+        cut = rng.randrange(1, len(lam))
+        prefix = lam[:cut] + identity_index(hp)[cut:]
+        if prefix != lam:
+            return lam, prefix
+
+
+def _random_element(hp, rng, pairs):
+    combo = {}
+    for _ in range(pairs):
+        for lam in _with_prefix(hp, rng):
+            combo[lam] = _random_poly(hp, rng)
+    return HeckeElement(hp, combo)
+
+
+def _mul_reference(h1, h2):
+    """h1 * h2 one term of h1 at a time."""
+    total = HeckeElement(h2.params, {})
+    for lam, c in h1.combo.items():
+        total = total + apply_word(as_word(h1.params, lam), h2).scaled(c)
+    return total
+
+
+@pytest.mark.parametrize("hp", MUL_ALGEBRAS, ids=str)
+def test_hecke_mul_matches_the_term_by_term_reference(hp):
+    # the product runs Horner's rule over the trie of h1's words, so the
+    # operands share word prefixes on purpose
+    rng = random.Random(11)
+    zero, one = HeckeElement(hp, {}), unit(hp)
+    for _ in range(3):
+        h1, h2 = _random_element(hp, rng, 3), _random_element(hp, rng, 2)
+        assert hecke_mul(h1, h2) == _mul_reference(h1, h2)
+        assert hecke_mul(one, h2) == h2 and hecke_mul(h1, one) == h1
+        assert hecke_mul(zero, h2) == zero and hecke_mul(h1, zero) == zero
+
+
+@pytest.mark.parametrize("hp", MUL_ALGEBRAS, ids=str)
+def test_hecke_mul_drops_the_terms_that_cancel(hp):
+    # h1 = beta * lam - alpha * prefix, where alpha and beta are the
+    # coefficients of one basis element mu in lam * h2 and prefix * h2
+    rng = random.Random(5)
+    while True:
+        (lam, prefix), h2 = _with_prefix(hp, rng), _random_element(hp, rng, 1)
+        r1 = apply_word(as_word(hp, lam), h2)
+        r2 = apply_word(as_word(hp, prefix), h2)
+        common = [mu for mu in r1.combo if mu in r2.combo]
+        if common:
+            break
+    mu = common[0]
+    h1 = HeckeElement(hp, {lam: r2.combo[mu], prefix: -r1.combo[mu]})
+    got = hecke_mul(h1, h2)
+    assert mu not in got.combo
+    assert got == _mul_reference(h1, h2)
+
+
+def test_fused_products_keep_the_degree_overflow_check():
+    # z * (c zp^2 + zp^1 + zp^0) in H(3,1,2) with c = b_1^65535: the keys
+    # zp^2 and zp^1 each sum two products, and c*b_1, c*b_2 reach degree 2^16
+    hp = d1n(3, 2)
+    c = Poly(3, {(0, 65535, 0): 1})
+    one = one_poly(hp)
+    h = elem(hp, {(("zp", 2), ONE): c, (("zp", 1), ONE): one, (("zp", 0), ONE): one})
+    with pytest.raises(InvariantViolation):
+        apply_word(make_word(hp.group_params(), [Z]), h)
+
+
+@pytest.mark.parametrize("samples", [-1, True, 2.0, "3"])
+def test_verify_hecke_refuses_bad_sample_counts_before_the_bfs(samples, monkeypatch):
+    import gdeen.verify as verify_mod
+
+    def no_bfs(*args):
+        raise AssertionError("the group was enumerated")
+
+    monkeypatch.setattr(verify_mod, "enumerate_group", no_bfs)
+    with pytest.raises(ParamsMismatch):
+        verify_mod.verify_hecke(een(3, 3), samples=samples)
 
 
 def test_pow_s2zs2_k1_and_k2():
