@@ -24,10 +24,12 @@ case analysis built from three ingredients:
 * right-multiplication *folds* that append the remaining letters of
   lambda_n one at a time, each fold step being a commutation shift, a
   braid move, a quadratic expansion, or a dip into the rank-2 subalgebra;
-* rank-2 base cases: the t_j t_i recurrence
-  t_j t_i = t_{j-1} t_{i-1} + a (t_i - t_{j-1}) for H(e,e,n), and the
-  s_2 z^k s_2 / (s_2 z s_2)^k expansions for H(d,1,n), together with the
-  H(e,e,3)-local expansion of s_3 (t_k t_0) s_3 t_l that the folds need.
+* rank-2 base cases, each a rank-2 product followed by one letter on the
+  right: for H(e,e,n), the t_j t_i recurrence
+  t_j t_i = t_{j-1} t_{i-1} + a (t_i - t_{j-1}), then t_0 on the right;
+  for H(d,1,n), (s_2 z^k s_2) z^l, then s_2 on the right, where
+  s_2 z^k s_2 is expanded in (s_2 z s_2)-powers.  The folds also need
+  the H(e,e,3)-local expansion of s_3 (t_k t_0) s_3 t_l.
 
 Every prefix produced on the way is re-reduced recursively in the smaller
 subalgebra, so termination is by induction on the level, with an explicit
@@ -256,7 +258,12 @@ class HeckeElement:
         return HeckeElement(self.params, {lam: v * c for lam, v in self.combo.items()})
 
     def items(self):
-        return sorted(self.combo.items(), key=lambda kv: _basis_key(kv[0]))
+        try:
+            return sorted(self.combo.items(), key=lambda kv: _basis_key(kv[0]))
+        except (IndexError, TypeError):
+            for lam in self.combo:  # names the index that is not valid
+                validate_basis_index(self.params, lam)
+            raise
 
     def __str__(self):
         if not self.combo:
@@ -332,7 +339,6 @@ class _Engine:
         ar = hp.arity
         self.one = Poly.const(ar, 1)
         self.A = Poly.variable(ar, 0)
-        self.lo = 3 if self.een else 2
         self._F = [Poly.const(ar, 0), Poly.const(ar, 1)]
         self._G = [Poly.const(ar, 1), Poly.const(ar, 0)]
         self._lm: dict = {}
@@ -341,7 +347,6 @@ class _Engine:
         self._zpow: dict[int, list] = {}
         self._ppform: dict[int, list] = {}
         self._powexp: dict[int, list] = {}
-        self._pows: dict[int, list] = {}
         self._moves = 0
         self._active = False
 
@@ -438,39 +443,26 @@ class _Engine:
         return res
 
     def _Qprime(self, y: int, l: int, j: int) -> LocList:
-        """s_3 (t_1 t_0)^y s_3 t_l s_3^j over Lambda_2 Lambda_3."""
+        """s_3 (t_1 t_0)^y s_3 t_l s_3^j over Lambda_2 Lambda_3, for y >= 1."""
         self._tick()
-        if y == 0:
-            Fj, Gj = self._fib(j)
-            out = [
-                (self.A * Fj, (T(l),), ("x", l)),
-                (self.A * Gj, (), ("x", l)),
-                (Fj, (T(l),), ("d", 3)),
-                (Gj, (T(l),), ONE),
-            ]
-            return [(c, pw, sh) for c, pw, sh in out if not c.is_zero()]
         return self._R(y - 1, (l + 1) % self.p, l, j + 1)
 
     def _R(self, y: int, mm: int, l: int, j: int) -> LocList:
-        """s_3 (t_1 t_0)^y t_mm s_3 t_l s_3^j over Lambda_2 Lambda_3."""
+        """s_3 (t_1 t_0)^y t_mm s_3 t_l s_3^j over Lambda_2 Lambda_3.  At
+        y = 0, mm - l is 1..e-1 mod e, so t_mm t_l has no 1 term."""
         self._tick()
         if y >= 1:
             out = [(c * self.A, pw, sh) for c, pw, sh in self._Qprime(y, l, j)]
             out += self._R(y - 1, (mm + 1) % self.p, l, j)
             return out
         Fj, Gj = self._fib(j)
-        Fj1, Gj1 = self._fib(j + 1)
         out: LocList = []
         for c, v in self._expand2_tt(mm, l):
-            if v == ONE:
-                out.append((c * Fj1, (T(mm),), ("d", 3)))
-                out.append((c * Gj1, (T(mm),), ONE))
-            elif v[0] == "x":
-                yy = v[1]
+            yy = v[1]
+            if v[0] == "x":
                 out.append((c * Fj, (T(mm), T(yy)), ("x", yy)))
                 out.append((c * Gj, (T(mm),), ("x", yy)))
             else:
-                yy = v[1]
                 out.append((c * Fj, (T(mm),), ("xa", yy, 3)))
                 out.append((c * Gj, (T(mm),), ("xa", yy, 2)))
         return [(c, pw, sh) for c, pw, sh in out if not c.is_zero()]
@@ -508,24 +500,16 @@ class _Engine:
 
     def _ppform_expand(self, k: int) -> list[tuple[Poly, int, tuple]]:
         """s_2 z^k s_2 on the intermediate alphabet: terms are
-        z^c * V with V in {1, s_2, s_2 z^{c'}, (s_2 z s_2)^{c'}}."""
+        z^c * V with V in {s_2 z^{c'}, (s_2 z s_2)^{c'}}."""
         if k in self._ppform:
             return self._ppform[k]
         if k == 1:
             res = [(self.one, 0, ("pow", 1))]
         else:
             # s_2 z^k s_2 = [s_2 z^{k-1} s_2](s_2 z s_2) - a s_2 z^{k-1} (s_2 z s_2)
-            res = [
-                (-(self.A * self.A), k - 1, ("pow", 1)),
-                (-self.A, 1, ("s2z", k - 1) if k - 1 >= 1 else ("s2",)),
-            ]
+            res = [(-(self.A * self.A), k - 1, ("pow", 1)), (-self.A, 1, ("s2z", k - 1))]
             for c, cc, v in self._ppform_expand(k - 1):
-                if v == ("one",):
-                    res.append((c, cc, ("pow", 1)))
-                elif v == ("s2",):
-                    res.append((c * self.A, cc, ("pow", 1)))
-                    res.append((c, cc + 1, ("s2",)))
-                elif v[0] == "s2z":
+                if v[0] == "s2z":
                     res.append((c * self.A, cc + v[1], ("pow", 1)))
                     res.append((c, cc + 1, ("s2z", v[1])))
                 else:  # ("pow", x): z^{c'} commutes with the (s_2 z s_2) block
@@ -542,12 +526,7 @@ class _Engine:
         else:
             res = []
             for c, cc, v in self._pow_expand(k - 1):
-                if v == ONE:
-                    res.append((c, cc, ("xa", 1, 2)))
-                elif v[0] == "d":  # s_2
-                    res.append((c * self.A, cc, ("xa", 1, 2)))
-                    res.append((c, cc + 1, ("d", 2)))
-                elif v[0] == "x":
+                if v[0] == "x":
                     res.append((c * self.A, cc + v[1], ("xa", 1, 2)))
                     res.append((c, cc + 1, ("x", v[1])))
                 else:  # ("xa", c', 2)
@@ -557,101 +536,28 @@ class _Engine:
         self._powexp[k] = res
         return res
 
-    def _powS_expand(self, k: int) -> list[tuple[Poly, int, tuple]]:
-        """(s_2 z s_2)^k s_2 on the (z^c, pow | s2z) alphabet."""
-        if k in self._pows:
-            return self._pows[k]
-        if k == 1:
-            res = [(self.A, 0, ("pow", 1)), (self.one, 0, ("s2z", 1))]
-        else:
-            res = []
-            for c, cc, v in self._powS_expand(k - 1):
-                if v[0] == "pow":
-                    res.append((c, cc, ("pow", v[1] + 1)))
-                else:  # (s_2 z s_2) s_2 z^j = a z^j (s_2 z s_2) + s_2 z^{j+1}
-                    res.append((c * self.A, cc + v[1], ("pow", 1)))
-                    res.append((c, cc, ("s2z", v[1] + 1)))
-        self._pows[k] = res
-        return res
-
-    def _norm12(self, raw: list[tuple[Poly, int, Shape]]) -> list[tuple[Poly, int, Shape]]:
-        """Reduce raw z powers mod the cyclotomic relation; drop zeros."""
+    def _s2zs2_zl(self, k: int, l: int) -> list[tuple[Poly, int, Shape]]:
+        """(s_2 z^k s_2) z^l over Lambda_1 Lambda_2: z^l commutes through
+        the (s_2 z s_2)-blocks of the intermediate form, s_2 z^m is
+        re-expanded through the cyclotomic relation, and so are the raw
+        z powers in front."""
+        raw: list[tuple[Poly, int, Shape]] = []
+        for c, cc, v in self._ppform_expand(k):
+            if v[0] == "s2z":
+                for c2, m in self._zpow_reduce(v[1] + l):
+                    raw.append((c * c2, cc, ("x", m) if m else ("d", 2)))
+            else:
+                raw += [(c * c2, cc + l + cc2, sh) for c2, cc2, sh in self._pow_expand(v[1])]
         triples = ((c, c2, (cr, sh)) for c, cc, sh in raw for c2, cr in self._zpow_reduce(cc))
         return [(c, cc, sh) for c, (cc, sh) in _collect(triples)]
 
-    def _expand_pows(self, raw) -> list[tuple[Poly, int, Shape]]:
-        """Turn intermediate (pow/s2z/s2/one) tags into genuine shapes."""
-        out: list[tuple[Poly, int, Shape]] = []
-        for c, cc, v in raw:
-            if v == ("one",):
-                out.append((c, cc, ONE))
-            elif v == ("s2",):
-                out.append((c, cc, ("d", 2)))
-            elif v[0] == "s2z":
-                out.append((c, cc, ("x", v[1]) if v[1] >= 1 else ("d", 2)))
-            elif v[0] == "pow":
-                for c2, cc2, sh in self._pow_expand(v[1]):
-                    out.append((c * c2, cc + cc2, sh))
-            else:  # already a shape
-                out.append((c, cc, v))
-        return out
-
-    def _s2zs2_full(self, k: int) -> list[tuple[Poly, int, Shape]]:
-        """s_2 z^k s_2 over Lambda_1 Lambda_2."""
-        return self._norm12(self._expand_pows(self._ppform_expand(k)))
-
-    def _s2zs2_zl(self, k: int, l: int) -> list[tuple[Poly, int, Shape]]:
-        """(s_2 z^k s_2) z^l over Lambda_1 Lambda_2: z^l commutes through
-        the (s_2 z s_2)-blocks of the intermediate form."""
-        raw: list[tuple[Poly, int, tuple]] = []
-        for c, cc, v in self._ppform_expand(k):
-            if v == ("one",):
-                raw.append((c, cc + l, ("one",)))
-            elif v == ("s2",):
-                raw.append((c, cc, ("s2z", l)))
-            elif v[0] == "s2z":
-                raw.append((c, cc, ("s2z", v[1] + l)))
-            else:
-                raw.append((c, cc + l, v))
-        # s_2 z^m with m >= d is re-expanded through the cyclotomic relation
-        flat: list[tuple[Poly, int, tuple]] = []
-        for c, cc, v in raw:
-            if v[0] == "s2z" and v[1] >= self.p:
-                for c2, m in self._zpow_reduce(v[1]):
-                    flat.append((c * c2, cc, ("s2z", m)))
-            else:
-                flat.append((c, cc, v))
-        return self._norm12(self._expand_pows(flat))
-
-    def _s2zs2_zl_s2(self, k: int, l: int) -> list[tuple[Poly, int, Shape]]:
-        """(s_2 z^k s_2) z^l s_2 over Lambda_1 Lambda_2."""
-        out: list[tuple[Poly, int, Shape]] = []
-        for c, cc, v in self._ppform_expand(k):
-            if v == ("one",):  # z^{cc+l} s_2
-                out.append((c, cc + l, ("d", 2)))
-            elif v == ("s2",):  # z^cc s_2 z^l s_2
-                out += [(c * c2, cc + cc2, sh) for c2, cc2, sh in self._s2_pow_s2(l)]
-            elif v[0] == "s2z":  # z^cc s_2 z^{c'+l} s_2
-                out += [
-                    (c * c2, cc + cc2, sh) for c2, cc2, sh in self._s2_pow_s2(v[1] + l)
-                ]
-            else:  # z^{cc+l} (s_2 z s_2)^{c'} s_2
-                for c2, cc2, v2 in self._powS_expand(v[1]):
-                    out.append((c * c2, cc + l + cc2, v2))
-        return self._norm12(self._expand_pows(out))
-
-    def _s2_pow_s2(self, m: int) -> list[tuple[Poly, int, Shape]]:
-        """s_2 z^m s_2 for any m >= 0 (cyclotomic reduction first)."""
-        if m == 0:
-            return [(self.A, 0, ("d", 2)), (self.one, 0, ONE)]
-        out: list[tuple[Poly, int, Shape]] = []
-        for c, mm in self._zpow_reduce(m):
-            if mm == 0:
-                out.append((c * self.A, 0, ("d", 2)))
-                out.append((c, 0, ONE))
-            else:
-                out += [(c * c2, cc, sh) for c2, cc, sh in self._s2zs2_full(mm)]
-        return out
+    def _rmul2_s2(self, sh: Shape) -> list[tuple[Poly, Shape]]:
+        """(Lambda_2 shape) * s_2, for the shapes s_2, s_2 z^j and
+        s_2 z^j s_2 that _s2zs2_zl yields (never the empty word)."""
+        if sh[0] == "x":
+            return [(self.one, ("xa", sh[1], 2))]
+        # s_2 s_2 = a s_2 + 1, and s_2 z^j s_2 s_2 = a s_2 z^j s_2 + s_2 z^j
+        return [(self.A, sh), (self.one, ONE if sh[0] == "d" else ("x", sh[1]))]
 
     # -- base-case left multiplication -----------------------------------------
 
@@ -677,13 +583,15 @@ class _Engine:
             return [(A, (("zp", 0), lam2)), (one, (("zp", lam2[1]), ("d", 2)))]
         if lam2 == ONE:
             return [(one, (("zp", 0), ("x", k)))]
-        if lam2 == ("d", 2):
-            terms = self._s2zs2_full(k)
-        elif lam2[0] == "x":
-            terms = self._s2zs2_zl(k, lam2[1])
-        else:
-            terms = self._s2zs2_zl_s2(k, lam2[1])
-        return [(c, (("zp", cc), sh)) for c, cc, sh in terms]
+        if lam2 == ("d", 2):  # s_2 z^k s_2 is itself a basis word
+            return [(one, (("zp", 0), ("xa", k, 2)))]
+        terms = self._s2zs2_zl(k, lam2[1])
+        if lam2[0] == "x":
+            return [(c, (("zp", cc), sh)) for c, cc, sh in terms]
+        # s_2 z^k (s_2 z^l s_2) = (s_2 z^k s_2) z^l, then s_2 on the right
+        return _collect(
+            (c, c2, (("zp", cc), sh2)) for c, cc, sh in terms for c2, sh2 in self._rmul2_s2(sh)
+        )
 
     # -- the level handler: heads -----------------------------------------------
 
@@ -812,10 +720,7 @@ class _Engine:
         # s_m .. s_4 [ .. ] s_4 .. s_{i2}
         out: LocList = []
         for c2, pw2, v3 in self._expand_P(k, l):
-            if v3 == ONE:
-                base: LocList = [(c * c2, pw + pw2, self._dnorm(m, 4))]
-            else:
-                base = [(c * c2, pw + pw2, v3)]
+            base: LocList = [(c * c2, pw + pw2, v3)]
             for j in range(4, i2 + 1):
                 base = self._fold(m, base, ("s", j))
             out += base
@@ -829,17 +734,13 @@ class _Engine:
             if tail[1] == 2:
                 return [(c, pw, ("x", l))]
             return [(c, pw + (Z,) * l, tail)]
-        if tail[0] == "x":
-            out = []
-            for c2, cc in self._zpow_reduce(tail[1] + l):
-                out.append((c * c2, pw, ("x", cc) if cc >= 1 else ("d", 2)))
-            return out
         # splice the rank-2 expansion of (s_2 z^k s_2) z^l back into
-        # s_m .. s_3 [ .. ] s_3 .. s_{i2}
+        # s_m .. s_3 [ .. ] s_3 .. s_{i2}; the tail is never an x shape,
+        # because the z-fold comes right after _head(m, a, 2)
         k, i2 = tail[1], tail[2]
         out: LocList = []
         for c2, cc, v in self._s2zs2_zl(k, l):
-            base: LocList = [(c * c2, pw + (Z,) * cc, ("d", 3) if v == ONE else v)]
+            base: LocList = [(c * c2, pw + (Z,) * cc, v)]
             for j in range(3, i2 + 1):
                 base = self._fold(m, base, ("s", j))
             out += base
@@ -858,9 +759,6 @@ class _Engine:
         if self.een:
             return (ONE,) * (m - 1)
         return (("zp", 0),) + (ONE,) * (m - 1)
-
-    def _min_rank(self) -> int:
-        return 2 if self.een else 1
 
     def _leftmul_at(self, m: int, sym: Sym, shapes: BasisIndex) -> TermList:
         key = (m, sym, shapes)

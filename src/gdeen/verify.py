@@ -191,7 +191,8 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
         return apply_word(word, basis_element(hp, lam))
 
     matrix_entries = 0
-    for u, v in hecke_relations(hp):
+    relations = hecke_relations(hp)
+    for u, v in relations:
         for lam in basis:
             if act(u, lam) != act(v, lam):
                 report["ok"] = False
@@ -201,7 +202,7 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
                 )
                 return report
             matrix_entries += 1
-    report["relations_checked"] = len(hecke_relations(hp))
+    report["relations_checked"] = len(relations)
     report["relation_columns_checked"] = matrix_entries
 
     # quadratic and cyclotomic relations, again on every basis column
@@ -210,8 +211,8 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
         if sym.kind == "z":
             continue
         for lam in basis:
-            lhs = act(_word(gp, [sym, sym]), lam)
-            rhs = act(_word(gp, [sym]), lam).scaled(a_poly) + basis_element(hp, lam)
+            lhs = act(make_word(gp, [sym, sym]), lam)
+            rhs = act(make_word(gp, [sym]), lam).scaled(a_poly) + basis_element(hp, lam)
             if lhs != rhs:
                 report["ok"] = False
                 report["failure"] = f"quadratic relation failed for {sym}"
@@ -219,11 +220,11 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     if hp.family == "d1n":
         d = hp.p
         for lam in basis:
-            lhs = act(_word(gp, [Z] * d), lam)
+            lhs = act(make_word(gp, [Z] * d), lam)
             rhs = basis_element(hp, lam)
             for i in range(1, d):
                 bi = Poly.variable(hp.arity, i)
-                rhs = rhs + act(_word(gp, [Z] * (d - i)), lam).scaled(bi)
+                rhs = rhs + act(make_word(gp, [Z] * (d - i)), lam).scaled(bi)
             if lhs != rhs:
                 report["ok"] = False
                 report["failure"] = "cyclotomic relation z^d = sum b_i z^{d-i} + 1 failed"
@@ -260,7 +261,3 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
             return report
     report["associativity_samples"] = samples
     return report
-
-
-def _word(gp: Params, syms):
-    return make_word(gp, syms)

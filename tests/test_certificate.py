@@ -127,6 +127,15 @@ def test_word_of_another_element_is_refused(monkeypatch):
     assert "evaluate" in cx["reason"]
 
 
+def test_census_mismatch_is_refused(monkeypatch):
+    monkeypatch.setattr(verify_mod, "census_expected", lambda params: (0, 1))
+    report = verify_geodesic(G333)
+    assert not report["ok"]
+    assert report["census_expected"] == {"max_length": 0, "count": 1}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(ARGV_333) == 1
+
+
 def test_length_that_does_not_fit_raises(monkeypatch):
     # s3 then 300 more s3 still spells s3, but no byte holds the length
     mutate(monkeypatch, S3, lambda parts: parts[:-1] + [parts[-1] + [3] * 300])

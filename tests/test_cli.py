@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gdeen.cli import main
 
 EX34_JSON = '{"d":3,"e":3,"n":4,"rows":[[1,1],[3,0],[4,1],[2,1]]}'
@@ -152,6 +154,32 @@ def test_exit_2_on_unicode_digit(capsys):
     )
     assert code == 2
     assert "BadFormat" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("hecke-reduce --family een --d 3 --n 3 --word s3", "--family een needs --e"),
+        ("hecke-reduce --family d1n --e 3 --n 3 --word s3", "--family d1n needs --d"),
+        ("hecke-verify --family d1n --n 2", "--family d1n needs --d"),
+    ],
+    ids=["een", "d1n", "verify-d1n"],
+)
+def test_exit_2_on_missing_family_parameter(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("command", ["normal-form", "length"])
+def test_exit_2_on_matrix_of_another_group(tmp_path, capsys, command):
+    path = tmp_path / "g334.json"
+    path.write_text(EX34_JSON)
+    code, out, err = run(
+        capsys, command, "--d", "1", "--e", "3", "--n", "4", "--matrix", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "matrix file is for" in err
 
 
 def test_exit_2_on_matrix_directory(tmp_path, capsys):

@@ -17,8 +17,18 @@ import io
 
 import pytest
 
-from gdeen import d1n, een, hecke_mul, pow_s2zs2, reduce_word, s2_zk_s2
+from gdeen import (
+    basis_enumerate,
+    d1n,
+    een,
+    hecke_mul,
+    leftmul_generator,
+    pow_s2zs2,
+    reduce_word,
+    s2_zk_s2,
+)
 from gdeen.cli import main
+from gdeen.words import S
 
 
 def _reduce(family, p, n, word):
@@ -50,6 +60,14 @@ def _lib_mul(hp, w1, w2):
     return hecke_mul(reduce_word(hp, w1), reduce_word(hp, w2)).to_json()
 
 
+def _leftmul_columns(hp, *letters):
+    # every basis column under each letter: the s_2 cases run the H(d,1,n)
+    # rank-2 base case, the s_3 cases the rank-3 folds (_loc_zp, _expand_P)
+    return "\n".join(
+        leftmul_generator(hp, S(i), lam).to_json() for i in letters for lam in basis_enumerate(hp)
+    )
+
+
 LIB_CASES = {
     "mul-h333": lambda: _lib_mul(een(3, 3), "t1 t0 s3 t2", "s3 t2 t1 s3 t0"),
     "mul-h443": lambda: _lib_mul(een(4, 3), "t3 t1 s3", "t2 s3 t0 t1"),
@@ -58,6 +76,9 @@ LIB_CASES = {
     "pow-s2zs2-h412": lambda: "\n".join(pow_s2zs2(d1n(4, 2), k).to_json() for k in (1, 2, 3)),
     "s2-zk-s2-h313": lambda: "\n".join(s2_zk_s2(d1n(3, 3), k).to_json() for k in (1, 2)),
     "s2-zk-s2-h412": lambda: "\n".join(s2_zk_s2(d1n(4, 2), k).to_json() for k in (1, 2, 3)),
+    "leftmul-s2-h512": lambda: _leftmul_columns(d1n(5, 2), 2),
+    "leftmul-s2-s3-h413": lambda: _leftmul_columns(d1n(4, 3), 2, 3),
+    "leftmul-s3-h553": lambda: _leftmul_columns(een(5, 3), 3),
 }
 
 
@@ -93,6 +114,9 @@ GOLDEN = {
     'verify-geodesic-g623': (0, 'b03841c38e0cffc3974df8c8c9f418edf95a3fa524035ca1809059362121ceef'),
     'verify-h213': (0, '7e1240474b443581d67c43486bd1cbd6c4ba5958ad58e68a614749125ba998c1'),
     'verify-h333': (0, '8525b58cd36819c9c23f05de76db9940f3a8f884723396204f43585db9a0f35b'),
+    'leftmul-s2-h512': 'dc1d03a652e86f81794716016f4c8f267be5d47a24cbfc396082e285e3648c18',
+    'leftmul-s2-s3-h413': '73ef0d9ad48a899b8b0d70c88a92d7752bfbf4e2642d62a180b5af889ea9034c',
+    'leftmul-s3-h553': '403c34c260fda1cecd1e02796c3f5e7151a8f11d5d42302f41dc84018fac1137',
     'mul-h313': '68bb8f07887b65e9ef13539807ff37764f2611035f324ebd030de05425528144',
     'mul-h333': '638cafc3cdeae0a9c8978e51c0cf642ab61c823b052359a51007027d4c2ab0ee',
     'mul-h443': 'ac62d4f0ef37871f3f2f98dd06cd7fc86db0b4aa71c68040c65318a8c6e75c6f',

@@ -17,6 +17,7 @@ from gdeen import (
     ParamsMismatch,
     Poly,
     RecursionGuardExceeded,
+    UnknownSymbol,
     apply_word,
     as_word,
     basis_element,
@@ -456,6 +457,24 @@ def test_reduce_word_params_mismatch():
         reduce_word(hp, w)
     with pytest.raises(ParamsMismatch):
         apply_word(w, unit(hp))
+    for op in (hecke_mul, HeckeElement.__add__):
+        with pytest.raises(ParamsMismatch):
+            op(unit(hp), unit(een(4, 3)))
+
+
+@pytest.mark.parametrize(
+    "hp, letter", [(een(3, 3), Z), (een(3, 3), S(4)), (d1n(2, 3), T(0))], ids=str
+)
+def test_leftmul_refuses_a_letter_outside_the_alphabet(hp, letter):
+    with pytest.raises(UnknownSymbol):
+        leftmul_generator(hp, letter, identity_index(hp))
+
+
+@pytest.mark.parametrize("helper", [pow_s2zs2, s2_zk_s2], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("hp, k", [(een(3, 3), 1), (d1n(3, 2), 0), (d1n(3, 2), 3)], ids=str)
+def test_d1n_helpers_refuse_other_algebras_and_powers(helper, hp, k):
+    with pytest.raises(ParamsMismatch):
+        helper(hp, k)
 
 
 @pytest.mark.parametrize("hp", [een(3, 3), een(4, 3), d1n(2, 3), d1n(3, 2)])
@@ -478,6 +497,24 @@ def test_validate_basis_index_rejects_non_shapes():
     for bad in [(ONE,), (ONE, ("d", 2)), (ONE, ["one"]), (ONE, ("x", [1]))]:
         with pytest.raises(ParamsMismatch):
             validate_basis_index(hp, bad)
+
+
+@pytest.mark.parametrize(
+    "combo",
+    [
+        {(("q", 1), ONE): 1},  # too short for the sort key
+        {(1, ONE): 1},  # not subscriptable
+        {(("x", "a"), ONE): 1, (("x", 1), ONE): 1},  # keys that do not compare
+    ],
+    ids=["short", "int", "mixed"],
+)
+def test_rendering_an_invalid_index_raises_params_mismatch(combo):
+    # these used to escape as a bare IndexError or TypeError from the sort
+    hp = een(3, 3)
+    h = HeckeElement(hp, {lam: Poly.const(1, c) for lam, c in combo.items()})
+    for render in (h.items, h.to_json, h.__str__):
+        with pytest.raises(ParamsMismatch, match="is not valid at level 2"):
+            render()
 
 
 @pytest.mark.parametrize("bad", [[ONE, ONE], 5])
