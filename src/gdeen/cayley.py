@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EnumerationTooLarge, NotInGroup
-from .group import GroupElement, Params, mul
+from .errors import NotInGroup
+from .group import DEFAULT_CAP, GroupElement, Params, _checked_order, mul
 from .words import Sym, alphabet, generator
 
 __all__ = [
@@ -24,9 +24,6 @@ __all__ = [
     "regular_representation",
     "row_moves",
 ]
-
-DEFAULT_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class GroupTable:
@@ -55,11 +52,7 @@ def row_moves(params: Params) -> list[list[tuple[int, int, int]]]:
 
 
 def enumerate_group(params: Params, cap: int = DEFAULT_CAP) -> GroupTable:
-    order = params.order()
-    if order > cap:
-        raise EnumerationTooLarge(
-            f"|G({params.de},{params.e},{params.n})| = {order} exceeds cap {cap}"
-        )
+    order = _checked_order(params, cap)
     # An element is coded as an int whose digits are its 0-based columns
     # (base n, most significant first), then its exponents (base de), so
     # numeric order on codes is the canonical (perm, exps) order.

@@ -11,9 +11,9 @@ import argparse
 import json
 import sys
 
-from .cayley import DEFAULT_CAP, enumerate_group
+from .cayley import enumerate_group
 from .errors import GdeenError
-from .group import Params, element_from_json, element_to_json
+from .group import DEFAULT_CAP, Params, element_from_json, element_to_json
 from .hecke import HeckeParams, reduce_word
 from .normal_form import length, max_length_census, normal_form
 from .verify import verify_geodesic, verify_hecke

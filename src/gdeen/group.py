@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import BadFormat, InvariantViolation, ParamsMismatch
+from .errors import BadFormat, EnumerationTooLarge, InvariantViolation, ParamsMismatch
 
 __all__ = [
     "Params",
@@ -41,9 +41,10 @@ class Params:
     n: int
 
     def __post_init__(self):
-        if self.d < 1 or self.e < 1 or self.n < 2:
+        dims = (self.d, self.e, self.n)
+        if not all(map(_is_int, dims)) or self.d < 1 or self.e < 1 or self.n < 2:
             raise InvariantViolation(
-                f"need d >= 1, e >= 1, n >= 2, got (d={self.d}, e={self.e}, n={self.n})"
+                f"need ints d >= 1, e >= 1, n >= 2, got (d={self.d!r}, e={self.e!r}, n={self.n!r})"
             )
 
     @property
@@ -53,6 +54,19 @@ class Params:
     def order(self) -> int:
         """Group order (de)^n * n! / e, computed exactly."""
         return self.de**self.n * math.factorial(self.n) // self.e
+
+
+DEFAULT_CAP = 10**6
+
+
+def _checked_order(params: Params, cap: int) -> int:
+    """The group order, refused with EnumerationTooLarge when it exceeds cap."""
+    order = params.order()
+    if order > cap:
+        raise EnumerationTooLarge(
+            f"|G({params.de},{params.e},{params.n})| = {order} exceeds cap {cap}"
+        )
+    return order
 
 
 @dataclass(frozen=True)
@@ -151,8 +165,13 @@ def element_from_json(text: str | dict) -> GroupElement:
     return element(params, perm, exps)
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool (3.0 and True would share the int's memos)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _json_int(v) -> int:
     """A JSON integer: bools and floats are refused, not coerced."""
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise TypeError(f"{v!r} is not an integer")
     return v

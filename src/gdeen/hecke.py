@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParamsMismatch, RecursionGuardExceeded, UnknownSymbol
-from .group import GroupElement, Params
+from .group import GroupElement, Params, _is_int
 from .polyring import Poly, _dot
 from .words import S, Sym, T, Word, Z, alphabet, eval_word, make_word, relations
 
@@ -96,6 +96,8 @@ class HeckeParams:
     n: int
 
     def __post_init__(self):
+        if not (_is_int(self.p) and _is_int(self.n)):
+            raise ParamsMismatch(f"need ints p, n, got {(self.p, self.n)!r}")
         if self.family == "een":
             if self.p < 1 or self.n < 2:
                 raise ParamsMismatch("H(e,e,n) needs e >= 1, n >= 2")
@@ -154,15 +156,16 @@ def _levels(hp: HeckeParams) -> range:
 
 
 @lru_cache(maxsize=None)
-def _shape_table(hp: HeckeParams) -> tuple[list[list[Shape]], list[dict[Shape, str]]]:
-    """Per level: the valid shapes in canonical order, and a map from each
-    valid shape to the text of its word."""
-    ordered = [_level_shapes(hp, i) for i in _levels(hp)]
+def _shape_table(hp: HeckeParams) -> tuple[list[dict[Shape, int]], list[dict[Shape, str]]]:
+    """Per level, two maps from each valid shape: to its position in the
+    level's canonical order (the map iterates in that order), and to the
+    text of its word."""
+    ranks = [{sh: r for r, sh in enumerate(_level_shapes(hp, i))} for i in _levels(hp)]
     texts = [
         {sh: " ".join(map(str, _shape_word(hp, i, sh))) for sh in shapes}
-        for i, shapes in zip(_levels(hp), ordered)
+        for i, shapes in zip(_levels(hp), ranks)
     ]
-    return ordered, texts
+    return ranks, texts
 
 
 def basis_enumerate(hp: HeckeParams) -> list[BasisIndex]:
@@ -213,12 +216,7 @@ def as_word(hp: HeckeParams, lam: BasisIndex) -> Word:
 
 def _basis_text(hp: HeckeParams, lam: BasisIndex) -> str:
     """The text of ``as_word(hp, lam)``, joined from the per-level texts."""
-    texts = _shape_table(hp)[1]
-    try:
-        return " ".join(filter(None, map(dict.__getitem__, texts, lam)))
-    except (KeyError, TypeError):
-        validate_basis_index(hp, lam)  # names the shape that is not valid
-        raise
+    return " ".join(filter(None, map(dict.__getitem__, _shape_table(hp)[1], lam)))
 
 
 def identity_index(hp: HeckeParams) -> BasisIndex:
@@ -232,11 +230,17 @@ def identity_index(hp: HeckeParams) -> BasisIndex:
 
 
 class HeckeElement:
-    """A finite R0-linear combination of basis indices."""
+    """A finite R0-linear combination of basis indices.  The constructor
+    validates every index and coefficient; engine results, sums and
+    scalings are built by ``_element`` with no re-check."""
 
     __slots__ = ("params", "combo")
 
     def __init__(self, params: HeckeParams, combo: dict[BasisIndex, Poly]):
+        for lam, c in combo.items():
+            validate_basis_index(params, lam)
+            if not isinstance(c, Poly) or c.arity != params.arity:
+                raise ParamsMismatch(f"coefficient {c!r} is not a Poly of arity {params.arity}")
         self.params = params
         self.combo = {lam: c for lam, c in combo.items() if not c.is_zero()}
 
@@ -255,15 +259,16 @@ class HeckeElement:
         return _element(self.params, _collect(terms))
 
     def scaled(self, c: Poly) -> HeckeElement:
-        return HeckeElement(self.params, {lam: v * c for lam, v in self.combo.items()})
+        # Z[a, b_i] has no zero divisors, so only c = 0 makes a term vanish
+        terms = [] if c.is_zero() else [(v * c, lam) for lam, v in self.combo.items()]
+        return _element(self.params, terms)
 
     def items(self):
-        try:
-            return sorted(self.combo.items(), key=lambda kv: _basis_key(kv[0]))
-        except (IndexError, TypeError):
-            for lam in self.combo:  # names the index that is not valid
-                validate_basis_index(self.params, lam)
-            raise
+        """The terms in the canonical order of ``basis_enumerate``."""
+        ranks = _shape_table(self.params)[0]
+        return sorted(
+            self.combo.items(), key=lambda kv: tuple(map(dict.__getitem__, ranks, kv[0]))
+        )
 
     def __str__(self):
         if not self.combo:
@@ -289,21 +294,6 @@ class HeckeElement:
         return json.dumps(obj)
 
 
-def _basis_key(lam: BasisIndex):
-    def shape_key(sh: Shape):
-        if sh == ONE:
-            return (0, 0, 0)
-        if sh[0] == "zp":
-            return (0, sh[1], 0)
-        if sh[0] == "d":
-            return (1, sh[1], 0)
-        if sh[0] == "x":
-            return (2, sh[1], 0)
-        return (3, sh[1], sh[2])
-
-    return tuple(shape_key(sh) for sh in lam)
-
-
 # ---------------------------------------------------------------------------
 # the rewriting engine
 
@@ -327,7 +317,11 @@ def _collect(triples) -> list:
 
 
 def _element(hp: HeckeParams, terms: TermList) -> HeckeElement:
-    return HeckeElement(hp, {lam: c for c, lam in terms})
+    """A HeckeElement on (coeff, index) pairs known valid, distinct and nonzero."""
+    h = object.__new__(HeckeElement)
+    h.params = hp
+    h.combo = {lam: c for c, lam in terms}
+    return h
 
 
 class _Engine:
@@ -755,11 +749,6 @@ class _Engine:
             return 2
         return 1  # z
 
-    def _identity_shapes(self, m: int) -> BasisIndex:
-        if self.een:
-            return (ONE,) * (m - 1)
-        return (("zp", 0),) + (ONE,) * (m - 1)
-
     def _leftmul_at(self, m: int, sym: Sym, shapes: BasisIndex) -> TermList:
         key = (m, sym, shapes)
         cached = self._lm.get(key)
@@ -832,7 +821,8 @@ class _Engine:
         key = (m, word)
         res = self._rw.get(key)
         if res is None:
-            res = self._apply_at(m, word, [(self.one, self._identity_shapes(m))])
+            unit_m = identity_index(self.hp)[: m - 1 if self.een else m]  # levels <= m
+            res = self._apply_at(m, word, [(self.one, unit_m)])
             self._rw[key] = res
         return res
 
@@ -927,12 +917,13 @@ def _terms(h: HeckeElement) -> TermList:
 
 
 def unit(hp: HeckeParams) -> HeckeElement:
-    return HeckeElement(hp, {identity_index(hp): Poly.const(hp.arity, 1)})
+    return _element(hp, [(Poly.const(hp.arity, 1), identity_index(hp))])
 
 
 def basis_element(hp: HeckeParams, lam: BasisIndex) -> HeckeElement:
+    # checked before it is a dict key: an index that is a list is unhashable
     validate_basis_index(hp, lam)
-    return HeckeElement(hp, {lam: Poly.const(hp.arity, 1)})
+    return _element(hp, [(Poly.const(hp.arity, 1), lam)])
 
 
 def pow_s2zs2(hp: HeckeParams, k: int) -> HeckeElement:
@@ -953,16 +944,14 @@ def s2_zk_s2(hp: HeckeParams, k: int) -> HeckeElement:
     return reduce_word(hp, make_word(hp.group_params(), (S(2),) + (Z,) * k + (S(2),)))
 
 
-def specialize_to_group(h: HeckeElement, table) -> dict[GroupElement, int]:
+def specialize_to_group(h: HeckeElement) -> dict[GroupElement, int]:
     """The a -> 0, b_i -> 0 specialization onto the group algebra.
 
-    Returns the support as a map from group elements to integers; the
-    table is only used to check the parameters match and is the caller's
-    handle for comparing with the left-regular representation.
+    Returns the support as a map from group elements to integers.  It
+    needs no group table: the indices of ``h`` were validated when ``h``
+    was built, so each one spells an element of ``h.params``'s group.
     """
     hp = h.params
-    if table.params != hp.group_params():
-        raise ParamsMismatch(f"table for {table.params}, algebra {hp}")
     zeros = [0] * hp.arity
     out: dict[GroupElement, int] = {}
     for lam, c in h.combo.items():

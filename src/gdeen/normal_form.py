@@ -41,8 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import EnumerationTooLarge
-from .group import GroupElement, Params
+from .group import DEFAULT_CAP, GroupElement, Params, _checked_order
 from .words import S, Sym, T, Word, Z, alphabet, make_word
 
 __all__ = [
@@ -176,10 +175,7 @@ def _rank_order(params: Params, cap: int):
     base de, then the index exps[n-1] // e of the last among its d allowed
     values.  This is the canonical (perm, exps) order.
     """
-    if params.order() > cap:
-        raise EnumerationTooLarge(
-            f"|G({params.de},{params.e},{params.n})| = {params.order()} exceeds cap {cap}"
-        )
+    _checked_order(params, cap)
     n, de, e = params.n, params.de, params.e
     vecs = [
         head + (last,)
@@ -198,7 +194,7 @@ def _sweeps(params: Params, perms, vecs):
             yield perm, ks, _sweep(plan, shape, ks)
 
 
-def all_elements(params: Params, cap: int = 10**6):
+def all_elements(params: Params, cap: int = DEFAULT_CAP):
     """Yield every group element in rank order (direct product enumeration, not BFS)."""
     perms, vecs = _rank_order(params, cap)
     for perm in perms:
@@ -207,7 +203,7 @@ def all_elements(params: Params, cap: int = 10**6):
 
 
 def max_length_census(
-    params: Params, cap: int = 10**6
+    params: Params, cap: int = DEFAULT_CAP
 ) -> tuple[int, int, list[NormalForm]]:
     """Maximal geodesic length, how many elements attain it, and witnesses.
 

@@ -4,9 +4,10 @@ Each function returns a JSON-serializable report with an "ok" flag and,
 on failure, the first counterexample.  These are the desk-scale witnesses
 for the geodesic and freeness theorems: exhaustive, exact, and checked
 against the generator matrices rather than against the code under test.
-The geodesic certificate evaluates words with the generators' row moves
-(``cayley.row_moves``) and needs no BFS table; the Hecke suite uses the
-brute-force Cayley oracle.
+Neither suite builds a BFS table.  The geodesic certificate evaluates
+words with the generators' row moves (``cayley.row_moves``); the Hecke
+suite compares the action with left multiplication of group elements
+through the a -> 0 specialization.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from collections import Counter
 from itertools import chain
 from operator import sub
 
-from .cayley import DEFAULT_CAP, enumerate_group, row_moves
+from .cayley import row_moves
 from .errors import InvariantViolation, ParamsMismatch
-from .group import GroupElement, Params, mul
+from .group import DEFAULT_CAP, GroupElement, Params, _checked_order, _is_int, mul
 from .hecke import (
     HeckeParams,
     apply_word,
@@ -160,17 +161,18 @@ def _gname(params: Params) -> str:
 
 def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, seed: int = 0) -> dict:
     """Basis count, Lambda <-> group bijection, relation fidelity,
-    specialization-permutation check per generator, associativity samples."""
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+    specialization-permutation check per generator, associativity samples.
+    No table is built: |W| is ``order()``, refused past ``cap``."""
+    if not _is_int(samples) or samples < 0:
         raise ParamsMismatch(f"samples must be an int >= 0, got {samples!r}")
     gp = hp.group_params()
-    table = enumerate_group(gp, cap)
+    order = _checked_order(gp, cap)
     basis = basis_enumerate(hp)
     report: dict = {"ok": True, "algebra": str(hp), "basis_size": len(basis)}
 
-    if len(basis) != len(table):
+    if len(basis) != order:
         report["ok"] = False
-        report["failure"] = f"|Lambda| = {len(basis)} but |W| = {len(table)}"
+        report["failure"] = f"|Lambda| = {len(basis)} but |W| = {order}"
         return report
 
     seen = {}
@@ -239,7 +241,7 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
             h = leftmul_generator(hp, sym, lam)
             for mu in h.combo:
                 validate_basis_index(hp, mu)
-            spec = specialize_to_group(h, table)
+            spec = specialize_to_group(h)
             target = mul(x, lam_to_g[lam])
             if spec != {target: 1}:
                 report["ok"] = False

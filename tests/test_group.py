@@ -19,6 +19,7 @@ from gdeen import (
     inverse,
     make_word,
     mul,
+    verify_geodesic,
 )
 from gdeen.normal_form import all_elements
 from gdeen.words import S, T, Z
@@ -118,6 +119,15 @@ def test_group_laws_random():
 def test_params_mismatch():
     with pytest.raises(ParamsMismatch):
         mul(identity(Params(1, 3, 3)), identity(Params(3, 1, 3)))
+
+
+@pytest.mark.parametrize("bad", [(1, 3.0, 3), ("1", 3, 3), (True, 3, 3), (1, 3, 3.0)])
+def test_params_must_be_ints(bad):
+    # 3.0 == 3 and True == 1 hash alike, so a float or a bool parameter
+    # would share, and corrupt, the memo entries of the int group
+    with pytest.raises(InvariantViolation, match="need ints d >= 1"):
+        verify_geodesic(Params(*bad))
+    assert verify_geodesic(Params(1, 3, 3))["order"] == 54
 
 
 def test_json_example_34():

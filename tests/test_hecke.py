@@ -12,7 +12,9 @@ import pytest
 
 import gdeen.hecke as hecke_mod
 from gdeen import (
+    GdeenError,
     HeckeElement,
+    HeckeParams,
     InvariantViolation,
     ParamsMismatch,
     Poly,
@@ -24,7 +26,6 @@ from gdeen import (
     basis_enumerate,
     d1n,
     een,
-    enumerate_group,
     eval_word,
     hecke_mul,
     hecke_relations,
@@ -105,11 +106,10 @@ def test_leftmul_t0_t1_e3():
 @pytest.mark.parametrize("hp", [een(2, 3), een(3, 2), een(4, 3), een(5, 2)])
 def test_leftmul_t0_t1t0_specializes(hp):
     # n = 3 stands in for the excluded (n = 2, e even) algebras
-    table = enumerate_group(hp.group_params())
     lam = (("xa", 1, 2),) + (ONE,) * (hp.n - 2)  # t_1 t_0
     got = leftmul_generator(hp, T(0), lam)
     target = mul(generator(hp.group_params(), T(0)), eval_word(as_word(hp, lam)))
-    assert specialize_to_group(got, table) == {target: 1}
+    assert specialize_to_group(got) == {target: 1}
 
 
 def test_leftmul_s2_z_is_basis():
@@ -122,11 +122,10 @@ def test_leftmul_s2_zs2z_oracle():
     # s_2 (z s_2 z) needs the s_2 z^k s_2 expansions; checked against the
     # 8x8 regular representation at a -> 0, b_1 -> 0
     hp = d1n(2, 2)
-    table = enumerate_group(hp.group_params())
     lam = (("zp", 1), ("x", 1))  # z * s_2 z
     got = leftmul_generator(hp, S(2), lam)
     target = mul(generator(hp.group_params(), S(2)), eval_word(as_word(hp, lam)))
-    assert specialize_to_group(got, table) == {target: 1}
+    assert specialize_to_group(got) == {target: 1}
 
 
 def test_reduce_word_remark_513():
@@ -248,14 +247,31 @@ def test_fused_products_keep_the_degree_overflow_check():
 
 @pytest.mark.parametrize("samples", [-1, True, 2.0, "3"])
 def test_verify_hecke_refuses_bad_sample_counts_before_the_bfs(samples, monkeypatch):
+    # the basis enumeration is the suite's first costly step
     import gdeen.verify as verify_mod
+
+    def no_basis(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(verify_mod, "basis_enumerate", no_basis)
+    with pytest.raises(ParamsMismatch):
+        verify_mod.verify_hecke(een(3, 3), samples=samples)
+
+
+def test_verify_hecke_builds_no_group_table(monkeypatch):
+    import gdeen
+    import gdeen.cayley as cayley_mod
+    import gdeen.verify as verify_mod
+
+    expected = verify_mod.verify_hecke(een(3, 3), samples=2)
 
     def no_bfs(*args):
         raise AssertionError("the group was enumerated")
 
-    monkeypatch.setattr(verify_mod, "enumerate_group", no_bfs)
-    with pytest.raises(ParamsMismatch):
-        verify_mod.verify_hecke(een(3, 3), samples=samples)
+    # every module that could hold the name, including one that imported it
+    for mod in (cayley_mod, gdeen, verify_mod):
+        monkeypatch.setattr(mod, "enumerate_group", no_bfs, raising=False)
+    assert verify_mod.verify_hecke(een(3, 3), samples=2) == expected
 
 
 def test_pow_s2zs2_k1_and_k2():
@@ -273,13 +289,12 @@ def test_pow_s2zs2_k1_and_k2():
 def test_pow_s2zs2_specializes(d):
     hp = d1n(d, 2)
     gp = hp.group_params()
-    table = enumerate_group(gp)
     s2zs2 = mul(mul(generator(gp, S(2)), generator(gp, Z)), generator(gp, S(2)))
     cur = None
     for k in range(1, d):
         h = pow_s2zs2(hp, k)
         cur = s2zs2 if cur is None else mul(cur, s2zs2)
-        assert specialize_to_group(h, table) == {cur: 1}
+        assert specialize_to_group(h) == {cur: 1}
 
 
 def test_s2_zk_s2_k1_and_k2():
@@ -300,16 +315,14 @@ def test_s2_zk_s2_k1_and_k2():
 def test_s2_zk_s2_specializes(d):
     hp = d1n(d, 2)
     gp = hp.group_params()
-    table = enumerate_group(gp)
     for k in range(1, d):
         word = make_word(gp, [S(2)] + [Z] * k + [S(2)])
-        assert specialize_to_group(s2_zk_s2(hp, k), table) == {eval_word(word): 1}
+        assert specialize_to_group(s2_zk_s2(hp, k)) == {eval_word(word): 1}
 
 
 def test_specialize_kills_a_terms():
     hp = een(3, 3)
-    table = enumerate_group(hp.group_params())
-    spec = specialize_to_group(reduce_word(hp, "t1 t0 t0"), table)
+    spec = specialize_to_group(reduce_word(hp, "t1 t0 t0"))
     t1 = generator(hp.group_params(), T(1))
     assert spec == {t1: 1}
 
@@ -317,26 +330,24 @@ def test_specialize_kills_a_terms():
 @pytest.mark.parametrize("hp", [een(3, 3), d1n(2, 3)])
 def test_leftmul_is_left_translation_at_specialization(hp):
     gp = hp.group_params()
-    table = enumerate_group(gp)
     for sym in alphabet(gp):
         x = generator(gp, sym)
         for lam in basis_enumerate(hp):
             h = leftmul_generator(hp, sym, lam)
             target = mul(x, eval_word(as_word(hp, lam)))
-            assert specialize_to_group(h, table) == {target: 1}, (sym, lam)
+            assert specialize_to_group(h) == {target: 1}, (sym, lam)
 
 
 def test_mul_specializes_to_convolution():
     hp = d1n(2, 3)
     gp = hp.group_params()
-    table = enumerate_group(gp)
     basis = basis_enumerate(hp)
     rng = random.Random(11)
     for _ in range(20):
         l1, l2 = rng.choice(basis), rng.choice(basis)
         h = hecke_mul(basis_element(hp, l1), basis_element(hp, l2))
         g1, g2 = eval_word(as_word(hp, l1)), eval_word(as_word(hp, l2))
-        assert specialize_to_group(h, table) == {mul(g1, g2): 1}
+        assert specialize_to_group(h) == {mul(g1, g2): 1}
 
 
 @pytest.mark.parametrize("hp", [een(3, 3), een(2, 3), d1n(2, 2), d1n(3, 2), d1n(2, 3)])
@@ -388,7 +399,6 @@ def test_tjti_recurrence(e):
     hp = een(e, 3)
     gp = hp.group_params()
     a = A(hp)
-    table = enumerate_group(gp)
     for j in range(e):
         for i in range(e):
             if i == j:
@@ -402,7 +412,7 @@ def test_tjti_recurrence(e):
                 + reduce_word(hp, make_word(gp, [T((j - 1) % e)])).scaled(-a)
             )
             assert got == rhs
-            assert specialize_to_group(got, table) == {eval_word(w): 1}
+            assert specialize_to_group(got) == {eval_word(w): 1}
 
 
 def test_identity_index_and_json():
@@ -502,19 +512,50 @@ def test_validate_basis_index_rejects_non_shapes():
 @pytest.mark.parametrize(
     "combo",
     [
-        {(("q", 1), ONE): 1},  # too short for the sort key
+        {(("q", 1), ONE): 1},  # no shape, yet the engine would read it as t1 t0
         {(1, ONE): 1},  # not subscriptable
         {(("x", "a"), ONE): 1, (("x", 1), ONE): 1},  # keys that do not compare
     ],
     ids=["short", "int", "mixed"],
 )
 def test_rendering_an_invalid_index_raises_params_mismatch(combo):
-    # these used to escape as a bare IndexError or TypeError from the sort
+    # no element holding such an index can be built, so none is rendered
     hp = een(3, 3)
-    h = HeckeElement(hp, {lam: Poly.const(1, c) for lam, c in combo.items()})
-    for render in (h.items, h.to_json, h.__str__):
-        with pytest.raises(ParamsMismatch, match="is not valid at level 2"):
-            render()
+    with pytest.raises(ParamsMismatch, match="is not valid at level 2"):
+        HeckeElement(hp, {lam: Poly.const(1, c) for lam, c in combo.items()})
+
+
+@pytest.mark.parametrize(
+    "c", [1, Poly.const(2, 1), Poly.const(3, 0)], ids=["int", "arity2", "zero-arity3"]
+)
+def test_a_coefficient_must_be_a_poly_of_the_algebras_arity(c):
+    with pytest.raises(GdeenError):
+        HeckeElement(een(3, 3), {(("x", 1), ONE): c})
+
+
+@pytest.mark.parametrize("hp", [een(3, 3), een(1, 4), d1n(2, 3), d1n(3, 2)], ids=str)
+def test_items_list_the_terms_in_basis_order(hp):
+    basis = basis_enumerate(hp)
+    shuffled = basis[:]
+    random.Random(3).shuffle(shuffled)
+    h = HeckeElement(hp, {lam: Poly.const(hp.arity, i + 1) for i, lam in enumerate(shuffled)})
+    assert list(h.combo) == shuffled
+    assert [lam for lam, _ in h.items()] == basis
+    assert dict(h.items()) == h.combo
+
+
+@pytest.mark.parametrize(
+    "bad", [("een", 3.0, 3), ("een", 3, 3.0), ("een", True, 3), ("d1n", 3, 2.0), ("een", "3", 3)]
+)
+def test_hecke_parameters_must_be_ints(bad):
+    # 3.0 == 3 and True == 1 hash alike, so a float or a bool parameter
+    # would share, and corrupt, the engine memo of the int algebra
+    with pytest.raises(ParamsMismatch):
+        reduce_word(HeckeParams(*bad), "t1 t0")
+    hp = een(3, 3)
+    assert reduce_word(hp, "t1 t0 t0") == from_words(
+        hp, [(A(hp), "t1 t0"), (one_poly(hp), "t1")]
+    )
 
 
 @pytest.mark.parametrize("bad", [[ONE, ONE], 5])
@@ -541,14 +582,13 @@ def test_as_word_is_the_normal_form(hp):
 def test_full_multiplication_table_h333():
     # every product of two basis elements specializes to the group product
     hp = een(3, 3)
-    table = enumerate_group(hp.group_params())
     basis = basis_enumerate(hp)
     gmap = {lam: eval_word(as_word(hp, lam)) for lam in basis}
     for l1 in basis:
         h1 = basis_element(hp, l1)
         for l2 in basis:
             h = hecke_mul(h1, basis_element(hp, l2))
-            assert specialize_to_group(h, table) == {mul(gmap[l1], gmap[l2]): 1}
+            assert specialize_to_group(h) == {mul(gmap[l1], gmap[l2]): 1}
 
 
 @pytest.mark.parametrize("hp", [een(3, 3), d1n(3, 2), d1n(2, 3)])
@@ -556,13 +596,12 @@ def test_random_long_words_specialize(hp):
     # end-to-end: reduce a long positive word, specialize, compare with the
     # plain matrix product
     gp = hp.group_params()
-    table = enumerate_group(gp)
     syms = alphabet(gp)
     rng = random.Random(13)
     for _ in range(20):
         word = make_word(gp, [rng.choice(syms) for _ in range(15)])
         h = reduce_word(hp, word)
-        assert specialize_to_group(h, table) == {eval_word(word): 1}
+        assert specialize_to_group(h) == {eval_word(word): 1}
 
 
 @pytest.mark.parametrize("hp", [een(1, 4), een(2, 3), d1n(2, 3)])
