@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .cayley import enumerate_group
 from .errors import GdeenError
@@ -66,6 +67,12 @@ def main(argv=None) -> int:
         p.add_argument("--e", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
 
+    def add_hecke_flags(p):
+        p.add_argument("--family", choices=["een", "d1n"], required=True)
+        p.add_argument("--d", type=int)
+        p.add_argument("--e", type=int)
+        p.add_argument("--n", type=int, required=True)
+
     p = sub.add_parser("normal-form", help="geodesic normal form of an element")
     add_group_flags(p)
     src = p.add_mutually_exclusive_group(required=True)
@@ -95,17 +102,11 @@ def main(argv=None) -> int:
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("hecke-reduce", help="reduce a word over the basis Lambda")
-    p.add_argument("--family", choices=["een", "d1n"], required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--n", type=int, required=True)
+    add_hecke_flags(p)
     p.add_argument("--word", required=True)
 
     p = sub.add_parser("hecke-verify", help="run the Hecke verification suite")
-    p.add_argument("--family", choices=["een", "d1n"], required=True)
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--n", type=int, required=True)
+    add_hecke_flags(p)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--samples", type=int, default=100)
 
@@ -139,9 +140,7 @@ def _dispatch(args) -> int:
     if cmd == "enumerate":
         params = _params(args)
         table = enumerate_group(params, args.cap)
-        hist: dict[int, int] = {}
-        for dv in table.dist:
-            hist[dv] = hist.get(dv, 0) + 1
+        hist = Counter(table.dist)
         _emit(
             {
                 "order": len(table),

@@ -36,6 +36,11 @@ subalgebra, so termination is by induction on the level, with an explicit
 decreasing power in the rank-local recursions.  A move budget converts any
 rewriting bug into RecursionGuardExceeded instead of a hang.
 
+The engine has one entry point, ``_Engine.apply``: the sum of c * w * h
+over (coefficient, word) pairs, by Horner's rule over the trie of the
+words.  ``leftmul_generator``, ``reduce_word``, ``apply_word`` and
+``hecke_mul`` all go through it, and each call is one budget session.
+
 Coefficients live in Z[a] (H(e,e,n)) or Z[a, b_1..b_{d-1}] (H(d,1,n));
 the quadratic relations are x^2 = a x + 1 and z^d = b_1 z^{d-1} + ... +
 b_{d-1} z + 1.  Setting a and all b_i to zero collapses the algebra onto
@@ -229,6 +234,11 @@ def identity_index(hp: HeckeParams) -> BasisIndex:
 # elements
 
 
+def _check_coeff(hp: HeckeParams, c) -> None:
+    if not isinstance(c, Poly) or c.arity != hp.arity:
+        raise ParamsMismatch(f"coefficient {c!r} is not a Poly of arity {hp.arity}")
+
+
 class HeckeElement:
     """A finite R0-linear combination of basis indices.  The constructor
     validates every index and coefficient; engine results, sums and
@@ -237,10 +247,11 @@ class HeckeElement:
     __slots__ = ("params", "combo")
 
     def __init__(self, params: HeckeParams, combo: dict[BasisIndex, Poly]):
+        if not isinstance(params, HeckeParams):
+            raise ParamsMismatch(f"{params!r} is not a HeckeParams")
         for lam, c in combo.items():
             validate_basis_index(params, lam)
-            if not isinstance(c, Poly) or c.arity != params.arity:
-                raise ParamsMismatch(f"coefficient {c!r} is not a Poly of arity {params.arity}")
+            _check_coeff(params, c)
         self.params = params
         self.combo = {lam: c for lam, c in combo.items() if not c.is_zero()}
 
@@ -259,6 +270,7 @@ class HeckeElement:
         return _element(self.params, _collect(terms))
 
     def scaled(self, c: Poly) -> HeckeElement:
+        _check_coeff(self.params, c)
         # Z[a, b_i] has no zero divisors, so only c = 0 makes a term vanish
         terms = [] if c.is_zero() else [(v * c, lam) for lam, v in self.combo.items()]
         return _element(self.params, terms)
@@ -352,13 +364,6 @@ class _Engine:
             raise RecursionGuardExceeded(
                 f"exceeded {MOVE_BUDGET} primitive moves in one reduction"
             )
-
-    def _enter(self):
-        if not self._active:
-            self._active = True
-            self._moves = 0
-            return True
-        return False
 
     # -- small polynomial helpers -------------------------------------------
 
@@ -818,6 +823,8 @@ class _Engine:
         return _collect(triples)
 
     def _reduce_at(self, m: int, word: tuple[Sym, ...]) -> TermList:
+        """word at level m < n, memoized.  Only the recursion calls it, never
+        a top-level call, so ``_rw`` is bounded by the algebra."""
         key = (m, word)
         res = self._rw.get(key)
         if res is None:
@@ -826,35 +833,28 @@ class _Engine:
             self._rw[key] = res
         return res
 
-    # -- public entry points -----------------------------------------------------
-
-    def _run(self, fn, *args) -> HeckeElement:
-        """Run one top-level computation; the move budget counts from zero
-        unless it is nested inside another."""
-        fresh = self._enter()
-        try:
-            terms = fn(self.n, *args)
-        finally:
-            if fresh:
-                self._active = False
-        return _element(self.hp, terms)
-
-    def leftmul(self, sym: Sym, lam: BasisIndex) -> HeckeElement:
-        return self._run(self._leftmul_at, sym, lam)
-
-    def reduce(self, syms: tuple[Sym, ...]) -> HeckeElement:
-        return self._run(self._reduce_at, tuple(syms))
+    # -- the one entry point ---------------------------------------------------
 
     def apply(self, words, terms: TermList) -> HeckeElement:
         """The sum of c * w * terms over the (c, w) in ``words``, by Horner's
-        rule over the trie of the words, in one move-budget session."""
+        rule over the trie of the words.  The call is one move-budget
+        session: the count starts from zero unless another call on this
+        engine is still running."""
         root: dict = {}
         for c, syms in words:
             node = root
             for x in syms:
                 node = node.setdefault(x, {})
             node[None] = c
-        return self._run(self._horner, root, terms)
+        fresh = not self._active
+        if fresh:
+            self._active = True
+            self._moves = 0
+        try:
+            return _element(self.hp, self._horner(self.n, root, terms))
+        finally:
+            if fresh:
+                self._active = False
 
 
 @lru_cache(maxsize=None)
@@ -871,7 +871,8 @@ def leftmul_generator(hp: HeckeParams, sym: Sym, lam: BasisIndex) -> HeckeElemen
     if sym not in set(alphabet(hp.group_params())):
         raise UnknownSymbol(f"{sym} is not a generator of {hp}")
     validate_basis_index(hp, lam)
-    return _engine(hp).leftmul(sym, lam)
+    eng = _engine(hp)
+    return eng.apply([(eng.one, (sym,))], [(eng.one, lam)])
 
 
 def reduce_word(hp: HeckeParams, word: Word | str) -> HeckeElement:
@@ -880,9 +881,7 @@ def reduce_word(hp: HeckeParams, word: Word | str) -> HeckeElement:
         from .words import parse_word
 
         word = parse_word(hp.group_params(), word)
-    if word.params != hp.group_params():
-        raise ParamsMismatch(f"word over {word.params}, algebra {hp}")
-    return _engine(hp).reduce(word.syms)
+    return apply_word(word, unit(hp))
 
 
 def apply_word(word: Word, h: HeckeElement) -> HeckeElement:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
+from functools import reduce
 from itertools import chain
-from operator import sub
+from operator import add, sub
 
 from .cayley import row_moves
 from .errors import InvariantViolation, ParamsMismatch
@@ -186,50 +187,41 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
         seen[g] = lam
         lam_to_g[lam] = g
 
-    # every defining braid-type relation holds on every basis column, not
-    # just against the identity: this certifies the generator action
-    # matrices as a representation of the presented algebra over R0
-    def act(word, lam):
-        return apply_word(word, basis_element(hp, lam))
-
-    matrix_entries = 0
+    # every defining relation holds on every basis column, not just against
+    # the identity: this certifies the generator action matrices as a
+    # representation of the presented algebra over R0.  A check is a failure
+    # text, where {} takes the column's word, and two sides, each a list of
+    # (c, word) that stands for the sum of c * (word * column).
+    one, a_poly = Poly.const(hp.arity, 1), Poly.variable(hp.arity, 0)
+    empty = make_word(gp, [])
     relations = hecke_relations(hp)
-    for u, v in relations:
-        for lam in basis:
-            if act(u, lam) != act(v, lam):
-                report["ok"] = False
-                report["failure"] = (
-                    f"relation {word_text(u)} = {word_text(v)} failed on column"
-                    f" {word_text(as_word(hp, lam))}"
-                )
-                return report
-            matrix_entries += 1
-    report["relations_checked"] = len(relations)
-    report["relation_columns_checked"] = matrix_entries
-
-    # quadratic and cyclotomic relations, again on every basis column
-    a_poly = Poly.variable(hp.arity, 0)
-    for sym in alphabet(gp):
-        if sym.kind == "z":
-            continue
-        for lam in basis:
-            lhs = act(make_word(gp, [sym, sym]), lam)
-            rhs = act(make_word(gp, [sym]), lam).scaled(a_poly) + basis_element(hp, lam)
-            if lhs != rhs:
-                report["ok"] = False
-                report["failure"] = f"quadratic relation failed for {sym}"
-                return report
+    checks = [
+        (f"relation {word_text(u)} = {word_text(v)} failed on column {{}}", [(one, u)], [(one, v)])
+        for u, v in relations
+    ]
+    checks += [
+        (
+            f"quadratic relation failed for {x}",
+            [(one, make_word(gp, [x, x]))],
+            [(a_poly, make_word(gp, [x])), (one, empty)],
+        )
+        for x in alphabet(gp)
+        if x.kind != "z"
+    ]
     if hp.family == "d1n":
         d = hp.p
-        for lam in basis:
-            lhs = act(make_word(gp, [Z] * d), lam)
-            rhs = basis_element(hp, lam)
-            for i in range(1, d):
-                bi = Poly.variable(hp.arity, i)
-                rhs = rhs + act(make_word(gp, [Z] * (d - i)), lam).scaled(bi)
-            if lhs != rhs:
+        powers = [(Poly.variable(hp.arity, i), make_word(gp, [Z] * (d - i))) for i in range(1, d)]
+        cyclotomic = "cyclotomic relation z^d = sum b_i z^{{d-i}} + 1 failed"
+        checks.append((cyclotomic, [(one, make_word(gp, [Z] * d))], [(one, empty)] + powers))
+    columns = [basis_element(hp, lam) for lam in basis]
+    for r, (failure, lhs, rhs) in enumerate(checks):
+        if r == len(relations):  # every braid-type relation holds
+            report["relations_checked"] = len(relations)
+            report["relation_columns_checked"] = len(relations) * len(basis)
+        for lam, col in zip(basis, columns):
+            if _side(lhs, col) != _side(rhs, col):
                 report["ok"] = False
-                report["failure"] = "cyclotomic relation z^d = sum b_i z^{d-i} + 1 failed"
+                report["failure"] = failure.format(word_text(as_word(hp, lam)))
                 return report
 
     # at a -> 0 (b_i -> 0), left multiplication is left translation; the
@@ -263,3 +255,8 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
             return report
     report["associativity_samples"] = samples
     return report
+
+
+def _side(terms, col):
+    """The sum of c * (word * col) over the (c, word) in ``terms``."""
+    return reduce(add, (apply_word(w, col).scaled(c) for c, w in terms))

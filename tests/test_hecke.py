@@ -423,6 +423,19 @@ def test_identity_index_and_json():
     assert identity_index(hp) == (("zp", 0), ONE)
 
 
+@pytest.mark.parametrize("hp", [een(3, 3), d1n(3, 3)], ids=str)
+def test_the_engine_keeps_no_whole_word_result(hp):
+    # only reductions made inside the recursion are memoized, so distinct
+    # words leave no memo entry at the algebra's top level
+    hecke_mod._engine.cache_clear()
+    gp = hp.group_params()
+    rng = random.Random(11)
+    draws = (tuple(rng.choice(alphabet(gp)) for _ in range(rng.randint(1, 12))) for _ in range(30))
+    for syms in dict.fromkeys(draws):
+        reduce_word(hp, make_word(gp, syms))
+    assert all(m < hp.n for m, _ in hecke_mod._engine(hp)._rw)
+
+
 def test_move_budget_guard():
     budget = hecke_mod.MOVE_BUDGET
     hecke_mod.MOVE_BUDGET = 3
@@ -531,6 +544,22 @@ def test_rendering_an_invalid_index_raises_params_mismatch(combo):
 def test_a_coefficient_must_be_a_poly_of_the_algebras_arity(c):
     with pytest.raises(GdeenError):
         HeckeElement(een(3, 3), {(("x", 1), ONE): c})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: HeckeElement("x", {}),
+        lambda: HeckeElement("x", {(("x", 1), ONE): Poly.const(1, 1)}),
+        lambda: unit(een(3, 3)).scaled(3),
+        lambda: unit(een(3, 3)).scaled(Poly.const(2, 0)),
+        lambda: unit(d1n(3, 2)).scaled(Poly.variable(1, 0)),
+    ],
+    ids=["params-empty", "params-one-term", "scalar-int", "scalar-zero-arity2", "scalar-arity1"],
+)
+def test_params_and_scalars_must_belong_to_the_algebra(build):
+    with pytest.raises(ParamsMismatch):
+        build()
 
 
 @pytest.mark.parametrize("hp", [een(3, 3), een(1, 4), d1n(2, 3), d1n(3, 2)], ids=str)

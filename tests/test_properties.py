@@ -1,6 +1,8 @@
 """Property tests: random words in groups past the default enumeration cap,
-and hostile text for the parsers."""
+and hostile text for the parsers and the CLI."""
 
+import contextlib
+import io
 import json
 import operator
 
@@ -20,6 +22,7 @@ from gdeen import (  # noqa: E402
     normal_form,
     parse_word,
 )
+from gdeen.cli import main  # noqa: E402
 
 # G(9,3,5), G(2,2,8) and G(4,1,6): one group per presentation
 BEYOND_CAP = [Params(3, 3, 5), Params(1, 2, 8), Params(4, 1, 6)]
@@ -83,3 +86,22 @@ def test_element_from_json_raises_only_gdeen_errors(text):
     except GdeenError:
         return
     assert element_from_json(element_to_json(g)) == g
+
+
+# Commands that read --word, at small parameters: G(9,3,3), H(3,3,3), H(3,1,2)
+_WORD_COMMANDS = [
+    [cmd, "--d", "3", "--e", "3", "--n", "3"] for cmd in ("normal-form", "length", "eval-word")
+] + [
+    ["hecke-reduce", "--family", "een", "--e", "3", "--n", "3"],
+    ["hecke-reduce", "--family", "d1n", "--d", "3", "--n", "2"],
+]
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(_WORD_COMMANDS), _word_text)
+def test_cli_exits_0_or_2_on_hostile_words(argv, text):
+    # exit 1 is a counterexample, which no word can produce here; the text
+    # is joined to its flag, so that text starting with "-" stays a value
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, f"--word={text}"])
+    assert code in (0, 2)
