@@ -54,7 +54,6 @@ from .hecke import (
     BasisIndex,
     HeckeElement,
     HeckeParams,
-    action_matrix,
     apply_word,
     as_word,
     basis_element,

@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 
 from .cayley import enumerate_group
-from .errors import GdeenError
+from .errors import BadFormat, GdeenError
 from .group import DEFAULT_CAP, Params, element_from_json, element_to_json
 from .hecke import HeckeParams, reduce_word
 from .normal_form import length, max_length_census, normal_form
@@ -38,8 +38,12 @@ def _hecke_params(args) -> HeckeParams:
 def _input_element(args, params: Params):
     if args.word is not None:
         return eval_word(parse_word(params, args.word))
-    with open(args.matrix) as fh:
-        g = element_from_json(fh.read())
+    with open(args.matrix, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BadFormat(f"matrix file is not UTF-8 text: {exc}") from None
+    g = element_from_json(text)
     if g.params != params:
         raise GdeenError(f"matrix file is for {g.params}, flags say {params}")
     return g

@@ -144,7 +144,7 @@ def element_from_json(text: str | dict) -> GroupElement:
     if isinstance(text, str):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deep, or an int too long
             raise BadFormat(f"invalid JSON: {exc}") from exc
     else:
         obj = text

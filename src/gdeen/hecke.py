@@ -82,7 +82,6 @@ __all__ = [
     "s2_zk_s2",
     "specialize_to_group",
     "hecke_relations",
-    "action_matrix",
 ]
 
 Shape = tuple
@@ -966,18 +965,3 @@ def hecke_relations(hp: HeckeParams) -> list[tuple[Word, Word]]:
     are deformed into the quadratic/cyclotomic relations)."""
     return [(u, v) for u, v in relations(hp.group_params()) if len(v.syms) > 0]
 
-
-def action_matrix(hp: HeckeParams, sym: Sym) -> list[list[Poly]]:
-    """The matrix of left multiplication by one generator in the basis
-    Lambda, materialized on demand: entry [i][j] is the coefficient of
-    basis[i] in x * basis[j], with basis_enumerate's ordering."""
-    basis = basis_enumerate(hp)
-    pos = {lam: i for i, lam in enumerate(basis)}
-    zero = Poly.const(hp.arity, 0)
-    cols = []
-    for lam in basis:
-        col = [zero] * len(basis)
-        for mu, c in leftmul_generator(hp, sym, lam).combo.items():
-            col[pos[mu]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]

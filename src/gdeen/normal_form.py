@@ -78,6 +78,19 @@ def _asc(bottom: int, top: int) -> list[Sym]:
     return [S(j) for j in range(bottom, top + 1)]
 
 
+class _Powers:
+    """z^k, as a list of k copies of [z]'s one letter, built on each lookup,
+    so that a plan stays linear in d."""
+
+    __slots__ = ("z",)
+
+    def __init__(self, z: list[int]):
+        self.z = z
+
+    def __getitem__(self, k: int) -> list[int]:
+        return self.z * k
+
+
 class _Plan(NamedTuple):
     """The letters of one group's sweep, as alphabet positions."""
 
@@ -86,8 +99,8 @@ class _Plan(NamedTuple):
     de: int
     e: int
     t_kill: bool
-    kills: list[list[int]]  # kills[k]: the letters that kill exponent k
-    zs: list[list[int]] | None  # zs[q] = z^q, the level-1 part; None when d = 1
+    kills: list[list[int]] | _Powers  # kills[k]: the letters that kill exponent k
+    z: list[int] | None  # [z]: the level-1 part is z^q, z * q; None when d = 1
     down: list[list[int]]  # down[i] = s_i .. s_2
     up: list[int]  # s_2 .. s_n
 
@@ -100,14 +113,11 @@ def _plan(params: Params) -> _Plan:
     t_kill = e > 1 or d == 1
     # s[j] is the position of s_j for j >= 2; s_2 is t_0 in the t-letter presentations
     s = [0, 0, at[T(0) if t_kill else S(2)]] + [at[S(j)] for j in range(3, n + 1)]
-    if t_kill:
-        kills = [[at[T(k)]] for k in range(params.de)]
-    else:
-        kills = [[at[Z]] * k for k in range(d)]
-    zs = [[at[Z]] * q for q in range(d)] if d > 1 else None
+    kills = [[at[T(k)]] for k in range(params.de)] if t_kill else _Powers([at[Z]])
+    z = [at[Z]] if d > 1 else None
     levels = tuple(range(1 if d > 1 else 2, n + 1))
     down = [s[i:1:-1] for i in range(n + 1)]
-    return _Plan(letters, levels, params.de, e, t_kill, kills, zs, down, s[2:])
+    return _Plan(letters, levels, params.de, e, t_kill, kills, z, down, s[2:])
 
 
 def _shape(plan: _Plan, perm) -> list[tuple]:
@@ -141,8 +151,8 @@ def _sweep(plan: _Plan, shape: list[tuple], exps) -> list[list[int]]:
             parts.append(still)
     k1 = ks[0] % de
     assert k1 % plan.e == 0, "exponent sum invariant violated during sweep"
-    if plan.zs is not None:
-        parts.append(plan.zs[k1 // plan.e])
+    if plan.z is not None:
+        parts.append(plan.z * (k1 // plan.e))
     parts.reverse()
     return parts
 

@@ -6,8 +6,9 @@ for the geodesic and freeness theorems: exhaustive, exact, and checked
 against the generator matrices rather than against the code under test.
 Neither suite builds a BFS table.  The geodesic certificate evaluates
 words with the generators' row moves (``cayley.row_moves``); the Hecke
-suite compares the action with left multiplication of group elements
-through the a -> 0 specialization.
+suite checks the defining relations on every column of the action, in
+exact integer arithmetic, and compares the action with left
+multiplication of group elements through the a -> 0 specialization.
 """
 
 from __future__ import annotations
@@ -15,27 +16,23 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter
-from functools import reduce
 from itertools import chain
-from operator import add, sub
+from operator import sub
 
 from .cayley import row_moves
 from .errors import InvariantViolation, ParamsMismatch
 from .group import DEFAULT_CAP, GroupElement, Params, _checked_order, _is_int, mul
 from .hecke import (
     HeckeParams,
-    apply_word,
     as_word,
     basis_element,
     basis_enumerate,
     hecke_mul,
     hecke_relations,
     leftmul_generator,
-    specialize_to_group,
-    validate_basis_index,
 )
 from .normal_form import _rank_order, _sweeps, census_expected, normal_form
-from .polyring import Poly
+from .polyring import Poly, _decode
 from .words import Z, alphabet, eval_word, generator, make_word, word_text
 
 __all__ = ["verify_geodesic", "verify_hecke"]
@@ -161,9 +158,28 @@ def _gname(params: Params) -> str:
 
 
 def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, seed: int = 0) -> dict:
-    """Basis count, Lambda <-> group bijection, relation fidelity,
-    specialization-permutation check per generator, associativity samples.
-    No table is built: |W| is ``order()``, refused past ``cap``."""
+    """Check the left action of ``hp`` on the basis Lambda; no table is built.
+
+    The report is ok when these checks pass, run in this order:
+
+    * count: |Lambda| = |W|, where |W| is ``order()``, refused past ``cap``;
+    * bijection: distinct basis words spell distinct group elements;
+    * relations: every braid-type relation, the quadratic relation
+      x^2 = a x + 1 of every letter x other than z, and for H(d,1,n) the
+      cyclotomic relation hold on every basis column of the action;
+    * specialization: at a, b_i -> 0 every generator acts on every basis
+      element as left translation of the group;
+    * associativity: ``samples`` seeded triples (xy)z = x(yz) of basis
+      elements, a cross-check of ``hecke_mul``.
+
+    Each letter's columns x * e_lambda come from ``leftmul_generator``
+    once, with their indices checked against Lambda.  The relation checks
+    compose them on ints: Kronecker substitution, a -> 2^B and
+    b_i -> 2^(B*s_i), is a ring map, and B and the strides s_i are derived
+    from the columns on every run so that it is injective on every side
+    (``_relation_width``, ``_kronecker``).  So two sides are equal exactly
+    when their ints are.
+    """
     if not _is_int(samples) or samples < 0:
         raise ParamsMismatch(f"samples must be an int >= 0, got {samples!r}")
     gp = hp.group_params()
@@ -186,6 +202,53 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
             return report
         seen[g] = lam
         lam_to_g[lam] = g
+
+    failure = _action_failure(hp, basis, lam_to_g, report)
+    if failure is not None:
+        report["ok"] = False
+        report["failure"] = failure
+        return report
+
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x, y, zz = (basis_element(hp, rng.choice(basis)) for _ in range(3))
+        if hecke_mul(hecke_mul(x, y), zz) != hecke_mul(x, hecke_mul(y, zz)):
+            report["ok"] = False
+            report["failure"] = "associativity sample failed"
+            return report
+    report["associativity_samples"] = samples
+    return report
+
+
+def _action_failure(hp: HeckeParams, basis: list, lam_to_g: dict, report: dict):
+    """Check the relations, then the specialization, on the columns of the
+    action; return the first failure, or None.  The counts of the checks
+    that pass go into ``report``."""
+    gp = hp.group_params()
+    # the action, read once: x * e_lambda for every letter x and basis index
+    # lambda, as (position, coefficient) pairs.  At a -> 0 (b_i -> 0) each
+    # column must be the left translate of lambda; the first that is not is
+    # reported once the relations hold.
+    pos = {lam: j for j, lam in enumerate(basis)}
+    zeros = [0] * hp.arity
+    columns: dict = {}
+    translation = None
+    for sym in alphabet(gp):
+        x = generator(gp, sym)
+        columns[sym] = cols = []
+        for lam in basis:
+            combo = leftmul_generator(hp, sym, lam).combo
+            if not pos.keys() >= combo.keys():
+                mu = next(mu for mu in combo if mu not in pos)
+                raise ParamsMismatch(f"{sym} * {lam} has the index {mu}, not in Lambda of {hp}")
+            cols.append(tuple((pos[mu], c) for mu, c in combo.items()))
+            spec = {lam_to_g[mu]: v for mu, c in combo.items() if (v := c.specialize(zeros))}
+            if translation is None and spec != {mul(x, lam_to_g[lam]): 1}:
+                translation = {
+                    "generator": str(sym),
+                    "basis": word_text(as_word(hp, lam)),
+                    "specialization": {str(g): v for g, v in spec.items()},
+                }
 
     # every defining relation holds on every basis column, not just against
     # the identity: this certifies the generator action matrices as a
@@ -213,50 +276,105 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
         powers = [(Poly.variable(hp.arity, i), make_word(gp, [Z] * (d - i))) for i in range(1, d)]
         cyclotomic = "cyclotomic relation z^d = sum b_i z^{{d-i}} + 1 failed"
         checks.append((cyclotomic, [(one, make_word(gp, [Z] * d))], [(one, empty)] + powers))
-    columns = [basis_element(hp, lam) for lam in basis]
-    for r, (failure, lhs, rhs) in enumerate(checks):
+    encode = _kronecker(hp.arity, *_relation_width(hp.arity, columns, checks))
+    for cols in columns.values():
+        for j, col in enumerate(cols):
+            cols[j] = tuple((q, encode(c)) for q, c in col)
+    for r, (failure, *sides) in enumerate(checks):
         if r == len(relations):  # every braid-type relation holds
             report["relations_checked"] = len(relations)
             report["relation_columns_checked"] = len(relations) * len(basis)
-        for lam, col in zip(basis, columns):
-            if _side(lhs, col) != _side(rhs, col):
-                report["ok"] = False
-                report["failure"] = failure.format(word_text(as_word(hp, lam)))
-                return report
+        # each term as its scalar's int and its letters' columns, rightmost first
+        lhs, rhs = (
+            [(encode(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides
+        )
+        for j, lam in enumerate(basis):
+            if _int_side(lhs, j) != _int_side(rhs, j):
+                return failure.format(word_text(as_word(hp, lam)))
 
-    # at a -> 0 (b_i -> 0), left multiplication is left translation; the
-    # support of every product must consist of shape-valid basis indices
-    checked = 0
-    for sym in alphabet(gp):
-        x = generator(gp, sym)
-        for lam in basis:
-            h = leftmul_generator(hp, sym, lam)
-            for mu in h.combo:
-                validate_basis_index(hp, mu)
-            spec = specialize_to_group(h)
-            target = mul(x, lam_to_g[lam])
-            if spec != {target: 1}:
-                report["ok"] = False
-                report["failure"] = {
-                    "generator": str(sym),
-                    "basis": word_text(as_word(hp, lam)),
-                    "specialization": {str(g): v for g, v in spec.items()},
-                }
-                return report
-            checked += 1
-    report["action_entries_checked"] = checked
-
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x, y, zz = (basis_element(hp, rng.choice(basis)) for _ in range(3))
-        if hecke_mul(hecke_mul(x, y), zz) != hecke_mul(x, hecke_mul(y, zz)):
-            report["ok"] = False
-            report["failure"] = "associativity sample failed"
-            return report
-    report["associativity_samples"] = samples
-    return report
+    if translation is None:
+        report["action_entries_checked"] = len(columns) * len(basis)
+    return translation
 
 
-def _side(terms, col):
-    """The sum of c * (word * col) over the (c, word) in ``terms``."""
-    return reduce(add, (apply_word(w, col).scaled(c) for c, w in terms))
+def _relation_width(arity: int, columns: dict, checks: list) -> tuple[int, list[int]]:
+    """B and the per-variable degree bounds that make the Kronecker map
+    injective on every side of every check.
+
+    Let M_x be the largest L1 norm of a column of letter x (the sum of
+    |coefficient| over its entries and their monomials), and D_x its
+    largest degree in each variable.  L1 is sub-multiplicative, so every
+    coefficient of c * x_1 .. x_L * e_lambda is at most |c|_1 M_{x_1} ..
+    M_{x_L}, and its degrees are at most deg c + D_{x_1} + .. + D_{x_L}.
+    2^(B-1) exceeds the sum of these coefficient bounds over both sides of
+    every check, and the degree bounds are the largest of any side term.
+    """
+
+    def size(polys_per_column) -> tuple[int, list[int]]:
+        top, codes, deg = 0, set(), [0] * arity
+        for polys in polys_per_column:
+            top = max(top, sum(abs(c) for p in polys for c in p.terms.values()))
+            codes.update(m for p in polys for m in p.terms)
+        for m in codes:
+            deg = list(map(max, deg, _decode(arity, m)))
+        return top, deg
+
+    letters = {x: size([c for _, c in col] for col in cols) for x, cols in columns.items()}
+    bound, degrees = 0, [0] * arity
+    for _, *sides in checks:
+        total = 0
+        for c, w in chain(*sides):
+            l1, deg = size([[c]])
+            for x in w.syms:
+                l1 *= letters[x][0]
+                deg = [u + v for u, v in zip(deg, letters[x][1])]
+            total += l1
+            degrees = list(map(max, degrees, deg))
+        bound = max(bound, total)
+    return bound.bit_length() + 1, degrees
+
+
+def _kronecker(arity: int, bits: int, degrees: list[int]):
+    """The ring map Z[a, b_1..] -> Z that sends a to 2^bits and b_i to
+    2^(bits*s_i), where s_i is the product of (degrees[j] + 1) over the
+    variables j before b_i, as a function on Polys.
+
+    A polynomial whose degree in each variable is at most ``degrees`` goes
+    to the sum of c * 2^(bits*k) with one k per monomial, distinct for
+    distinct monomials.  When every |c| is below 2^(bits-1), those c are the
+    int's balanced base-2^bits digits, so the map is injective there.
+    """
+    strides = [1]
+    for deg in degrees[:-1]:
+        strides.append(strides[-1] * (deg + 1))
+    shifts: dict[int, int] = {}
+
+    def encode(p: Poly) -> int:
+        total = 0
+        for m, c in p.terms.items():
+            shift = shifts.get(m)
+            if shift is None:
+                exps = _decode(arity, m)
+                shift = shifts[m] = bits * sum(e * s for e, s in zip(exps, strides))
+            total += c << shift
+        return total
+
+    return encode
+
+
+def _int_side(terms: list, j: int) -> dict[int, int]:
+    """The sum of c * (x_1 .. x_L * e_j) over the terms, each given as c and
+    the int columns of x_L .. x_1, composed in that order; as a map from
+    basis position to its nonzero int."""
+    acc: dict[int, int] = {}
+    for c, cols in terms:
+        items = [(j, c)]
+        for col in cols:
+            out: dict[int, int] = {}
+            for p, k in items:
+                for q, kq in col[p]:
+                    out[q] = out.get(q, 0) + k * kq
+            items = out.items()
+        for q, k in items:
+            acc[q] = acc.get(q, 0) + k
+    return {q: k for q, k in acc.items() if k}

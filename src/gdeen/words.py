@@ -133,7 +133,7 @@ def parse_word(params: Params, text: str) -> Word:
     if text.startswith("["):
         try:
             tokens = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deep, or an int too long
             raise BadFormat(f"invalid word JSON: {exc}") from exc
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise BadFormat("word JSON must be an array of token strings")
@@ -160,8 +160,12 @@ def eval_word(word: Word) -> GroupElement:
     mats = _matrices(p)
     perm, exps = list(range(1, p.n + 1)), [0] * p.n
     for sym in word.syms:
-        # generator() raises UnknownSymbol for a letter outside the alphabet
-        xp, xe = mats.get(sym) or generator(p, sym)
+        m = mats.get(sym)
+        if m is None:
+            # generator() raises UnknownSymbol for a letter outside the alphabet
+            x = generator(p, sym)
+            m = mats[sym] = ((0, *x.perm), (0, *x.exps))
+        xp, xe = m
         # right multiplication moves the entry in column c to column xp[c]
         exps = [(k + xe[c]) % de for k, c in zip(exps, perm)]
         perm = [xp[c] for c in perm]
@@ -170,9 +174,9 @@ def eval_word(word: Word) -> GroupElement:
 
 @lru_cache(maxsize=64)
 def _matrices(params: Params) -> dict[Sym, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Each letter's column images and exponents, indexed by 1-based column."""
-    gens = {sym: generator(params, sym) for sym in alphabet(params)}
-    return {sym: ((0, *x.perm), (0, *x.exps)) for sym, x in gens.items()}
+    """Each letter's column images and exponents, indexed by 1-based column;
+    filled by ``eval_word`` with the letters it meets, not the whole alphabet."""
+    return {}
 
 
 def relations(params: Params) -> list[tuple[Word, Word]]:

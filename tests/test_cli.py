@@ -1,10 +1,15 @@
 """CLI surface: commands, JSON output, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
 
 from gdeen.cli import main
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
 
 EX34_JSON = '{"d":3,"e":3,"n":4,"rows":[[1,1],[3,0],[4,1],[2,1]]}'
 
@@ -224,3 +229,84 @@ def test_exit_2_on_cap_refusal(capsys):
     )
     assert code == 2
     assert "EnumerationTooLarge" in err
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe{}", EX34_JSON.encode("utf-16"), b"[" * 100_000, b'{"d": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "utf16", "too-deep", "int-too-long"],
+)
+@pytest.mark.parametrize("command", ["normal-form", "length"])
+def test_exit_2_on_unreadable_matrix_file(tmp_path, capsys, command, data):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    code, out, err = run(
+        capsys, command, "--d", "3", "--e", "3", "--n", "4", "--matrix", str(path)
+    )
+    assert code == 2 and out == ""
+    assert "BadFormat" in err
+
+
+# Property runs: every outcome is exit 0 or 2, never 1 (no input here is a
+# counterexample) and never an uncaught exception.  The parameters stay small
+# and every command that enumerates gets a --cap of at most 60, so each run
+# is cheap.  Valid parameters are drawn often enough to reach the work.
+_small = st.integers(1, 3) | st.integers(-2, 4)
+_dims = st.just((3, 3, 4)) | st.tuples(_small, _small, _small)
+_valid = st.sampled_from([EX34_JSON, '{"d":1,"e":3,"n":2,"rows":[[2,1],[1,2]]}'])
+_matrix_bytes = (
+    st.binary(max_size=64)
+    | st.builds(str.encode, _valid, st.sampled_from(["utf-8", "utf-16", "utf-32"]))
+    | st.builds(bytes.__add__, _valid.map(str.encode), st.binary(min_size=1, max_size=8))
+)
+
+
+def _exit_code(argv) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def matrix_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("matrix") / "m.json"
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from(["normal-form", "length"]), _dims, _matrix_bytes)
+def test_cli_exits_0_or_2_on_any_matrix_file(matrix_path, command, dims, data):
+    matrix_path.write_bytes(data)
+    flags = [f"--{k}={v}" for k, v in zip("den", dims)]
+    assert _exit_code([command, *flags, "--matrix", str(matrix_path)]) in (0, 2)
+
+
+@st.composite
+def numeric_argv(draw):
+    """A command with small, possibly negative, numeric flags."""
+    command = draw(
+        st.sampled_from(
+            ["normal-form", "length", "eval-word", "enumerate", "census", "verify-geodesic",
+             "hecke-reduce", "hecke-verify"]
+        )
+    )
+    if command.startswith("hecke"):
+        family = draw(st.sampled_from(["een", "d1n"]))
+        flag = "e" if family == "een" else "d"
+        argv = [command, "--family", family, f"--{flag}={draw(_small)}", f"--n={draw(_small)}"]
+    else:
+        argv = [command] + [f"--{k}={draw(_small)}" for k in "den"]
+    if command in ("enumerate", "census", "verify-geodesic", "hecke-verify"):
+        argv.append(f"--cap={draw(st.integers(-2, 60))}")
+    if command == "hecke-verify":
+        argv.append(f"--samples={draw(st.integers(-2, 2))}")
+    if command in ("normal-form", "length", "eval-word", "hecke-reduce"):
+        argv.append("--word=")
+    return argv
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(numeric_argv())
+def test_cli_exits_0_or_2_on_small_numeric_flags(argv):
+    assert _exit_code(argv) in (0, 2)

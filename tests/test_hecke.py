@@ -458,9 +458,22 @@ def test_h11n_matches_symmetric_group_hecke():
     assert lhs == rhs
 
 
-def test_action_matrix_at_specialization_is_permutation():
-    from gdeen.hecke import action_matrix
+def action_matrix(hp, sym):
+    """The dense matrix of left multiplication by one generator on Lambda:
+    entry [i][j] is the coefficient of basis[i] in x * basis[j]."""
+    basis = basis_enumerate(hp)
+    pos = {lam: i for i, lam in enumerate(basis)}
+    zero = Poly.const(hp.arity, 0)
+    cols = []
+    for lam in basis:
+        col = [zero] * len(basis)
+        for mu, c in leftmul_generator(hp, sym, lam).combo.items():
+            col[pos[mu]] = c
+        cols.append(col)
+    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
 
+
+def test_action_matrix_at_specialization_is_permutation():
     hp = d1n(2, 2)
     basis = basis_enumerate(hp)
     zeros = [0] * hp.arity

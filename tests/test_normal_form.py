@@ -6,6 +6,8 @@ general case), independently of the row-sweep implementation, and the two
 routes must agree on every element.
 """
 
+import tracemalloc
+
 import pytest
 
 from gdeen import (
@@ -23,6 +25,7 @@ from gdeen import (
     word_text,
 )
 from gdeen.normal_form import (
+    _plan,
     all_elements,
     census_expected,
     length,
@@ -227,3 +230,19 @@ def test_word_input_matches_matrix_route():
     nf = normal_form(eval_word(w))
     assert len(nf.word) == 2
     assert eval_word(nf.word) == eval_word(w)
+
+
+def test_plan_is_linear_in_d():
+    # the plan builds each z-power when a sweep uses it, not ahead of time:
+    # a table of every z^q took about 120 MB at d = 4000
+    params = Params(4000, 1, 2)
+    tracemalloc.start()
+    try:
+        _plan.__wrapped__(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    word = make_word(params, [Z] * 3999 + [S(2), Z, S(2)])
+    nf = normal_form(eval_word(word))
+    assert eval_word(nf.word) == eval_word(word) and len(nf.word) == len(word.syms)

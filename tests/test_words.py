@@ -1,6 +1,7 @@
 """Alphabets, word evaluation and the relation tables."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -152,3 +153,17 @@ def test_word_length_counts_letters():
     params = Params(3, 1, 2)
     w = parse_word(params, "z z s2")
     assert len(w) == 3
+
+
+def test_eval_word_builds_only_the_letters_it_uses():
+    # G(30000,3,2) has 30 001 letters; building every generator matrix for
+    # one t1 took about 19 MB
+    params = Params(10000, 3, 2)
+    tracemalloc.start()
+    try:
+        g = eval_word(make_word(params, [T(1)]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert g == generator(params, T(1))
