@@ -40,6 +40,9 @@ The engine has one entry point, ``_Engine.apply``: the sum of c * w * h
 over (coefficient, word) pairs, by Horner's rule over the trie of the
 words.  ``leftmul_generator``, ``reduce_word``, ``apply_word`` and
 ``hecke_mul`` all go through it, and each call is one budget session.
+Levels below n compute on ``Poly`` terms; the top level n computes on
+packed ints, with a bound on the coefficients that each call proves
+(``_TopLevel``).
 
 Coefficients live in Z[a] (H(e,e,n)) or Z[a, b_1..b_{d-1}] (H(d,1,n));
 the quadratic relations are x^2 = a x + 1 and z^d = b_1 z^{d-1} + ... +
@@ -52,12 +55,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParamsMismatch, RecursionGuardExceeded, UnknownSymbol
+from .errors import InvariantViolation, ParamsMismatch, RecursionGuardExceeded, UnknownSymbol
 from .group import GroupElement, Params, _is_int
-from .polyring import Poly, _dot
+from .polyring import WIDTH, Poly, _digits, _dot, _pack, _unpack
 from .words import S, Sym, T, Word, Z, alphabet, eval_word, make_word, relations
 
 __all__ = [
@@ -89,6 +93,12 @@ BasisIndex = tuple
 ONE: Shape = ("one",)
 
 MOVE_BUDGET = 10**6
+
+# The top level of the engine runs on ints, a -> 2^bits (``_TopLevel``):
+# each call starts at width _BITS, and the level-n columns are stored at
+# width _STORE_BITS, from which a column at any other width is derived.
+_BITS = 64
+_STORE_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -346,8 +356,19 @@ class _Engine:
         self.A = Poly.variable(ar, 0)
         self._F = [Poly.const(ar, 0), Poly.const(ar, 1)]
         self._G = [Poly.const(ar, 1), Poly.const(ar, 0)]
-        self._lm: dict = {}
+        self.letters = frozenset(alphabet(hp.group_params()))
+        self.basis = basis_enumerate(hp)
+        self.pos = {lam: j for j, lam in enumerate(self.basis)}
+        self._lm: dict = {}  # levels below n
         self._rw: dict = {}
+        # the level-n columns, packed: width -> letter -> column by position;
+        # tables are only added to.  _rows[x][mu] is the sum of the entries'
+        # L1 norms in row mu over the columns of x stored so far, and
+        # _rowmax[x] the largest of them.
+        self._packed: dict[int, dict[Sym, list]] = {}
+        self._rows: dict[Sym, list[int]] = {}
+        self._rowmax: dict[Sym, int] = {}
+        self._lock = threading.RLock()
         self._tk0: dict[int, list] = {}
         self._zpow: dict[int, list] = {}
         self._ppform: dict[int, list] = {}
@@ -754,10 +775,15 @@ class _Engine:
         return 1  # z
 
     def _leftmul_at(self, m: int, sym: Sym, shapes: BasisIndex) -> TermList:
+        """sym * shapes at level m < n, memoized in ``_lm``."""
         key = (m, sym, shapes)
         cached = self._lm.get(key)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._lm[key] = self._column(m, sym, shapes)
+        return cached
+
+    def _column(self, m: int, sym: Sym, shapes: BasisIndex) -> TermList:
+        """sym * shapes at level m, computed; one move, plus those it makes."""
         self._tick()
         lvl = self._sym_level(sym)
         if lvl < m:
@@ -779,7 +805,6 @@ class _Engine:
                 for c, pw, tail in locterms
                 for c2, presh in self._reduce_at(m - 1, head + pw)
             )
-        self._lm[key] = res
         return res
 
     def _pair_terms(self, m: int, a: Shape, b: Shape) -> LocList:
@@ -802,25 +827,6 @@ class _Engine:
             terms = _collect(self._act(m, sym, terms))
         return terms
 
-    def _horner(self, m: int, node: dict, terms: TermList) -> TermList:
-        """The sum of c * w * terms over the words w of a trie, where the
-        node that ends w holds c under the key None.  By Horner's rule,
-        R(v) = c_v * terms + sum over letters x of x * R(child_x), so a
-        prefix shared by many words is applied once.  A chain of nodes with
-        one child and no coefficient is applied as one word, which keeps
-        the recursion as deep as the trie has branch points."""
-        triples = [(node[None], c2, sh) for c2, sh in terms] if None in node else []
-        for x, child in node.items():
-            if x is None:
-                continue
-            chain = []
-            while len(child) == 1 and None not in child:
-                ((y, child),) = child.items()
-                chain.append(y)
-            below = self._apply_at(m, chain, self._horner(m, child, terms))
-            triples += self._act(m, x, below)
-        return _collect(triples)
-
     def _reduce_at(self, m: int, word: tuple[Sym, ...]) -> TermList:
         """word at level m < n, memoized.  Only the recursion calls it, never
         a top-level call, so ``_rw`` is bounded by the algebra."""
@@ -832,13 +838,69 @@ class _Engine:
             self._rw[key] = res
         return res
 
+    # -- the top level, on packed ints ------------------------------------------
+
+    def _pack_vec(self, polys: dict[int, Poly], bits: int) -> dict[int, int]:
+        """Coefficients by basis position as a packed vector: position +
+        bcode * |Lambda| -> the int of that b-monomial's part (``_pack``)."""
+        size = len(self.basis)
+        return {pos + b * size: v for pos, c in polys.items() for b, v in _pack(c, bits).items()}
+
+    def _unpack_vec(self, vec: dict[int, int], bits: int) -> dict[int, Poly]:
+        """A packed vector read back as its nonzero coefficients by position,
+        in the order in which the positions first appear."""
+        groups: dict[int, dict[int, int]] = {}
+        for q, v in vec.items():
+            if v:
+                b, pos = divmod(q, len(self.basis))
+                groups.setdefault(pos, {})[b] = v
+        return {pos: _unpack(self.hp.arity, g, bits) for pos, g in groups.items()}
+
+    def _table(self, bits: int, x: Sym) -> list:
+        """The level-n columns of x packed at width ``bits``, by position;
+        None where a column has not been fetched at that width."""
+        try:
+            return self._packed[bits][x]
+        except KeyError:
+            with self._lock:
+                return self._packed.setdefault(bits, {}).setdefault(x, [None] * len(self.basis))
+
+    def _fetch(self, x: Sym, pos: int, bits: int) -> tuple:
+        """x * e_pos at level n, packed at width ``bits``, in the form of
+        ``_column_form``.
+
+        A column is computed once and stored at width ``_STORE_BITS``.
+        Its entries' L1 norms are added to the row sums of x before it is
+        stored, once, under the lock: a lost update would leave a bound
+        too small.  A column at another width is derived from the stored
+        one, which reads back exactly as its coefficients are checked to be
+        below 2^(_STORE_BITS - 1)."""
+        with self._lock:
+            stored = self._table(_STORE_BITS, x)
+            if stored[pos] is None:
+                polys = {self.pos[lam]: c for c, lam in self._column(self.n, x, self.basis[pos])}
+                norms = {mu: _l1(c) for mu, c in polys.items()}
+                if max(norms.values(), default=0) >> (_STORE_BITS - 1):
+                    why = f"a coefficient of a column of {x} reaches 2^{_STORE_BITS - 1}"
+                    raise InvariantViolation(why)
+                rows = self._rows.setdefault(x, [0] * len(self.basis))
+                for mu, l1 in norms.items():
+                    rows[mu] += l1
+                    self._rowmax[x] = max(self._rowmax.get(x, 0), rows[mu])
+                stored[pos] = _column_form(self._pack_vec(polys, _STORE_BITS))
+            table = self._table(bits, x)
+            if table[pos] is None:
+                polys = self._unpack_vec(_column_vec(stored[pos]), _STORE_BITS)
+                table[pos] = _column_form(self._pack_vec(polys, bits))
+            return table[pos]
+
     # -- the one entry point ---------------------------------------------------
 
     def apply(self, words, terms: TermList) -> HeckeElement:
         """The sum of c * w * terms over the (c, w) in ``words``, by Horner's
-        rule over the trie of the words.  The call is one move-budget
-        session: the count starts from zero unless another call on this
-        engine is still running."""
+        rule over the trie of the words, on packed ints (``_TopLevel``).
+        The call is one move-budget session: the count starts from zero
+        unless another call on this engine is still running."""
         root: dict = {}
         for c, syms in words:
             node = root
@@ -850,10 +912,166 @@ class _Engine:
             self._active = True
             self._moves = 0
         try:
-            return _element(self.hp, self._horner(self.n, root, terms))
+            top = _TopLevel(self, terms)
+            return _element(self.hp, top.result(top.horner(root)))
         finally:
             if fresh:
                 self._active = False
+
+
+def _column_form(vec: dict[int, int]) -> tuple:
+    """A packed column as three tuples: (key, s) for the entries 2^s, (key,
+    s) for the entries -2^s, which are all but a few, and (key, int) for the
+    rest, so that most entries act by a shift rather than a product."""
+    plus, minus, other = [], [], []
+    for k, w in vec.items():
+        s = (w & -w).bit_length() - 1
+        if w == 1 << s:
+            plus.append((k, s))
+        elif w == -1 << s:
+            minus.append((k, s))
+        else:
+            other.append((k, w))
+    return tuple(plus), tuple(minus), tuple(other)
+
+
+def _column_vec(col: tuple) -> dict[int, int]:
+    """The packed vector of a column in the form of ``_column_form``."""
+    plus, minus, other = col
+    return {k: 1 << s for k, s in plus} | {k: -1 << s for k, s in minus} | dict(other)
+
+
+def _l1(c: Poly) -> int:
+    """The sum of the absolute values of c's coefficients."""
+    return sum(map(abs, c.terms.values()))
+
+
+class _State:
+    """A packed vector at width ``bits``, with ``bound`` at least the largest
+    L1 norm of any position's coefficient, and below 2^(bits-1)."""
+
+    __slots__ = ("vec", "bound", "bits")
+
+    def __init__(self, vec: dict[int, int], bound: int, bits: int):
+        self.vec, self.bound, self.bits = vec, bound, bits
+
+
+class _TopLevel:
+    """The level-n work of one ``_Engine.apply`` call, on packed ints.
+
+    A state maps position + bcode * |Lambda| to one int (``_pack_vec``):
+    the position of a basis element in ``basis_enumerate``, the code of a
+    monomial in the b_i (always 0 for H(e,e,n)), and that monomial's
+    polynomial in a at a = 2^bits.  a -> 2^bits is a ring map, so the ints
+    are exact at any size.  They read back exactly, as balanced base-2^bits
+    digits, when every coefficient is below 2^(bits-1); each state carries a
+    bound, proved in this call, on its largest L1 norm, which is more:
+
+    * a letter x multiplies it by the largest row sum of the L1 norms over
+      the columns of x fetched so far, which include every column it used;
+    * a coefficient c multiplies it by |c|_1, and a sum adds the bounds.
+
+    When a result's bound would reach 2^(bits-1), the inputs, which are
+    still exact, are read back and their bounds cut to their true norms.
+    Only if the result still does not fit is the width doubled, for the
+    rest of the call, and the inputs packed again.
+    """
+
+    def __init__(self, eng: _Engine, terms: TermList):
+        self.eng = eng
+        polys = {eng.pos[lam]: c for c, lam in terms}
+        bound = max(map(_l1, polys.values()), default=0)
+        self.bits = _BITS
+        while bound >> (self.bits - 1):
+            self.bits *= 2
+        self.terms = _State(eng._pack_vec(polys, self.bits), bound, self.bits)
+
+    def horner(self, node: dict) -> _State:
+        """The sum of c * w * terms over the words w of a trie, where the
+        node that ends w holds c under the key None.  By Horner's rule,
+        R(v) = c_v * terms + sum over letters x of x * R(child_x), so a
+        prefix shared by many words is applied once.  A chain of nodes with
+        one child and no coefficient is applied as one word, which keeps
+        the recursion as deep as the trie has branch points."""
+        parts = [(node[None], self.terms)] if None in node else []
+        for x, child in node.items():
+            if x is None:
+                continue
+            chain = []
+            while len(child) == 1 and None not in child:
+                ((y, child),) = child.items()
+                chain.append(y)
+            below = self.horner(child)
+            for y in reversed(chain):
+                below = self._lin([(y, below)])
+            parts.append((x, below))
+        return self._lin(parts)
+
+    def result(self, st: _State) -> TermList:
+        basis = self.eng.basis
+        return [(c, basis[pos]) for pos, c in self.eng._unpack_vec(st.vec, st.bits).items()]
+
+    def _norm(self, st: _State) -> int:
+        """The true largest L1 norm of a position's coefficient in st, from
+        the digits of its ints (re-tightening)."""
+        size, norms = len(self.eng.basis), {}
+        for q, v in st.vec.items():
+            pos = q % size
+            norms[pos] = norms.get(pos, 0) + sum(map(abs, _digits(v, st.bits)))
+        return max(norms.values(), default=0)
+
+    def _lin(self, parts: list) -> _State:
+        """The sum of op * state over the (op, state) pairs, where op is a
+        letter or a coefficient, at this call's width, with its bound."""
+        eng, arity = self.eng, self.eng.hp.arity
+        size = len(eng.basis)
+        while True:
+            out: dict[int, int] = {}
+            get = out.get
+            for op, st in parts:
+                if st.bits != self.bits:  # widths only grow
+                    st.vec = eng._pack_vec(eng._unpack_vec(st.vec, st.bits), self.bits)
+                    st.bits = self.bits
+                if isinstance(op, Poly):
+                    shifts = [(b * size, v) for b, v in _pack(op, self.bits).items()]
+                    for q, w in st.vec.items():
+                        for s, v in shifts:
+                            out[q + s] = get(q + s, 0) + v * w
+                    continue
+                table = eng._table(self.bits, op)
+                for q, v in st.vec.items():
+                    if v:
+                        pos = q % size
+                        col = table[pos]
+                        if col is None:
+                            col = eng._fetch(op, pos, self.bits)
+                        base = q - pos
+                        plus, minus, other = col
+                        for k, s in plus:
+                            k += base
+                            out[k] = get(k, 0) + (v << s)
+                        for k, s in minus:
+                            k += base
+                            out[k] = get(k, 0) - (v << s)
+                        for k, w in other:
+                            k += base
+                            out[k] = get(k, 0) + v * w
+            # b-codes add field by field: no field may carry into the next
+            if arity > 1 and out and max(out) // size >> (WIDTH * arity):
+                raise InvariantViolation(f"product degree reaches 2^{WIDTH} in arity {arity}")
+            # read after the fetches: the row sums only grow
+            factors = [
+                _l1(op) if isinstance(op, Poly) else eng._rowmax.get(op, 0) for op, _ in parts
+            ]
+            bound = sum(st.bound * f for (_, st), f in zip(parts, factors))
+            if bound >> (self.bits - 1):
+                for _, st in parts:
+                    st.bound = self._norm(st)
+                bound = sum(st.bound * f for (_, st), f in zip(parts, factors))
+            if not bound >> (self.bits - 1):
+                return _State(out, bound, self.bits)
+            while bound >> (self.bits - 1):
+                self.bits *= 2
 
 
 @lru_cache(maxsize=None)
@@ -867,10 +1085,10 @@ def _engine(hp: HeckeParams) -> _Engine:
 
 def leftmul_generator(hp: HeckeParams, sym: Sym, lam: BasisIndex) -> HeckeElement:
     """x * lambda expressed on the basis Lambda."""
-    if sym not in set(alphabet(hp.group_params())):
+    eng = _engine(hp)
+    if sym not in eng.letters:
         raise UnknownSymbol(f"{sym} is not a generator of {hp}")
     validate_basis_index(hp, lam)
-    eng = _engine(hp)
     return eng.apply([(eng.one, (sym,))], [(eng.one, lam)])
 
 

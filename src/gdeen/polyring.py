@@ -209,6 +209,79 @@ class Poly:
         return f"Poly({self})"
 
 
+def _a_step(arity: int) -> int:
+    """The code of ``a``: adding it to a code multiplies the monomial by a."""
+    return 1 if arity == 1 else (1 << WIDTH * (arity - 1)) | (1 << WIDTH * (arity - 2))
+
+
+def _pack(p: Poly, bits: int) -> dict[int, int]:
+    """p as a map from the code of each monomial in the b_i (0 for 1, and
+    for every monomial of arity 1) to the int of its polynomial in ``a`` at
+    a = 2^bits.  a -> 2^bits is a ring map, so sums and products of packed
+    ints are the packed sums and products, at any size."""
+    arity, out = p.arity, {}
+    step, shift = _a_step(arity), WIDTH * (arity - 2)
+    for m, c in p.terms.items():
+        k = m if arity == 1 else m >> shift & _MASK
+        b = m - k * step
+        out[b] = out.get(b, 0) + (c << bits * k)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _offset(bits: int, n: int) -> int:
+    """2^(bits-1) in each of n base-2^bits digits."""
+    return (1 << (bits - 1)) * (((1 << bits * n) - 1) // ((1 << bits) - 1))
+
+
+def _digits(v: int, bits: int) -> list[int]:
+    """v in balanced base 2^bits, lowest digit first: each digit is in
+    [-2^(bits-1), 2^(bits-1)), and there may be zeros on top.  Adding
+    2^(bits-1) to every digit makes them the plain digits of one int >= 0;
+    when bits is a multiple of 64 they are read off its 64-bit words."""
+    n = (v.bit_length() + 1) // bits + 1  # at least as many as v has
+    half = 1 << (bits - 1)
+    u = v + _offset(bits, n)
+    if bits % 64:
+        return [(u >> bits * k & (2 * half - 1)) - half for k in range(n)]
+    words = memoryview(u.to_bytes(n * bits // 8, "little")).cast("Q")
+    if bits == 64:
+        return [w - half for w in words]
+    j = bits // 64  # words per digit, the top one offset by 2^63
+    words = words.tolist()
+    digits = [w - (1 << 63) for w in words[j - 1 :: j]]
+    for t in range(j - 2, -1, -1):
+        digits = [d << 64 | w for d, w in zip(digits, words[t::j])]
+    return digits
+
+
+def _unpack(arity: int, packed: dict[int, int], bits: int) -> Poly:
+    """The Poly that ``_pack`` sends to ``packed``, read back as balanced
+    base-2^bits digits (``_digits``).  Exact when every coefficient is below
+    2^(bits-1) in absolute value."""
+    step = _a_step(arity)
+    terms: dict[int, int] = {}
+    for m, v in packed.items():
+        for c in _digits(v, bits):
+            if c:
+                terms[m] = c
+            m += step
+    if arity > 1 and terms and max(terms) >> (WIDTH * arity):
+        raise InvariantViolation(f"product degree reaches 2^{WIDTH} in arity {arity}")
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        if c in (1, -1):
+            return _unit_monomial(arity, m, c)
+    return _make(arity, terms)
+
+
+@lru_cache(maxsize=4096)
+def _unit_monomial(arity: int, code: int, c: int) -> Poly:
+    """One shared Poly per +-monomial: most entries of a generator's
+    column are +-a^k, and the columns a caller holds need no copies."""
+    return _make(arity, {code: c})
+
+
 def _dot(pairs: list[tuple[Poly, Poly]]) -> Poly:
     """The sum of ``p * q`` over the pairs, multiplied and summed on the
     monomial codes, so that only the result is built as a Poly."""

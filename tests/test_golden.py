@@ -14,6 +14,7 @@ over GOLDEN.
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -28,7 +29,7 @@ from gdeen import (
     s2_zk_s2,
 )
 from gdeen.cli import main
-from gdeen.words import S
+from gdeen.words import S, alphabet
 
 
 def _reduce(family, p, n, word):
@@ -68,6 +69,16 @@ def _leftmul_columns(hp, *letters):
     )
 
 
+def _long_words(hp, length, count=10, seed=0):
+    # seeded words whose coefficients reach about 125 bits in H(3,3,4), so
+    # that the engine widens past its starting width; one digest per word,
+    # so that the long outputs are never held together
+    rng = random.Random(seed)
+    letters = [str(x) for x in alphabet(hp.group_params())]
+    words = [" ".join(rng.choice(letters) for _ in range(length)) for _ in range(count)]
+    return "\n".join(_sha(reduce_word(hp, w).to_json()) for w in words)
+
+
 LIB_CASES = {
     "mul-h333": lambda: _lib_mul(een(3, 3), "t1 t0 s3 t2", "s3 t2 t1 s3 t0"),
     "mul-h443": lambda: _lib_mul(een(4, 3), "t3 t1 s3", "t2 s3 t0 t1"),
@@ -79,6 +90,8 @@ LIB_CASES = {
     "leftmul-s2-h512": lambda: _leftmul_columns(d1n(5, 2), 2),
     "leftmul-s2-s3-h413": lambda: _leftmul_columns(d1n(4, 3), 2, 3),
     "leftmul-s3-h553": lambda: _leftmul_columns(een(5, 3), 3),
+    "reduce-long-h334": lambda: _long_words(een(3, 4), 200),
+    "reduce-long-h314": lambda: _long_words(d1n(3, 4), 60),
 }
 
 
@@ -122,6 +135,8 @@ GOLDEN = {
     'mul-h443': 'ac62d4f0ef37871f3f2f98dd06cd7fc86db0b4aa71c68040c65318a8c6e75c6f',
     'pow-s2zs2-h313': '925c076d145777158b5670bfb151d339f1dd8e74a284e7a2b025a7500031581b',
     'pow-s2zs2-h412': '0ea57fbe70c46656fc522573798595da549fb81c54e9536779e5b8568e890991',
+    'reduce-long-h314': '985ebac7e66ec599866555909c1a0316ac04381cdf2f725470fe6397074bfbb0',
+    'reduce-long-h334': 'cde04ae2c7ab427d918e3bb33277f68c92b2df6b26dc9ce2cbb48335263835c4',
     's2-zk-s2-h313': '7122ff9ba8f01cd932b119b1ec6d95f24b4986cdb79f962a059adbc38f63115c',
     's2-zk-s2-h412': '78e7774d2001b194c35f1a760817b68ac92b0e30351bc26e2d22e59bcddc0471',
 }

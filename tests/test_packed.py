@@ -1,0 +1,192 @@
+"""The top level of the Hecke engine, on packed ints.
+
+``_Engine.apply`` evaluates level n on ints: each coefficient's part at one
+monomial in the b_i is its polynomial in a at a = 2^bits
+(``polyring._pack``), and results are read back as balanced base-2^bits
+digits (``polyring._unpack``).  That is exact only while every coefficient
+stays below 2^(bits-1).  Each call proves a bound on its coefficients,
+re-tightens it from the exact digits, and doubles bits when it must; these
+tests check the pair, the bound's sharpness, that a narrow starting width
+changes no result, and that without the re-tightening it would.
+"""
+
+import random
+import sys
+import threading
+
+import pytest
+
+import gdeen.hecke as hecke_mod
+from gdeen import Poly, apply_word, d1n, een, hecke_mul, reduce_word
+from gdeen.polyring import _pack, _unpack
+from gdeen.words import alphabet, make_word
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@pytest.fixture(autouse=True)
+def fresh_engines():
+    hecke_mod._engine.cache_clear()
+    yield
+    hecke_mod._engine.cache_clear()
+
+
+@st.composite
+def packable(draw):
+    """(bits, P) with every |coefficient| of P below 2^(bits-1)."""
+    arity = draw(st.integers(1, 3))
+    bits = draw(st.sampled_from([2, 3, 4, 8, 13, 64, 100, 128]))
+    top = 2 ** (bits - 1) - 1
+    coeff = st.sampled_from([top, -top, 1, -1]) | st.integers(-top, top)
+    mono = st.tuples(*(st.integers(0, 150) for _ in range(arity)))
+    return bits, Poly(arity, draw(st.dictionaries(mono, coeff, max_size=8)))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(packable())
+def test_unpack_inverts_pack_within_the_bound(case):
+    bits, p = case
+    assert _unpack(p.arity, _pack(p, bits), bits) == p
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(packable(), st.data())
+def test_packing_is_a_ring_map(case, data):
+    # the product of two packed polynomials is the packed product: the
+    # b-monomial codes add, and the ints in a multiply, at any size
+    bits, p = case
+    mono = st.tuples(*(st.integers(0, 40) for _ in range(p.arity)))
+    q = Poly(p.arity, data.draw(st.dictionaries(mono, st.integers(-9, 9), max_size=4)))
+    product: dict[int, int] = {}
+    for b1, v1 in _pack(p, bits).items():
+        for b2, v2 in _pack(q, bits).items():
+            product[b1 + b2] = product.get(b1 + b2, 0) + v1 * v2
+    want = _pack(p * q, bits)
+    assert {b: v for b, v in product.items() if v} == want
+
+
+@pytest.mark.parametrize("bits", [2, 5, 64])
+def test_the_bound_is_sharp(bits):
+    # -2^(B-1) is a digit, 2^(B-1) is not: it reads back as -2^(B-1) + a
+    half = 2 ** (bits - 1)
+    for p in (Poly(1, {(0,): half - 1}), Poly(1, {(0,): -half})):
+        assert _unpack(1, _pack(p, bits), bits) == p
+    over = Poly(1, {(0,): half})
+    assert _unpack(1, _pack(over, bits), bits) == Poly(1, {(0,): -half, (1,): 1})
+
+
+CASES = [(een(3, 3), 7), (d1n(2, 3), 8), (d1n(3, 3), 9)]
+
+
+def products(hp, seed):
+    """reduce_word, apply_word and hecke_mul on seeded words of ``hp``."""
+    rng = random.Random(seed)
+    gp = hp.group_params()
+    w1, w2, w3 = (make_word(gp, [rng.choice(alphabet(gp)) for _ in range(n)]) for n in (24, 16, 16))
+    h = reduce_word(hp, w1)
+    return [h, apply_word(w2, h), hecke_mul(h, reduce_word(hp, w3))]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Per call of the engine, the re-tightenings and the widest width."""
+    seen = []
+    norm, lin = hecke_mod._TopLevel._norm, hecke_mod._TopLevel._lin
+
+    def counting_norm(self, st):
+        seen[-1][0] += 1
+        return norm(self, st)
+
+    def widest_lin(self, parts):
+        st = lin(self, parts)
+        seen[-1][1] = max(seen[-1][1], st.bits)
+        return st
+
+    def start(self, *args):
+        seen.append([0, 0])
+        return apply(self, *args)
+
+    apply = hecke_mod._Engine.apply
+    monkeypatch.setattr(hecke_mod._TopLevel, "_norm", counting_norm)
+    monkeypatch.setattr(hecke_mod._TopLevel, "_lin", widest_lin)
+    monkeypatch.setattr(hecke_mod._Engine, "apply", start)
+    return seen
+
+
+@pytest.mark.parametrize("hp, seed", CASES, ids=str)
+def test_a_narrow_start_changes_no_result(hp, seed, calls, monkeypatch):
+    want = [h.to_json() for h in products(hp, seed)]
+    hecke_mod._engine.cache_clear()
+    monkeypatch.setattr(hecke_mod, "_BITS", 4)
+    calls.clear()
+    assert [h.to_json() for h in products(hp, seed)] == want
+    # every call re-tightened its bound and widened past 4 bits
+    assert calls and all(norms and widest > 4 for norms, widest in calls)
+
+
+@pytest.mark.parametrize("hp, seed", CASES, ids=str)
+def test_the_bound_is_what_makes_a_narrow_start_exact(hp, seed, monkeypatch):
+    # with re-tightening replaced by "bound = 0" nothing ever widens, and
+    # some coefficient no longer fits 4 bits
+    want = [h.to_json() for h in products(hp, seed)]
+    hecke_mod._engine.cache_clear()
+    monkeypatch.setattr(hecke_mod, "_BITS", 4)
+    monkeypatch.setattr(hecke_mod._TopLevel, "_norm", lambda self, st: 0)
+    assert [h.to_json() for h in products(hp, seed)] != want
+
+
+def test_the_top_level_keeps_its_columns_packed_only():
+    hp = een(3, 4)
+    reduce_word(hp, "s4 s3 t1 t0 s3 s4 t2 s3")
+    eng = hecke_mod._engine(hp)
+    assert eng._lm and all(m < hp.n for m, _, _ in eng._lm)
+    assert set(eng._packed) == {hecke_mod._STORE_BITS}
+
+
+def test_concurrent_callers_agree_with_serial_ones():
+    # cold engines, four threads on two cores, a short switch interval, and
+    # words long enough that the bound is re-tightened at the default width.
+    # The row sums must come out as in a serial run: a lost update there
+    # would leave a bound too small.
+    rng = random.Random(5)
+    jobs = []
+    for hp, length in [(een(3, 3), 70), (d1n(3, 3), 40)]:
+        letters = [str(x) for x in alphabet(hp.group_params())]
+        jobs += [(hp, " ".join(rng.choice(letters) for _ in range(length))) for _ in range(6)]
+    serial = [reduce_word(hp, w).to_json() for hp, w in jobs]
+    rows = {hp: hecke_mod._engine(hp)._rows for hp, _ in jobs}
+    hecke_mod._engine.cache_clear()
+
+    norms = []
+    real = hecke_mod._TopLevel._norm
+
+    def counting_norm(self, st):
+        norms.append(1)
+        return real(self, st)
+
+    results = [None] * len(jobs)
+    barrier = threading.Barrier(4)
+
+    def work(k):
+        barrier.wait()
+        for j in range(k, len(jobs), 4):
+            hp, w = jobs[j]
+            results[j] = reduce_word(hp, w).to_json()
+
+    interval = sys.getswitchinterval()
+    hecke_mod._TopLevel._norm = counting_norm
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        hecke_mod._TopLevel._norm = real
+    assert not any(t.is_alive() for t in threads)
+    assert norms
+    assert results == serial
+    assert {hp: hecke_mod._engine(hp)._rows for hp in rows} == rows
