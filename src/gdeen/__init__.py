@@ -43,12 +43,6 @@ from .normal_form import (
     max_length_census,
     normal_form,
 )
-from .cayley import (
-    GroupTable,
-    enumerate_group,
-    geodesic_distance,
-    regular_representation,
-)
 from .polyring import Poly
 from .hecke import (
     BasisIndex,

@@ -61,6 +61,8 @@ DEFAULT_CAP = 10**6
 
 def _checked_order(params: Params, cap: int) -> int:
     """The group order, refused with EnumerationTooLarge when it exceeds cap."""
+    if not _is_int(cap):
+        raise ParamsMismatch(f"cap must be an int, got {cap!r}")
     order = params.order()
     if order > cap:
         raise EnumerationTooLarge(

@@ -1086,7 +1086,11 @@ def _engine(hp: HeckeParams) -> _Engine:
 def leftmul_generator(hp: HeckeParams, sym: Sym, lam: BasisIndex) -> HeckeElement:
     """x * lambda expressed on the basis Lambda."""
     eng = _engine(hp)
-    if sym not in eng.letters:
+    try:
+        known = sym in eng.letters
+    except TypeError:  # unhashable, so not a letter
+        known = False
+    if not known:
         raise UnknownSymbol(f"{sym} is not a generator of {hp}")
     validate_basis_index(hp, lam)
     return eng.apply([(eng.one, (sym,))], [(eng.one, lam)])

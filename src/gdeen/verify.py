@@ -51,8 +51,8 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     * f(x*g) <= f(g) + 1 for every g and every letter x.
 
     Spelling gives d <= f.  The other two give f <= d, by induction along
-    a geodesic.  No BFS table is built; ``cap`` bounds the order as it does
-    for ``enumerate_group``.
+    a geodesic.  No BFS table is built; a group whose order exceeds ``cap``
+    is refused.  ``gdeen enumerate`` reports this order and histogram.
     """
     perms, vecs = _rank_order(params, cap)
     perms = list(perms)

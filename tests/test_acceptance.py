@@ -16,6 +16,8 @@ Each test prints one PASS line; run with -s (or check the captured log)
 for the human-readable report.
 """
 
+from cayley_oracle import enumerate_group
+
 from gdeen import (
     Params,
     Poly,
@@ -24,7 +26,6 @@ from gdeen import (
     d1n,
     een,
     element,
-    enumerate_group,
     eval_word,
     hecke_relations,
     make_word,

@@ -5,9 +5,11 @@ pinned output digest), the ``hecke-verify`` ops of pass 1 (H(3,3,4) and
 H(3,1,3) with associativity sample seed 1) and the first two
 ``hecke-reduce`` ops of seed 1 through the benchmark's own
 ``worker.run_op`` and ``worker.check``, so that a change to gdeen that the
-benchmark would reject fails here too.
+benchmark would reject fails here too.  Every layer module that the
+benchmark's tracer wraps must also import.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import layertrace  # noqa: E402
 import worker  # noqa: E402
 import workloads  # noqa: E402
 
@@ -40,3 +43,9 @@ def test_bench_op_passes_its_oracle(workload, op):
     assert code == 0
     errors, _, _ = worker.check(gdeen, workload, op, out, workloads.load_golden())
     assert errors == []
+
+
+@pytest.mark.parametrize("layer", layertrace.LAYERS)
+def test_every_traced_layer_imports(layer):
+    # the trace installs on gdeen.<layer> for every layer it lists
+    importlib.import_module(f"gdeen.{layer}")

@@ -1,21 +1,11 @@
-"""The brute-force group table and left-regular representation."""
+"""The brute-force group table and left-regular representation of the test oracle."""
 
 from collections import deque
 
 import pytest
+from cayley_oracle import enumerate_group, geodesic_distance, regular_representation
 
-from gdeen import (
-    EnumerationTooLarge,
-    NotInGroup,
-    Params,
-    element,
-    enumerate_group,
-    geodesic_distance,
-    identity,
-    mul,
-    regular_representation,
-    relations,
-)
+from gdeen import EnumerationTooLarge, NotInGroup, Params, element, identity, mul, relations
 from gdeen.words import T, Z
 from gdeen.words import alphabet, generator
 

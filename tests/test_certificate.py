@@ -6,16 +6,18 @@ and each way of breaking the sweep must give a counterexample.
 
 import contextlib
 import io
+import json
 
 import pytest
+from cayley_oracle import enumerate_group
 
 import gdeen.verify as verify_mod
 from gdeen import (
     EnumerationTooLarge,
     GdeenError,
     Params,
+    ParamsMismatch,
     census_expected,
-    enumerate_group,
     verify_geodesic,
 )
 from gdeen.cli import main
@@ -55,9 +57,21 @@ def bfs_report(params):
     return report
 
 
+def run_main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("params", REFERENCE_GRID, ids=str)
 def test_certificate_matches_bfs_report(params):
-    assert verify_geodesic(params) == bfs_report(params)
+    report = bfs_report(params)
+    assert verify_geodesic(params) == report
+    # enumerate prints the certified order and histogram
+    argv = ["enumerate", "--d", str(params.d), "--e", str(params.e), "--n", str(params.n)]
+    expected = {key: report[key] for key in ("order", "length_histogram")}
+    assert run_main(argv) == (0, json.dumps(expected) + "\n")
 
 
 def test_long_lengths_need_a_wider_array():
@@ -75,6 +89,12 @@ def test_g336_certifies():
 def test_cap_keeps_its_meaning():
     with pytest.raises(EnumerationTooLarge, match=r"\|G\(9,3,4\)\| = 52488 exceeds cap 100"):
         verify_geodesic(Params(3, 3, 4), cap=100)
+
+
+@pytest.mark.parametrize("cap", ["x", None, 2.5, 10.0**6, True], ids=repr)
+def test_cap_that_is_not_an_int_is_refused(cap):
+    with pytest.raises(ParamsMismatch, match="cap must be an int"):
+        verify_geodesic(Params(1, 3, 3), cap=cap)
 
 
 # Mutations of the sweep in G(3,3,3), whose alphabet is t0 t1 t2 s3
@@ -112,6 +132,25 @@ def test_padded_word_breaks_the_lipschitz_step(monkeypatch):
     mutate(monkeypatch, S3, lambda parts: parts[:-1] + [parts[-1] + [3, 3]])
     cx = counterexample(S3, 3)
     assert cx["shorter_word"] == "s3"
+
+
+def test_enumerate_prints_the_counterexample(monkeypatch):
+    # a broken normal form is a counterexample for enumerate too: exit 1,
+    # with the certificate's report in place of the histogram
+    mutate(monkeypatch, S3, lambda parts: parts[:-1] + [parts[-1] + [3, 3]])
+    code, out = run_main(["enumerate", *ARGV_333[1:]])
+    assert code == 1
+    report = json.loads(out)
+    assert report == verify_geodesic(G333)
+    assert report["counterexample"]["shorter_word"] == "s3"
+
+
+def test_enumerate_exits_1_on_a_census_mismatch(monkeypatch):
+    monkeypatch.setattr(verify_mod, "census_expected", lambda params: (0, 1))
+    code, out = run_main(["enumerate", *ARGV_333[1:]])
+    assert code == 1
+    report = json.loads(out)
+    assert not report["ok"] and report["census_expected"] == {"max_length": 0, "count": 1}
 
 
 def test_nonempty_identity_word_is_refused(monkeypatch):

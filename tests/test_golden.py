@@ -54,6 +54,10 @@ CLI_CASES = {
     "normal-form-g623": ["normal-form", "--d", "3", "--e", "2", "--n", "3", "--word", "z t3 s3 t1 z t0 s3 t5"],
     "normal-form-g313": ["normal-form", "--d", "3", "--e", "1", "--n", "3", "--word", "z s2 z z s2 s3 s2 z z"],
     "census-g623": ["census", "--d", "3", "--e", "2", "--n", "3"],
+    "enumerate-g934": ["enumerate", "--d", "3", "--e", "3", "--n", "4"],
+    "enumerate-g633": ["enumerate", "--d", "2", "--e", "3", "--n", "3"],
+    "enumerate-g423-pretty": ["--pretty", "enumerate", "--d", "2", "--e", "2", "--n", "3"],
+    "enumerate-cap-g934": ["enumerate", "--d", "3", "--e", "3", "--n", "4", "--cap", "100"],
 }
 
 
@@ -112,6 +116,10 @@ def run_lib(name):
 
 GOLDEN = {
     'census-g623': (0, '01cd4d4079cde3e251d6820e50e55b4f4379425a6e1a11155a61be42d8d85d3a'),
+    'enumerate-cap-g934': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'enumerate-g423-pretty': (0, 'c9ac112f243381318ee42702603d45aca37846cd6a2db0543a85dcb34f54ef9e'),
+    'enumerate-g633': (0, '2af11fb81c9ab0d7b527bd5b72f49ccd2cc7f5c42117164bd538dc7c3abe6c75'),
+    'enumerate-g934': (0, '93e131c2e6e3185ac857108b00ce0da165caabea07e51e75539ab781c4a99038'),
     'normal-form-g313': (0, '8e863e6d66c9900eccfa0431d1e7dde3f661ce095addaefbddb10f6a5c624073'),
     'normal-form-g623': (0, '973499257a316b836b236874790a77276e6179ef7396cb958b292f33bf600a92'),
     'reduce-bad-token': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),

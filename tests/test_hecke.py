@@ -38,7 +38,8 @@ from gdeen import (
     specialize_to_group,
 )
 from gdeen.hecke import ONE, identity_index, unit, validate_basis_index
-from gdeen.words import S, T, Z, alphabet, generator
+from gdeen.verify import verify_hecke
+from gdeen.words import S, Sym, T, Z, alphabet, generator
 
 
 def A(hp):
@@ -258,9 +259,16 @@ def test_verify_hecke_refuses_bad_sample_counts_before_the_bfs(samples, monkeypa
         verify_mod.verify_hecke(een(3, 3), samples=samples)
 
 
+@pytest.mark.parametrize("cap", [None, "x", 2.5, False], ids=repr)
+def test_verify_hecke_refuses_a_cap_that_is_not_an_int(cap):
+    with pytest.raises(ParamsMismatch, match="cap must be an int"):
+        verify_hecke(een(3, 3), cap=cap, samples=0)
+
+
 def test_verify_hecke_builds_no_group_table(monkeypatch):
-    import gdeen
-    import gdeen.cayley as cayley_mod
+    import sys
+
+    import cayley_oracle
     import gdeen.verify as verify_mod
 
     expected = verify_mod.verify_hecke(een(3, 3), samples=2)
@@ -268,9 +276,10 @@ def test_verify_hecke_builds_no_group_table(monkeypatch):
     def no_bfs(*args):
         raise AssertionError("the group was enumerated")
 
-    # every module that could hold the name, including one that imported it
-    for mod in (cayley_mod, gdeen, verify_mod):
-        monkeypatch.setattr(mod, "enumerate_group", no_bfs, raising=False)
+    # the BFS lives only in the test oracle, and no gdeen module holds it
+    monkeypatch.setattr(cayley_oracle, "enumerate_group", no_bfs)
+    holders = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "gdeen"]
+    assert not any(hasattr(mod, "enumerate_group") for mod in holders)
     assert verify_mod.verify_hecke(een(3, 3), samples=2) == expected
 
 
@@ -499,7 +508,11 @@ def test_reduce_word_params_mismatch():
 
 
 @pytest.mark.parametrize(
-    "hp, letter", [(een(3, 3), Z), (een(3, 3), S(4)), (d1n(2, 3), T(0))], ids=str
+    "hp, letter",
+    [(een(3, 3), Z), (een(3, 3), S(4)), (d1n(2, 3), T(0))]
+    # not symbols, unhashable ones included
+    + [(een(3, 3), x) for x in (["t", 0], {"s": 3}, "t0", None, Sym("t", [0]))],
+    ids=str,
 )
 def test_leftmul_refuses_a_letter_outside_the_alphabet(hp, letter):
     with pytest.raises(UnknownSymbol):

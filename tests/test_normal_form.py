@@ -9,13 +9,13 @@ routes must agree on every element.
 import tracemalloc
 
 import pytest
+from cayley_oracle import enumerate_group
 
 from gdeen import (
     EnumerationTooLarge,
     Params,
     alphabet,
     element,
-    enumerate_group,
     eval_word,
     generator,
     identity,
