@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import BadFormat, GdeenError
 from .group import DEFAULT_CAP, Params, element_from_json, element_to_json
@@ -59,7 +60,9 @@ def _nf_json(nf) -> dict:
     }
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="gdeen")
     ap.add_argument("--pretty", action="store_true", help="indented JSON output")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -111,8 +114,11 @@ def main(argv=None) -> int:
     add_hecke_flags(p)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--samples", type=int, default=100)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except GdeenError as exc:
@@ -162,8 +168,11 @@ def _dispatch(args) -> int:
         return 0 if ok else 1
     if cmd == "hecke-reduce":
         hp = _hecke_params(args)
-        h = reduce_word(hp, args.word)
-        _emit(json.loads(h.to_json()), args.pretty)
+        text = reduce_word(hp, args.word).to_json()
+        if args.pretty:
+            _emit(json.loads(text), True)
+        else:
+            print(text)
         return 0
     if cmd == "hecke-verify":
         hp = _hecke_params(args)

@@ -42,7 +42,8 @@ words.  ``leftmul_generator``, ``reduce_word``, ``apply_word`` and
 ``hecke_mul`` all go through it, and each call is one budget session.
 Levels below n compute on ``Poly`` terms; the top level n computes on
 packed ints, with a bound on the coefficients that each call proves
-(``_TopLevel``).
+(``_TopLevel``), and its result keeps them packed until they are read
+(``HeckeElement``).
 
 Coefficients live in Z[a] (H(e,e,n)) or Z[a, b_1..b_{d-1}] (H(d,1,n));
 the quadratic relations are x^2 = a x + 1 and z^d = b_1 z^{d-1} + ... +
@@ -61,7 +62,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, ParamsMismatch, RecursionGuardExceeded, UnknownSymbol
 from .group import GroupElement, Params, _is_int
-from .polyring import WIDTH, Poly, _digits, _dot, _pack, _unpack
+from .polyring import WIDTH, Poly, _a_split, _digits, _dot, _pack, _packed_terms, _render, _unpack
 from .words import S, Sym, T, Word, Z, alphabet, eval_word, make_word, relations
 
 __all__ = [
@@ -222,15 +223,11 @@ def _shape_word(hp: HeckeParams, i: int, shape: Shape) -> tuple[Sym, ...]:
 
 def as_word(hp: HeckeParams, lam: BasisIndex) -> Word:
     """The geodesic normal-form word of a basis element."""
+    validate_basis_index(hp, lam)
     syms: list[Sym] = []
     for shape, i in zip(lam, _levels(hp)):
         syms.extend(_shape_word(hp, i, shape))
     return make_word(hp.group_params(), syms)
-
-
-def _basis_text(hp: HeckeParams, lam: BasisIndex) -> str:
-    """The text of ``as_word(hp, lam)``, joined from the per-level texts."""
-    return " ".join(filter(None, map(dict.__getitem__, _shape_table(hp)[1], lam)))
 
 
 def identity_index(hp: HeckeParams) -> BasisIndex:
@@ -250,10 +247,19 @@ def _check_coeff(hp: HeckeParams, c) -> None:
 
 class HeckeElement:
     """A finite R0-linear combination of basis indices.  The constructor
-    validates every index and coefficient; engine results, sums and
-    scalings are built by ``_element`` with no re-check."""
+    validates every index and coefficient; sums and scalings are built by
+    ``_element`` and engine results by ``_TopLevel.result``, with no
+    re-check.
 
-    __slots__ = ("params", "combo")
+    ``combo`` maps each basis index to its nonzero coefficient.  An engine
+    result keeps the packed state of its top level (its engine, the packed
+    vector and the width) and decodes ``combo`` from it the first time
+    ``combo`` is read, and then drops the state.  ``str()`` and
+    ``to_json()`` do not read ``combo``: they render a result that is
+    still packed from its digits, one basis position at a time, and build
+    no ``Poly``.  Copies and pickles go through ``combo``."""
+
+    __slots__ = ("params", "_combo", "_packed")
 
     def __init__(self, params: HeckeParams, combo: dict[BasisIndex, Poly]):
         if not isinstance(params, HeckeParams):
@@ -262,7 +268,24 @@ class HeckeElement:
             validate_basis_index(params, lam)
             _check_coeff(params, c)
         self.params = params
-        self.combo = {lam: c for lam, c in combo.items() if not c.is_zero()}
+        self._combo = {lam: c for lam, c in combo.items() if not c.is_zero()}
+        self._packed = None
+
+    @property
+    def combo(self) -> dict[BasisIndex, Poly]:
+        # the state is read first: it is dropped only after _combo is set
+        packed, combo = self._packed, self._combo
+        if combo is None:
+            eng, vec, bits = packed
+            with eng._lock:  # so that threads decode it once
+                combo = self._combo
+                if combo is None:
+                    combo = {eng.basis[pos]: c for pos, c in eng._unpack_vec(vec, bits).items()}
+                    self._combo, self._packed = combo, None
+        return combo
+
+    def __reduce__(self):
+        return HeckeElement, (self.params, self.combo)
 
     def __eq__(self, other):
         return (
@@ -291,28 +314,38 @@ class HeckeElement:
             self.combo.items(), key=lambda kv: tuple(map(dict.__getitem__, ranks, kv[0]))
         )
 
+    def _rendered(self) -> list[tuple[str, str]]:
+        """(basis word text, coefficient text) per term, in basis order: the
+        one stream that ``__str__`` and ``to_json`` render.  Each term is
+        read as its basis position and its (monomial code, coefficient)
+        pairs: from the digits of a packed result, or from ``Poly.terms``."""
+        arity, packed = self.params.arity, self._packed
+        if packed is None:
+            eng = _engine(self.params)
+            stream = (
+                (eng.pos[lam], sorted(c.terms.items(), reverse=True)) for lam, c in self.items()
+            )
+        else:
+            eng, vec, bits = packed
+            groups = eng._by_position(vec)
+            stream = ((pos, _packed_terms(arity, groups[pos], bits)) for pos in sorted(groups))
+        return [(eng._text(pos), _render(arity, pairs)) for pos, pairs in stream]
+
     def __str__(self):
-        if not self.combo:
-            return "0"
-        hp = self.params
-        return " + ".join(f"({c})*[{_basis_text(hp, lam) or '1'}]" for lam, c in self.items())
+        terms = self._rendered()
+        return " + ".join(f"({c})*[{b or '1'}]" for b, c in terms) if terms else "0"
 
     def __repr__(self):
         return f"HeckeElement({self})"
 
     def to_json(self) -> str:
         hp = self.params
-        obj = {
-            "family": hp.family,
-            "params": (
-                {"e": hp.p, "n": hp.n} if hp.family == "een" else {"d": hp.p, "n": hp.n}
-            ),
-            "terms": [
-                {"basis": _basis_text(hp, lam), "coeff": str(c)}
-                for lam, c in self.items()
-            ],
-        }
-        return json.dumps(obj)
+        params = {"e": hp.p, "n": hp.n} if hp.family == "een" else {"d": hp.p, "n": hp.n}
+        head = json.dumps({"family": hp.family, "params": params, "terms": []})[:-2]
+        # the texts need no JSON escapes: basis words are letters, digits
+        # and blanks, and coefficients add + - * ^ _
+        terms = ", ".join(f'{{"basis": "{b}", "coeff": "{c}"}}' for b, c in self._rendered())
+        return f"{head}{terms}]}}"
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +373,7 @@ def _collect(triples) -> list:
 def _element(hp: HeckeParams, terms: TermList) -> HeckeElement:
     """A HeckeElement on (coeff, index) pairs known valid, distinct and nonzero."""
     h = object.__new__(HeckeElement)
-    h.params = hp
-    h.combo = {lam: c for c, lam in terms}
+    h.params, h._combo, h._packed = hp, {lam: c for c, lam in terms}, None
     return h
 
 
@@ -359,6 +391,7 @@ class _Engine:
         self.letters = frozenset(alphabet(hp.group_params()))
         self.basis = basis_enumerate(hp)
         self.pos = {lam: j for j, lam in enumerate(self.basis)}
+        self._texts: list[str | None] = [None] * len(self.basis)
         self._lm: dict = {}  # levels below n
         self._rw: dict = {}
         # the level-n columns, packed: width -> letter -> column by position;
@@ -840,21 +873,55 @@ class _Engine:
 
     # -- the top level, on packed ints ------------------------------------------
 
+    def _text(self, pos: int) -> str:
+        """The text of ``as_word`` of the basis index at a position, joined
+        from the per-level texts, and kept once made."""
+        text = self._texts[pos]
+        if text is None:
+            levels = map(dict.__getitem__, _shape_table(self.hp)[1], self.basis[pos])
+            text = self._texts[pos] = " ".join(filter(None, levels))
+        return text
+
     def _pack_vec(self, polys: dict[int, Poly], bits: int) -> dict[int, int]:
         """Coefficients by basis position as a packed vector: position +
         bcode * |Lambda| -> the int of that b-monomial's part (``_pack``)."""
         size = len(self.basis)
         return {pos + b * size: v for pos, c in polys.items() for b, v in _pack(c, bits).items()}
 
+    def _by_position(self, vec: dict[int, int]) -> dict[int, dict[int, int]]:
+        """The nonzero ints of a packed vector by position, then by the code
+        of their b-monomial; positions in the order in which they first
+        appear."""
+        size, groups = len(self.basis), {}
+        for q, v in vec.items():
+            if v:
+                b, pos = divmod(q, size)
+                groups.setdefault(pos, {})[b] = v
+        return groups
+
     def _unpack_vec(self, vec: dict[int, int], bits: int) -> dict[int, Poly]:
         """A packed vector read back as its nonzero coefficients by position,
         in the order in which the positions first appear."""
-        groups: dict[int, dict[int, int]] = {}
-        for q, v in vec.items():
-            if v:
-                b, pos = divmod(q, len(self.basis))
-                groups.setdefault(pos, {})[b] = v
-        return {pos: _unpack(self.hp.arity, g, bits) for pos, g in groups.items()}
+        arity = self.hp.arity
+        return {pos: _unpack(arity, g, bits) for pos, g in self._by_position(vec).items()}
+
+    def _column_form(self, polys: dict[int, Poly], bits: int) -> tuple:
+        """A column, given as its coefficients by position, packed at width
+        ``bits`` as three tuples: (key, s) for the entries a^k and (key, s)
+        for the entries -a^k, with s = k * bits, which are all but a few,
+        and (key, int) for the rest (``_pack_vec``), so that most entries
+        act by a shift rather than a product."""
+        size, arity = len(self.basis), self.hp.arity
+        plus, minus, other = [], [], []
+        for pos, c in polys.items():
+            if len(c.terms) == 1:
+                ((m, v),) = c.terms.items()
+                if v == 1 or v == -1:
+                    b, k = _a_split(arity, m)
+                    (plus if v == 1 else minus).append((pos + b * size, k * bits))
+                    continue
+            other += [(pos + b * size, w) for b, w in _pack(c, bits).items()]
+        return tuple(plus), tuple(minus), tuple(other)
 
     def _table(self, bits: int, x: Sym) -> list:
         """The level-n columns of x packed at width ``bits``, by position;
@@ -887,11 +954,11 @@ class _Engine:
                 for mu, l1 in norms.items():
                     rows[mu] += l1
                     self._rowmax[x] = max(self._rowmax.get(x, 0), rows[mu])
-                stored[pos] = _column_form(self._pack_vec(polys, _STORE_BITS))
+                stored[pos] = self._column_form(polys, _STORE_BITS)
             table = self._table(bits, x)
             if table[pos] is None:
                 polys = self._unpack_vec(_column_vec(stored[pos]), _STORE_BITS)
-                table[pos] = _column_form(self._pack_vec(polys, bits))
+                table[pos] = self._column_form(polys, bits)
             return table[pos]
 
     # -- the one entry point ---------------------------------------------------
@@ -913,26 +980,10 @@ class _Engine:
             self._moves = 0
         try:
             top = _TopLevel(self, terms)
-            return _element(self.hp, top.result(top.horner(root)))
+            return top.result(top.horner(root))
         finally:
             if fresh:
                 self._active = False
-
-
-def _column_form(vec: dict[int, int]) -> tuple:
-    """A packed column as three tuples: (key, s) for the entries 2^s, (key,
-    s) for the entries -2^s, which are all but a few, and (key, int) for the
-    rest, so that most entries act by a shift rather than a product."""
-    plus, minus, other = [], [], []
-    for k, w in vec.items():
-        s = (w & -w).bit_length() - 1
-        if w == 1 << s:
-            plus.append((k, s))
-        elif w == -1 << s:
-            minus.append((k, s))
-        else:
-            other.append((k, w))
-    return tuple(plus), tuple(minus), tuple(other)
 
 
 def _column_vec(col: tuple) -> dict[int, int]:
@@ -1007,9 +1058,12 @@ class _TopLevel:
             parts.append((x, below))
         return self._lin(parts)
 
-    def result(self, st: _State) -> TermList:
-        basis = self.eng.basis
-        return [(c, basis[pos]) for pos, c in self.eng._unpack_vec(st.vec, st.bits).items()]
+    def result(self, st: _State) -> HeckeElement:
+        """The element of a state, which keeps the state packed until its
+        ``combo`` is read (``HeckeElement``)."""
+        h = object.__new__(HeckeElement)
+        h.params, h._combo, h._packed = self.eng.hp, None, (self.eng, st.vec, st.bits)
+        return h
 
     def _norm(self, st: _State) -> int:
         """The true largest L1 norm of a position's coefficient in st, from
@@ -1146,21 +1200,23 @@ def basis_element(hp: HeckeParams, lam: BasisIndex) -> HeckeElement:
     return _element(hp, [(Poly.const(hp.arity, 1), lam)])
 
 
+def _check_power(hp: HeckeParams, k, helper: str) -> None:
+    if hp.family != "d1n":
+        raise ParamsMismatch(f"{helper} is an H(d,1,n) helper")
+    # a bool is refused: True would pass as the power 1
+    if not (_is_int(k) and 1 <= k <= hp.p - 1):
+        raise ParamsMismatch(f"need an int 1 <= k <= d-1, got {k!r}")
+
+
 def pow_s2zs2(hp: HeckeParams, k: int) -> HeckeElement:
     """(s_2 z s_2)^k over Lambda, for H(d,1,n), 1 <= k <= d-1."""
-    if hp.family != "d1n":
-        raise ParamsMismatch("pow_s2zs2 is an H(d,1,n) helper")
-    if not 1 <= k <= hp.p - 1:
-        raise ParamsMismatch(f"need 1 <= k <= d-1, got {k}")
+    _check_power(hp, k, "pow_s2zs2")
     return reduce_word(hp, make_word(hp.group_params(), (S(2), Z, S(2)) * k))
 
 
 def s2_zk_s2(hp: HeckeParams, k: int) -> HeckeElement:
     """s_2 z^k s_2 over Lambda, for H(d,1,n), 1 <= k <= d-1."""
-    if hp.family != "d1n":
-        raise ParamsMismatch("s2_zk_s2 is an H(d,1,n) helper")
-    if not 1 <= k <= hp.p - 1:
-        raise ParamsMismatch(f"need 1 <= k <= d-1, got {k}")
+    _check_power(hp, k, "s2_zk_s2")
     return reduce_word(hp, make_word(hp.group_params(), (S(2),) + (Z,) * k + (S(2),)))
 
 

@@ -53,10 +53,37 @@ def _decode(arity: int, code: int) -> list[int]:
 
 
 @lru_cache(maxsize=4096)
-def _factors(arity: int, code: int) -> str:
-    """The monomial as text, such as ``a^2*b_1``; ``""`` for 1."""
+def _pieces(arity: int, code: int) -> tuple[str, str, str]:
+    """The texts of a monomial in a term: with coefficient 1, with
+    coefficient -1, and after any other coefficient, such as ``+ a^2*b_1``,
+    ``- a^2*b_1`` and ``*a^2*b_1`` (``+ 1``, ``- 1`` and ``""`` for 1)."""
     pairs = zip(var_names(arity), _decode(arity, code))
-    return "*".join(name if p == 1 else f"{name}^{p}" for name, p in pairs if p)
+    body = "*".join(name if p == 1 else f"{name}^{p}" for name, p in pairs if p)
+    return "+ " + (body or "1"), "- " + (body or "1"), body and "*" + body
+
+
+def _render(arity: int, terms) -> str:
+    """The text of the polynomial with these (code, coefficient) pairs,
+    given highest code first, that is in degree-lex order with a before
+    b_1 before b_2 ...; zero coefficients are skipped.  This is the one
+    rendering of a coefficient: ``Poly.__str__`` and the Hecke element
+    renderings both call it."""
+    out = []
+    add = out.append
+    for code, c in terms:
+        if not c:
+            continue
+        piece = _pieces(arity, code)
+        if c == 1:
+            add(piece[0])
+        elif c == -1:
+            add(piece[1])
+        else:
+            add(f"+ {c}{piece[2]}" if c > 0 else f"- {-c}{piece[2]}")
+    if not out:
+        return "0"
+    text = " ".join(out)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def _nonzero(terms: dict[int, int]) -> dict[int, int]:
@@ -193,17 +220,7 @@ class Poly:
             return h
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        # degree-lex, a before b_1 before b_2 ..., highest first
-        pieces = []
-        for code in sorted(self.terms, reverse=True):
-            c = self.terms[code]
-            body, a = _factors(self.arity, code), abs(c)
-            body = (body if a == 1 else f"{a}*{body}") if body else str(a)
-            pieces.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(pieces)
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+        return _render(self.arity, sorted(self.terms.items(), reverse=True))
 
     def __repr__(self):
         return f"Poly({self})"
@@ -214,16 +231,23 @@ def _a_step(arity: int) -> int:
     return 1 if arity == 1 else (1 << WIDTH * (arity - 1)) | (1 << WIDTH * (arity - 2))
 
 
+def _a_split(arity: int, code: int) -> tuple[int, int]:
+    """The code of a monomial's part in the b_i (0 for 1, and for every
+    monomial of arity 1), and its degree in ``a``."""
+    if arity == 1:
+        return 0, code
+    k = code >> WIDTH * (arity - 2) & _MASK
+    return code - k * _a_step(arity), k
+
+
 def _pack(p: Poly, bits: int) -> dict[int, int]:
-    """p as a map from the code of each monomial in the b_i (0 for 1, and
-    for every monomial of arity 1) to the int of its polynomial in ``a`` at
-    a = 2^bits.  a -> 2^bits is a ring map, so sums and products of packed
-    ints are the packed sums and products, at any size."""
-    arity, out = p.arity, {}
-    step, shift = _a_step(arity), WIDTH * (arity - 2)
+    """p as a map from the code of each monomial in the b_i (``_a_split``)
+    to the int of its polynomial in ``a`` at a = 2^bits.  a -> 2^bits is a
+    ring map, so sums and products of packed ints are the packed sums and
+    products, at any size."""
+    out: dict[int, int] = {}
     for m, c in p.terms.items():
-        k = m if arity == 1 else m >> shift & _MASK
-        b = m - k * step
+        b, k = _a_split(p.arity, m)
         out[b] = out.get(b, 0) + (c << bits * k)
     return out
 
@@ -255,17 +279,26 @@ def _digits(v: int, bits: int) -> list[int]:
     return digits
 
 
-def _unpack(arity: int, packed: dict[int, int], bits: int) -> Poly:
-    """The Poly that ``_pack`` sends to ``packed``, read back as balanced
-    base-2^bits digits (``_digits``).  Exact when every coefficient is below
-    2^(bits-1) in absolute value."""
+def _packed_terms(arity: int, packed: dict[int, int], bits: int):
+    """The (code, coefficient) pairs of the polynomial that ``_pack`` sends
+    to ``packed``, highest code first, as ``_render`` takes them, read back
+    as balanced base-2^bits digits (``_digits``); some coefficients may be
+    0.  Exact when every coefficient is below 2^(bits-1) in absolute value.
+    An int of one b-monomial needs no sort: its codes fall with its digits."""
     step = _a_step(arity)
-    terms: dict[int, int] = {}
-    for m, v in packed.items():
-        for c in _digits(v, bits):
-            if c:
-                terms[m] = c
-            m += step
+    if len(packed) == 1:
+        ((m, v),) = packed.items()
+        digits = _digits(v, bits)
+        return zip(range(m + (len(digits) - 1) * step, m - 1, -step), reversed(digits))
+    pairs = [
+        (m + k * step, c) for m, v in packed.items() for k, c in enumerate(_digits(v, bits)) if c
+    ]
+    return sorted(pairs, reverse=True)
+
+
+def _unpack(arity: int, packed: dict[int, int], bits: int) -> Poly:
+    """The Poly of ``_packed_terms``."""
+    terms = {m: c for m, c in _packed_terms(arity, packed, bits) if c}
     if arity > 1 and terms and max(terms) >> (WIDTH * arity):
         raise InvariantViolation(f"product degree reaches 2^{WIDTH} in arity {arity}")
     if len(terms) == 1:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from gdeen import cli
 from gdeen.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -203,6 +204,65 @@ def test_exit_2_on_invariant_violation(tmp_path, capsys):
     )
     assert code == 2
     assert "InvariantViolation" in err and "sum" in err
+
+
+# stderr as argparse writes it at 80 columns
+USAGE_REDUCE = (
+    "usage: gdeen hecke-reduce [-h] --family {een,d1n} [--d D] [--e E] --n N --word\n"
+    "                          WORD\n"
+)
+USAGE_VERIFY = (
+    "usage: gdeen hecke-verify [-h] --family {een,d1n} [--d D] [--e E] --n N\n"
+    "                          [--cap CAP] [--samples SAMPLES]\n"
+)
+USAGE_TOP = (
+    "usage: gdeen [-h] [--pretty]\n"
+    "             {normal-form,eval-word,length,enumerate,census,verify-geodesic,"
+    "hecke-reduce,hecke-verify}\n"
+    "             ...\n"
+)
+COMMANDS = (
+    "'normal-form', 'eval-word', 'length', 'enumerate', 'census', 'verify-geodesic', "
+    "'hecke-reduce', 'hecke-verify'"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            "hecke-reduce --family xyz --e 3 --n 3 --word t1",
+            USAGE_REDUCE + "gdeen hecke-reduce: error: argument --family: invalid choice: "
+            "'xyz' (choose from 'een', 'd1n')\n",
+        ),
+        (
+            "hecke-reduce --e x",
+            USAGE_REDUCE + "gdeen hecke-reduce: error: argument --e: invalid int value: 'x'\n",
+        ),
+        (
+            "--pretty hecke-verify --family een --n 3 --samples q",
+            USAGE_VERIFY
+            + "gdeen hecke-verify: error: argument --samples: invalid int value: 'q'\n",
+        ),
+        (
+            "nope",
+            USAGE_TOP
+            + f"gdeen: error: argument command: invalid choice: 'nope' (choose from {COMMANDS})\n",
+        ),
+        ("", USAGE_TOP + "gdeen: error: the following arguments are required: command\n"),
+    ],
+    ids=["choice", "int", "verify-int", "command", "none"],
+)
+def test_bad_flags_exit_2_with_the_usage(capsys, monkeypatch, argv, err):
+    # the parser is built once per process: the second call reuses it
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == err
+    assert cli._parser() is cli._parser()
 
 
 def test_pretty_output(capsys):

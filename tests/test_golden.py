@@ -19,6 +19,8 @@ import random
 import pytest
 
 from gdeen import (
+    HeckeElement,
+    Poly,
     basis_enumerate,
     d1n,
     een,
@@ -48,6 +50,8 @@ CLI_CASES = {
     "reduce-h313-a": _reduce("d1n", 3, 3, "z z s2 z s3 s2 z z s2"),
     "reduce-h313-b": _reduce("d1n", 3, 3, "s2 z s3 z z s2 s3 z s2 s3 z"),
     "reduce-bad-token": _reduce("een", 3, 3, "t1 q0"),
+    "reduce-h333-pretty": ["--pretty", *_reduce("een", 3, 3, "s3 t2 t1 s3 t0 t2 s3 t1")],
+    "reduce-h313-pretty": ["--pretty", *_reduce("d1n", 3, 3, "s2 z s3 z z s2 s3 z s2 s3 z")],
     "verify-h333": ["hecke-verify", "--family", "een", "--e", "3", "--n", "3", "--samples", "3"],
     "verify-h213": ["hecke-verify", "--family", "d1n", "--d", "2", "--n", "3", "--samples", "3"],
     "verify-geodesic-g623": ["verify-geodesic", "--d", "3", "--e", "2", "--n", "3"],
@@ -83,6 +87,22 @@ def _long_words(hp, length, count=10, seed=0):
     return "\n".join(_sha(reduce_word(hp, w).to_json()) for w in words)
 
 
+def _built_element():
+    # built by the constructor, keys out of basis order: +-1 coefficients,
+    # a negative leading coefficient, constants and b-monomials
+    hp = d1n(3, 3)
+    basis = basis_enumerate(hp)
+    coeffs = [
+        Poly(3, {(2, 1, 0): -1, (1, 0, 0): 3, (0, 0, 0): -1}),
+        Poly(3, {(0, 0, 2): 1, (0, 1, 1): -2, (1, 0, 0): 1, (0, 0, 0): 5}),
+        Poly.const(3, -7),
+        Poly.const(3, 1),
+        Poly(3, {(0, 1, 0): 1}),
+        Poly(3, {(3, 0, 0): -12, (0, 0, 1): -1}),
+    ]
+    return HeckeElement(hp, {basis[j]: c for j, c in zip([40, 3, 161, 0, 77, 12], coeffs)})
+
+
 LIB_CASES = {
     "mul-h333": lambda: _lib_mul(een(3, 3), "t1 t0 s3 t2", "s3 t2 t1 s3 t0"),
     "mul-h443": lambda: _lib_mul(een(4, 3), "t3 t1 s3", "t2 s3 t0 t1"),
@@ -96,6 +116,10 @@ LIB_CASES = {
     "leftmul-s3-h553": lambda: _leftmul_columns(een(5, 3), 3),
     "reduce-long-h334": lambda: _long_words(een(3, 4), 200),
     "reduce-long-h314": lambda: _long_words(d1n(3, 4), 60),
+    "reduce-35-h334": lambda: _long_words(een(3, 4), 35, count=20, seed=1),
+    "reduce-35-h314": lambda: _long_words(d1n(3, 4), 35, count=20, seed=1),
+    "str-engine-h313": lambda: str(reduce_word(d1n(3, 3), "z z s2 z s3 s2 z z s2 s3 s2 z")),
+    "str-built-h313": lambda: str(_built_element()),
 }
 
 
@@ -127,9 +151,11 @@ GOLDEN = {
     'reduce-h213-b': (0, '8d1462adbb9f3c8267d76a0366cb58b29040274b7ef3fa31de34e90ed30ce03a'),
     'reduce-h313-a': (0, '20952787639aa1d528a461fa6a7b211c007a34deb628111f300ca3480f569c8f'),
     'reduce-h313-b': (0, '896b9d95eae103b93642aa690a5901c3dc2ff03f887a26d1a50123aeaf5bf1fd'),
+    'reduce-h313-pretty': (0, 'cd010e95919a8f08b0ec7eee1def8caa9f01aeabedd762cdbf67a908df712b56'),
     'reduce-h333-a': (0, 'c17608fd5e1d3e872c7a97ba1d98bef0b67d3580fbec657731e04b9be736a994'),
     'reduce-h333-b': (0, '35d94dde0b200a612fcc276c689d68418eb0ea6d3d187270b0eb9c40547d4062'),
     'reduce-h333-c': (0, 'de06dbb8898efa808125363ce3064e1415dba197ebfcdc430defea8e1337af04'),
+    'reduce-h333-pretty': (0, '4802d20ea448f28a2e9f5ac7880f1727df913ccf2781cf7afe786c7a482eddad'),
     'reduce-h443-a': (0, 'a496234073fc524521577806c56cd1b87bd4dd30a08ed2879dd90355165a7aec'),
     'reduce-h443-b': (0, '342cfc847011868c88017b9c2281dd83df117e55a9642145ae76134b217e1e4d'),
     'verify-geodesic-g623': (0, 'b03841c38e0cffc3974df8c8c9f418edf95a3fa524035ca1809059362121ceef'),
@@ -143,10 +169,14 @@ GOLDEN = {
     'mul-h443': 'ac62d4f0ef37871f3f2f98dd06cd7fc86db0b4aa71c68040c65318a8c6e75c6f',
     'pow-s2zs2-h313': '925c076d145777158b5670bfb151d339f1dd8e74a284e7a2b025a7500031581b',
     'pow-s2zs2-h412': '0ea57fbe70c46656fc522573798595da549fb81c54e9536779e5b8568e890991',
+    'reduce-35-h314': '33aeeb20ca749ecdfd7c0d5377b093876f16b3e11a3e23588637287d2830d65a',
+    'reduce-35-h334': 'f3bedd130da1e27ec9881f1d21b029a8bb9418a44a251dc49a35fe4dc75e223e',
     'reduce-long-h314': '985ebac7e66ec599866555909c1a0316ac04381cdf2f725470fe6397074bfbb0',
     'reduce-long-h334': 'cde04ae2c7ab427d918e3bb33277f68c92b2df6b26dc9ce2cbb48335263835c4',
     's2-zk-s2-h313': '7122ff9ba8f01cd932b119b1ec6d95f24b4986cdb79f962a059adbc38f63115c',
     's2-zk-s2-h412': '78e7774d2001b194c35f1a760817b68ac92b0e30351bc26e2d22e59bcddc0471',
+    'str-built-h313': 'fc0bb54c2ee623f3b4ca70b040bfafd1b43d83a06566052484d71b6593785383',
+    'str-engine-h313': '2a5ab04b00ae0f70f6ac3a28f44a08b635b14552fdce336b0d91f000af369544',
 }
 
 

@@ -526,6 +526,24 @@ def test_d1n_helpers_refuse_other_algebras_and_powers(helper, hp, k):
         helper(hp, k)
 
 
+@pytest.mark.parametrize("helper", [pow_s2zs2, s2_zk_s2], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("k", ["x", 2.0, True, None], ids=repr)
+def test_d1n_helpers_refuse_a_power_that_is_not_an_int(helper, k):
+    # "x" and 2.0 used to raise a bare TypeError, and True passed as 1
+    with pytest.raises(ParamsMismatch):
+        helper(d1n(3, 2), k)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [5, None, [ONE, ONE], (ONE,), (("x", 9), ONE)],
+    ids=["int", "none", "list", "short", "shape"],
+)
+def test_as_word_refuses_what_is_not_a_basis_index(bad):
+    with pytest.raises(ParamsMismatch):
+        as_word(een(3, 3), bad)
+
+
 @pytest.mark.parametrize("hp", [een(3, 3), een(4, 3), d1n(2, 3), d1n(3, 2)])
 def test_apply_word_is_left_multiplication(hp):
     # w * h computed letter by letter equals the product of the reduced

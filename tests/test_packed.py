@@ -10,6 +10,8 @@ tests check the pair, the bound's sharpness, that a narrow starting width
 changes no result, and that without the re-tightening it would.
 """
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -17,8 +19,8 @@ import threading
 import pytest
 
 import gdeen.hecke as hecke_mod
-from gdeen import Poly, apply_word, d1n, een, hecke_mul, reduce_word
-from gdeen.polyring import _pack, _unpack
+from gdeen import HeckeElement, Poly, apply_word, d1n, een, hecke_mul, reduce_word
+from gdeen.polyring import _decode, _pack, _packed_terms, _render, _unpack, var_names
 from gdeen.words import alphabet, make_word
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -74,6 +76,48 @@ def test_the_bound_is_sharp(bits):
         assert _unpack(1, _pack(p, bits), bits) == p
     over = Poly(1, {(0,): half})
     assert _unpack(1, _pack(over, bits), bits) == Poly(1, {(0,): -half, (1,): 1})
+
+
+def parent_str(p):
+    """``Poly.__str__`` as it was before the rendering was shared with the
+    Hecke elements, kept verbatim (with its monomial helper) as the oracle
+    of the shared formatter."""
+
+    def factors(arity, code):
+        pairs = zip(var_names(arity), _decode(arity, code))
+        return "*".join(name if e == 1 else f"{name}^{e}" for name, e in pairs if e)
+
+    if not p.terms:
+        return "0"
+    pieces = []
+    for code in sorted(p.terms, reverse=True):
+        c = p.terms[code]
+        body, a = factors(p.arity, code), abs(c)
+        body = (body if a == 1 else f"{a}*{body}") if body else str(a)
+        pieces.append(("- " if c < 0 else "+ ") + body)
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+@st.composite
+def rendered_polys(draw):
+    """Polys of arity 1 to 3: degrees to 150, coefficients to +-2^100,
+    with constants, +-1 and the zero polynomial among them."""
+    arity = draw(st.integers(1, 3))
+    big = 2**100
+    coeff = st.sampled_from([1, -1, big, -big, 0]) | st.integers(-big, big)
+    mono = st.just((0,) * arity) | st.tuples(*(st.integers(0, 150) for _ in range(arity)))
+    return Poly(arity, draw(st.dictionaries(mono, coeff, max_size=10)))
+
+
+@hypothesis.settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@hypothesis.given(rendered_polys(), st.sampled_from([102, 128, 192]))
+def test_the_shared_formatter_renders_as_before(p, bits):
+    want = parent_str(p)
+    assert str(p) == want
+    assert _render(p.arity, sorted(p.terms.items(), reverse=True)) == want
+    # the way an engine result is rendered: from the digits of its ints
+    assert _render(p.arity, _packed_terms(p.arity, _pack(p, bits), bits)) == want
 
 
 CASES = [(een(3, 3), 7), (d1n(2, 3), 8), (d1n(3, 3), 9)]
@@ -190,3 +234,80 @@ def test_concurrent_callers_agree_with_serial_ones():
     assert norms
     assert results == serial
     assert {hp: hecke_mod._engine(hp)._rows for hp in rows} == rows
+
+
+def seeded_word(hp, length, seed):
+    rng = random.Random(seed)
+    letters = [str(x) for x in alphabet(hp.group_params())]
+    return " ".join(rng.choice(letters) for _ in range(length))
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The calls of ``_Engine._unpack_vec``, which decodes a packed state."""
+    seen = []
+    real = hecke_mod._Engine._unpack_vec
+
+    def counting(self, vec, bits):
+        seen.append(bits)
+        return real(self, vec, bits)
+
+    monkeypatch.setattr(hecke_mod._Engine, "_unpack_vec", counting)
+    return seen
+
+
+@pytest.mark.parametrize("hp", [een(3, 4), d1n(3, 3)], ids=str)
+def test_a_result_renders_packed_and_decodes_combo_once(hp, decodes):
+    word = seeded_word(hp, 30, 2)
+    h = reduce_word(hp, word)
+    decodes.clear()
+    text, js = str(h), h.to_json()
+    assert decodes == []  # rendered from the digits
+    combo = h.combo
+    assert h.combo is combo and len(decodes) == 1
+    # after the decode it renders from its Polys, to the same text
+    assert str(h) == text and h.to_json() == js and len(decodes) == 1
+
+
+@pytest.mark.parametrize("hp", [een(3, 3), d1n(3, 3)], ids=str)
+def test_a_packed_result_equals_the_eager_element(hp):
+    word = seeded_word(hp, 24, 4)
+    eager = HeckeElement(hp, dict(reduce_word(hp, word).combo))
+    assert reduce_word(hp, word) == eager
+    assert eager == reduce_word(hp, word)
+    assert reduce_word(hp, word) == reduce_word(hp, word)
+    assert reduce_word(hp, word) != eager.scaled(Poly.const(hp.arity, 2))
+    assert str(reduce_word(hp, word)) == str(eager)
+    assert reduce_word(hp, word).to_json() == eager.to_json()
+    h = reduce_word(hp, word)
+    for copied in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert copied == eager and str(copied) == str(eager)
+
+
+def test_threads_reading_one_combo_agree(decodes):
+    hp = d1n(3, 4)
+    word = seeded_word(hp, 35, 6)
+    want = reduce_word(hp, word).combo
+    h = reduce_word(hp, word)
+    decodes.clear()
+    seen = [None] * 4
+    barrier = threading.Barrier(4)
+
+    def read(k):
+        barrier.wait()
+        seen[k] = h.combo
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for combo in seen:
+        assert combo == want and list(combo) == list(want)
+    assert h.combo == want and len(decodes) == 1
