@@ -42,8 +42,9 @@ words.  ``leftmul_generator``, ``reduce_word``, ``apply_word`` and
 ``hecke_mul`` all go through it, and each call is one budget session.
 Levels below n compute on ``Poly`` terms; the top level n computes on
 packed ints, with a bound on the coefficients that each call proves
-(``_TopLevel``), and its result keeps them packed until they are read
-(``HeckeElement``).
+(``_TopLevel``).  Its packed state is the one form of a ``HeckeElement``,
+which the engine takes and returns as it is; the ``Poly`` coefficients are
+decoded only when they are read.
 
 Coefficients live in Z[a] (H(e,e,n)) or Z[a, b_1..b_{d-1}] (H(d,1,n));
 the quadratic relations are x^2 = a x + 1 and z^d = b_1 z^{d-1} + ... +
@@ -62,7 +63,8 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, ParamsMismatch, RecursionGuardExceeded, UnknownSymbol
 from .group import GroupElement, Params, _is_int
-from .polyring import WIDTH, Poly, _a_split, _digits, _dot, _pack, _packed_terms, _render, _unpack
+from .polyring import WIDTH, Poly, _a_split, _digits, _dot, _pack, _packed_terms, _render
+from .polyring import _rewiden, _unpack
 from .words import S, Sym, T, Word, Z, alphabet, eval_word, make_word, relations
 
 __all__ = [
@@ -154,6 +156,12 @@ def d1n(d: int, n: int) -> HeckeParams:
 # basis indexing
 
 
+def _check_params(hp) -> None:
+    """The check of an algebra argument, where it enters."""
+    if not isinstance(hp, HeckeParams):
+        raise ParamsMismatch(f"{hp!r} is not a HeckeParams")
+
+
 def _level_shapes(hp: HeckeParams, i: int) -> list[Shape]:
     if hp.family == "d1n" and i == 1:
         return [("zp", k) for k in range(hp.p)]
@@ -186,10 +194,12 @@ def _shape_table(hp: HeckeParams) -> tuple[list[dict[Shape, int]], list[dict[Sha
 def basis_enumerate(hp: HeckeParams) -> list[BasisIndex]:
     """All shape-valid tuples, in canonical order: |Lambda| = e^{n-1} n!
     for H(e,e,n) and d^n n! for H(d,1,n)."""
+    _check_params(hp)
     return list(itertools.product(*_shape_table(hp)[0]))
 
 
 def validate_basis_index(hp: HeckeParams, lam: BasisIndex) -> None:
+    _check_params(hp)
     levels = _levels(hp)
     if not isinstance(lam, tuple) or len(lam) != len(levels):
         raise ParamsMismatch(f"basis index needs a tuple of {len(levels)} levels for {hp}")
@@ -231,6 +241,7 @@ def as_word(hp: HeckeParams, lam: BasisIndex) -> Word:
 
 
 def identity_index(hp: HeckeParams) -> BasisIndex:
+    _check_params(hp)
     if hp.family == "d1n":
         return (("zp", 0),) + (ONE,) * (hp.n - 1)
     return (ONE,) * (hp.n - 1)
@@ -245,43 +256,57 @@ def _check_coeff(hp: HeckeParams, c) -> None:
         raise ParamsMismatch(f"coefficient {c!r} is not a Poly of arity {hp.arity}")
 
 
+def _check_element(h, hp: HeckeParams | None = None) -> None:
+    """The check of an element argument, where it enters: a HeckeElement,
+    of the algebra ``hp`` when one is given."""
+    if not isinstance(h, HeckeElement):
+        raise ParamsMismatch(f"{h!r} is not a HeckeElement")
+    if hp is not None and h.params != hp:
+        raise ParamsMismatch(f"{hp} vs {h.params}")
+
+
 class HeckeElement:
-    """A finite R0-linear combination of basis indices.  The constructor
-    validates every index and coefficient; sums and scalings are built by
-    ``_element`` and engine results by ``_TopLevel.result``, with no
-    re-check.
+    """A finite R0-linear combination of basis indices, held as a packed
+    state of the engine's top level (``_State``): the coefficients by basis
+    position, in the order of ``basis_enumerate``, at a = 2^bits.  The
+    constructor validates every index and coefficient and packs them once
+    (``_Engine._state``); engine results, sums and scalings are states
+    already.  No operation changes the ints or the width of a state.
 
-    ``combo`` maps each basis index to its nonzero coefficient.  An engine
-    result keeps the packed state of its top level (its engine, the packed
-    vector and the width) and decodes ``combo`` from it the first time
-    ``combo`` is read, and then drops the state.  ``str()`` and
-    ``to_json()`` do not read ``combo``: they render a result that is
-    still packed from its digits, one basis position at a time, and build
-    no ``Poly``.  Copies and pickles go through ``combo``."""
+    ``combo`` maps each basis index to its nonzero coefficient: the
+    constructor's map, or the state's, decoded the first time it is read.
+    ``str()`` and ``to_json()`` render the digits of the state, one basis
+    position at a time, without it.  Copies and pickles go through it."""
 
-    __slots__ = ("params", "_combo", "_packed")
+    __slots__ = ("params", "_state", "_combo")
 
     def __init__(self, params: HeckeParams, combo: dict[BasisIndex, Poly]):
-        if not isinstance(params, HeckeParams):
-            raise ParamsMismatch(f"{params!r} is not a HeckeParams")
+        _check_params(params)
+        if not isinstance(combo, dict):
+            raise ParamsMismatch(f"{combo!r} is not a dict from basis index to Poly")
         for lam, c in combo.items():
             validate_basis_index(params, lam)
             _check_coeff(params, c)
-        self.params = params
-        self._combo = {lam: c for lam, c in combo.items() if not c.is_zero()}
-        self._packed = None
+        combo = {lam: c for lam, c in combo.items() if not c.is_zero()}
+        self.params, self._state, self._combo = params, _engine(params)._state(combo), combo
+
+    @classmethod
+    def _of(cls, params: HeckeParams, state: _State) -> HeckeElement:
+        """The element of a state, with no re-check."""
+        h = object.__new__(cls)
+        h.params, h._state, h._combo = params, state, None
+        return h
 
     @property
     def combo(self) -> dict[BasisIndex, Poly]:
-        # the state is read first: it is dropped only after _combo is set
-        packed, combo = self._packed, self._combo
+        combo = self._combo
         if combo is None:
-            eng, vec, bits = packed
+            eng = _engine(self.params)
             with eng._lock:  # so that threads decode it once
                 combo = self._combo
                 if combo is None:
-                    combo = {eng.basis[pos]: c for pos, c in eng._unpack_vec(vec, bits).items()}
-                    self._combo, self._packed = combo, None
+                    polys = eng._unpack_vec(self._state.vec, self._state.bits)
+                    combo = self._combo = {eng.basis[pos]: c for pos, c in polys.items()}
         return combo
 
     def __reduce__(self):
@@ -295,17 +320,14 @@ class HeckeElement:
         )
 
     def __add__(self, other: HeckeElement) -> HeckeElement:
-        if self.params != other.params:
-            raise ParamsMismatch(f"{self.params} vs {other.params}")
-        one = Poly.const(self.params.arity, 1)
-        terms = [(c, one, lam) for h in (self, other) for lam, c in h.combo.items()]
-        return _element(self.params, _collect(terms))
+        _check_element(other, self.params)
+        one, top = Poly.const(self.params.arity, 1), _TopLevel(_engine(self.params), self._state)
+        return HeckeElement._of(self.params, top._lin([(one, self._state), (one, other._state)]))
 
     def scaled(self, c: Poly) -> HeckeElement:
         _check_coeff(self.params, c)
-        # Z[a, b_i] has no zero divisors, so only c = 0 makes a term vanish
-        terms = [] if c.is_zero() else [(v * c, lam) for lam, v in self.combo.items()]
-        return _element(self.params, terms)
+        top = _TopLevel(_engine(self.params), self._state)
+        return HeckeElement._of(self.params, top._lin([(c, self._state)]))
 
     def items(self):
         """The terms in the canonical order of ``basis_enumerate``."""
@@ -316,20 +338,14 @@ class HeckeElement:
 
     def _rendered(self) -> list[tuple[str, str]]:
         """(basis word text, coefficient text) per term, in basis order: the
-        one stream that ``__str__`` and ``to_json`` render.  Each term is
-        read as its basis position and its (monomial code, coefficient)
-        pairs: from the digits of a packed result, or from ``Poly.terms``."""
-        arity, packed = self.params.arity, self._packed
-        if packed is None:
-            eng = _engine(self.params)
-            stream = (
-                (eng.pos[lam], sorted(c.terms.items(), reverse=True)) for lam, c in self.items()
-            )
-        else:
-            eng, vec, bits = packed
-            groups = eng._by_position(vec)
-            stream = ((pos, _packed_terms(arity, groups[pos], bits)) for pos in sorted(groups))
-        return [(eng._text(pos), _render(arity, pairs)) for pos, pairs in stream]
+        one stream that ``__str__`` and ``to_json`` render, read from the
+        digits of the state one basis position at a time."""
+        arity, st, eng = self.params.arity, self._state, _engine(self.params)
+        groups = eng._by_position(st.vec)
+        return [
+            (eng._text(pos), _render(arity, _packed_terms(arity, groups[pos], st.bits)))
+            for pos in sorted(groups)
+        ]
 
     def __str__(self):
         terms = self._rendered()
@@ -368,13 +384,6 @@ def _collect(triples) -> list:
         else:
             pairs.append((c, c2))
     return [(c, key) for key, pairs in acc.items() if not (c := _dot(pairs)).is_zero()]
-
-
-def _element(hp: HeckeParams, terms: TermList) -> HeckeElement:
-    """A HeckeElement on (coeff, index) pairs known valid, distinct and nonzero."""
-    h = object.__new__(HeckeElement)
-    h.params, h._combo, h._packed = hp, {lam: c for c, lam in terms}, None
-    return h
 
 
 class _Engine:
@@ -866,7 +875,7 @@ class _Engine:
         key = (m, word)
         res = self._rw.get(key)
         if res is None:
-            unit_m = identity_index(self.hp)[: m - 1 if self.een else m]  # levels <= m
+            unit_m = self.basis[0][: m - 1 if self.een else m]  # the unit, levels <= m
             res = self._apply_at(m, word, [(self.one, unit_m)])
             self._rw[key] = res
         return res
@@ -882,11 +891,18 @@ class _Engine:
             text = self._texts[pos] = " ".join(filter(None, levels))
         return text
 
-    def _pack_vec(self, polys: dict[int, Poly], bits: int) -> dict[int, int]:
-        """Coefficients by basis position as a packed vector: position +
-        bcode * |Lambda| -> the int of that b-monomial's part (``_pack``)."""
-        size = len(self.basis)
-        return {pos + b * size: v for pos, c in polys.items() for b, v in _pack(c, bits).items()}
+    def _state(self, combo: dict[BasisIndex, Poly]) -> _State:
+        """Coefficients by basis index as a packed state (``_TopLevel``), at
+        ``_BITS``, doubled until their largest L1 norm, its bound, fits."""
+        bound = max(map(_l1, combo.values()), default=0)
+        bits = _BITS
+        while bound >> (bits - 1):
+            bits *= 2
+        size, pos = len(self.basis), self.pos
+        vec = {
+            pos[lam] + b * size: w for lam, c in combo.items() for b, w in _pack(c, bits).items()
+        }
+        return _State(vec, bound, bits)
 
     def _by_position(self, vec: dict[int, int]) -> dict[int, dict[int, int]]:
         """The nonzero ints of a packed vector by position, then by the code
@@ -905,12 +921,12 @@ class _Engine:
         arity = self.hp.arity
         return {pos: _unpack(arity, g, bits) for pos, g in self._by_position(vec).items()}
 
-    def _column_form(self, polys: dict[int, Poly], bits: int) -> tuple:
+    def _column_form(self, polys: dict[int, Poly]) -> tuple:
         """A column, given as its coefficients by position, packed at width
-        ``bits`` as three tuples: (key, s) for the entries a^k and (key, s)
-        for the entries -a^k, with s = k * bits, which are all but a few,
-        and (key, int) for the rest (``_pack_vec``), so that most entries
-        act by a shift rather than a product."""
+        ``_STORE_BITS`` as three tuples: (key, s) for the entries a^k and
+        (key, s) for the entries -a^k, with s = k * _STORE_BITS, which are
+        all but a few, and (key, int) for the rest (``_Engine._state``), so
+        that most entries act by a shift rather than a product."""
         size, arity = len(self.basis), self.hp.arity
         plus, minus, other = [], [], []
         for pos, c in polys.items():
@@ -918,9 +934,9 @@ class _Engine:
                 ((m, v),) = c.terms.items()
                 if v == 1 or v == -1:
                     b, k = _a_split(arity, m)
-                    (plus if v == 1 else minus).append((pos + b * size, k * bits))
+                    (plus if v == 1 else minus).append((pos + b * size, k * _STORE_BITS))
                     continue
-            other += [(pos + b * size, w) for b, w in _pack(c, bits).items()]
+            other += [(pos + b * size, w) for b, w in _pack(c, _STORE_BITS).items()]
         return tuple(plus), tuple(minus), tuple(other)
 
     def _table(self, bits: int, x: Sym) -> list:
@@ -940,8 +956,9 @@ class _Engine:
         Its entries' L1 norms are added to the row sums of x before it is
         stored, once, under the lock: a lost update would leave a bound
         too small.  A column at another width is derived from the stored
-        one, which reads back exactly as its coefficients are checked to be
-        below 2^(_STORE_BITS - 1)."""
+        one: a shift k * _STORE_BITS becomes k * bits, and an int is
+        re-widened (``_rewiden``), which is exact as the coefficients are
+        checked to be below 2^(_STORE_BITS - 1)."""
         with self._lock:
             stored = self._table(_STORE_BITS, x)
             if stored[pos] is None:
@@ -954,20 +971,24 @@ class _Engine:
                 for mu, l1 in norms.items():
                     rows[mu] += l1
                     self._rowmax[x] = max(self._rowmax.get(x, 0), rows[mu])
-                stored[pos] = self._column_form(polys, _STORE_BITS)
+                stored[pos] = self._column_form(polys)
             table = self._table(bits, x)
             if table[pos] is None:
-                polys = self._unpack_vec(_column_vec(stored[pos]), _STORE_BITS)
-                table[pos] = self._column_form(polys, bits)
+                plus, minus, other = stored[pos]
+                table[pos] = (
+                    tuple((k, s // _STORE_BITS * bits) for k, s in plus),
+                    tuple((k, s // _STORE_BITS * bits) for k, s in minus),
+                    tuple((k, _rewiden(w, _STORE_BITS, bits)) for k, w in other),
+                )
             return table[pos]
 
     # -- the one entry point ---------------------------------------------------
 
-    def apply(self, words, terms: TermList) -> HeckeElement:
+    def apply(self, words, terms: _State) -> HeckeElement:
         """The sum of c * w * terms over the (c, w) in ``words``, by Horner's
-        rule over the trie of the words, on packed ints (``_TopLevel``).
-        The call is one move-budget session: the count starts from zero
-        unless another call on this engine is still running."""
+        rule over the trie of the words, on the packed state ``terms``
+        (``_TopLevel``).  The call is one move-budget session: the count
+        starts from zero unless another call on this engine is still running."""
         root: dict = {}
         for c, syms in words:
             node = root
@@ -979,17 +1000,10 @@ class _Engine:
             self._active = True
             self._moves = 0
         try:
-            top = _TopLevel(self, terms)
-            return top.result(top.horner(root))
+            return HeckeElement._of(self.hp, _TopLevel(self, terms).horner(root))
         finally:
             if fresh:
                 self._active = False
-
-
-def _column_vec(col: tuple) -> dict[int, int]:
-    """The packed vector of a column in the form of ``_column_form``."""
-    plus, minus, other = col
-    return {k: 1 << s for k, s in plus} | {k: -1 << s for k, s in minus} | dict(other)
 
 
 def _l1(c: Poly) -> int:
@@ -999,7 +1013,9 @@ def _l1(c: Poly) -> int:
 
 class _State:
     """A packed vector at width ``bits``, with ``bound`` at least the largest
-    L1 norm of any position's coefficient, and below 2^(bits-1)."""
+    L1 norm of any position's coefficient, and below 2^(bits-1).  Once made,
+    a state keeps its ints and its width; only its bound may fall, to the
+    true norm (``_TopLevel._lin``)."""
 
     __slots__ = ("vec", "bound", "bits")
 
@@ -1008,15 +1024,16 @@ class _State:
 
 
 class _TopLevel:
-    """The level-n work of one ``_Engine.apply`` call, on packed ints.
+    """The level-n work of one ``_Engine.apply`` call, or of one sum or
+    scaling of elements, on packed ints.
 
-    A state maps position + bcode * |Lambda| to one int (``_pack_vec``):
+    A state maps position + bcode * |Lambda| to one int (``_Engine._state``):
     the position of a basis element in ``basis_enumerate``, the code of a
     monomial in the b_i (always 0 for H(e,e,n)), and that monomial's
     polynomial in a at a = 2^bits.  a -> 2^bits is a ring map, so the ints
     are exact at any size.  They read back exactly, as balanced base-2^bits
     digits, when every coefficient is below 2^(bits-1); each state carries a
-    bound, proved in this call, on its largest L1 norm, which is more:
+    bound, proved when it was made, on its largest L1 norm, which is more:
 
     * a letter x multiplies it by the largest row sum of the L1 norms over
       the columns of x fetched so far, which include every column it used;
@@ -1025,17 +1042,11 @@ class _TopLevel:
     When a result's bound would reach 2^(bits-1), the inputs, which are
     still exact, are read back and their bounds cut to their true norms.
     Only if the result still does not fit is the width doubled, for the
-    rest of the call, and the inputs packed again.
+    rest of the call, and the inputs re-widened into new states.
     """
 
-    def __init__(self, eng: _Engine, terms: TermList):
-        self.eng = eng
-        polys = {eng.pos[lam]: c for c, lam in terms}
-        bound = max(map(_l1, polys.values()), default=0)
-        self.bits = _BITS
-        while bound >> (self.bits - 1):
-            self.bits *= 2
-        self.terms = _State(eng._pack_vec(polys, self.bits), bound, self.bits)
+    def __init__(self, eng: _Engine, terms: _State):
+        self.eng, self.terms, self.bits = eng, terms, terms.bits
 
     def horner(self, node: dict) -> _State:
         """The sum of c * w * terms over the words w of a trie, where the
@@ -1044,7 +1055,10 @@ class _TopLevel:
         prefix shared by many words is applied once.  A chain of nodes with
         one child and no coefficient is applied as one word, which keeps
         the recursion as deep as the trie has branch points."""
-        parts = [(node[None], self.terms)] if None in node else []
+        parts = []
+        if None in node:
+            self.terms = self._wide(self.terms)  # re-widened once per width
+            parts.append((node[None], self.terms))
         for x, child in node.items():
             if x is None:
                 continue
@@ -1058,12 +1072,12 @@ class _TopLevel:
             parts.append((x, below))
         return self._lin(parts)
 
-    def result(self, st: _State) -> HeckeElement:
-        """The element of a state, which keeps the state packed until its
-        ``combo`` is read (``HeckeElement``)."""
-        h = object.__new__(HeckeElement)
-        h.params, h._combo, h._packed = self.eng.hp, None, (self.eng, st.vec, st.bits)
-        return h
+    def _wide(self, st: _State) -> _State:
+        """st at this call's width: st itself, or a new, re-widened state."""
+        if st.bits == self.bits:
+            return st
+        vec = {q: _rewiden(v, st.bits, self.bits) for q, v in st.vec.items()}
+        return _State(vec, st.bound, self.bits)
 
     def _norm(self, st: _State) -> int:
         """The true largest L1 norm of a position's coefficient in st, from
@@ -1076,16 +1090,16 @@ class _TopLevel:
 
     def _lin(self, parts: list) -> _State:
         """The sum of op * state over the (op, state) pairs, where op is a
-        letter or a coefficient, at this call's width, with its bound."""
+        letter or a coefficient, at this call's width, with its bound.  The
+        width is at least that of every state, and only grows."""
         eng, arity = self.eng, self.eng.hp.arity
         size = len(eng.basis)
+        self.bits = max([self.bits] + [st.bits for _, st in parts])
         while True:
+            parts = [(op, self._wide(st)) for op, st in parts]
             out: dict[int, int] = {}
             get = out.get
             for op, st in parts:
-                if st.bits != self.bits:  # widths only grow
-                    st.vec = eng._pack_vec(eng._unpack_vec(st.vec, st.bits), self.bits)
-                    st.bits = self.bits
                 if isinstance(op, Poly):
                     shifts = [(b * size, v) for b, v in _pack(op, self.bits).items()]
                     for q, w in st.vec.items():
@@ -1139,6 +1153,7 @@ def _engine(hp: HeckeParams) -> _Engine:
 
 def leftmul_generator(hp: HeckeParams, sym: Sym, lam: BasisIndex) -> HeckeElement:
     """x * lambda expressed on the basis Lambda."""
+    _check_params(hp)
     eng = _engine(hp)
     try:
         known = sym in eng.letters
@@ -1147,11 +1162,12 @@ def leftmul_generator(hp: HeckeParams, sym: Sym, lam: BasisIndex) -> HeckeElemen
     if not known:
         raise UnknownSymbol(f"{sym} is not a generator of {hp}")
     validate_basis_index(hp, lam)
-    return eng.apply([(eng.one, (sym,))], [(eng.one, lam)])
+    return eng.apply([(eng.one, (sym,))], eng._state({lam: eng.one}))
 
 
 def reduce_word(hp: HeckeParams, word: Word | str) -> HeckeElement:
     """The image of a positive word in the algebra, on the basis Lambda."""
+    _check_params(hp)
     if isinstance(word, str):
         from .words import parse_word
 
@@ -1161,11 +1177,12 @@ def reduce_word(hp: HeckeParams, word: Word | str) -> HeckeElement:
 
 def apply_word(word: Word, h: HeckeElement) -> HeckeElement:
     """word * h: the letters of the word act on h one at a time, from the right."""
+    _check_element(h)
     hp = h.params
-    if word.params != hp.group_params():
-        raise ParamsMismatch(f"word over {word.params}, algebra {hp}")
+    if not (isinstance(word, Word) and word.params == hp.group_params()):
+        raise ParamsMismatch(f"{word!r} is not a word of {hp}")
     eng = _engine(hp)
-    return eng.apply([(eng.one, word.syms)], _terms(h))
+    return eng.apply([(eng.one, word.syms)], h._state)
 
 
 def hecke_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
@@ -1179,28 +1196,25 @@ def hecke_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     basis elements of H(3,3,5), seeds 0 and 1, from a fresh engine, the
     largest took 44 001 moves against the budget of 10^6.
     """
-    if h1.params != h2.params:
-        raise ParamsMismatch(f"{h1.params} vs {h2.params}")
+    _check_element(h1)
+    _check_element(h2, h1.params)
     hp = h1.params
     words = [(c, as_word(hp, lam).syms) for lam, c in h1.combo.items()]
-    return _engine(hp).apply(words, _terms(h2))
-
-
-def _terms(h: HeckeElement) -> TermList:
-    return [(c, lam) for lam, c in h.combo.items()]
+    return _engine(hp).apply(words, h2._state)
 
 
 def unit(hp: HeckeParams) -> HeckeElement:
-    return _element(hp, [(Poly.const(hp.arity, 1), identity_index(hp))])
+    return basis_element(hp, identity_index(hp))
 
 
 def basis_element(hp: HeckeParams, lam: BasisIndex) -> HeckeElement:
     # checked before it is a dict key: an index that is a list is unhashable
     validate_basis_index(hp, lam)
-    return _element(hp, [(Poly.const(hp.arity, 1), lam)])
+    return HeckeElement(hp, {lam: Poly.const(hp.arity, 1)})
 
 
 def _check_power(hp: HeckeParams, k, helper: str) -> None:
+    _check_params(hp)
     if hp.family != "d1n":
         raise ParamsMismatch(f"{helper} is an H(d,1,n) helper")
     # a bool is refused: True would pass as the power 1
@@ -1227,6 +1241,7 @@ def specialize_to_group(h: HeckeElement) -> dict[GroupElement, int]:
     needs no group table: the indices of ``h`` were validated when ``h``
     was built, so each one spells an element of ``h.params``'s group.
     """
+    _check_element(h)
     hp = h.params
     zeros = [0] * hp.arity
     out: dict[GroupElement, int] = {}
@@ -1241,5 +1256,6 @@ def specialize_to_group(h: HeckeElement) -> dict[GroupElement, int]:
 def hecke_relations(hp: HeckeParams) -> list[tuple[Word, Word]]:
     """The braid-type defining relations (order relations excluded; those
     are deformed into the quadratic/cyclotomic relations)."""
+    _check_params(hp)
     return [(u, v) for u, v in relations(hp.group_params()) if len(v.syms) > 0]
 

@@ -279,6 +279,13 @@ def _digits(v: int, bits: int) -> list[int]:
     return digits
 
 
+def _rewiden(v: int, bits: int, new: int) -> int:
+    """The int packed at width ``new`` of what ``v`` packs at width ``bits``:
+    its digits (``_digits``) summed back at the new width.  Exact when every
+    coefficient is below 2^(bits-1) in absolute value."""
+    return sum(d << new * k for k, d in enumerate(_digits(v, bits)))
+
+
 def _packed_terms(arity: int, packed: dict[int, int], bits: int):
     """The (code, coefficient) pairs of the polynomial that ``_pack`` sends
     to ``packed``, highest code first, as ``_render`` takes them, read back

@@ -24,6 +24,7 @@ from .errors import InvariantViolation, ParamsMismatch
 from .group import DEFAULT_CAP, GroupElement, Params, _checked_order, _is_int, mul
 from .hecke import (
     HeckeParams,
+    _check_params,
     as_word,
     basis_element,
     basis_enumerate,
@@ -180,6 +181,7 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     (``_relation_width``, ``_kronecker``).  So two sides are equal exactly
     when their ints are.
     """
+    _check_params(hp)
     if not _is_int(samples) or samples < 0:
         raise ParamsMismatch(f"samples must be an int >= 0, got {samples!r}")
     gp = hp.group_params()

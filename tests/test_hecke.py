@@ -642,6 +642,35 @@ def test_basis_index_must_be_a_tuple(bad):
         leftmul_generator(hp, T(0), bad)
 
 
+H333 = een(3, 3)
+WRONGLY_TYPED = {
+    "add-int": lambda: unit(H333) + 1,
+    "mul-int-right": lambda: hecke_mul(unit(H333), 5),
+    "mul-int-left": lambda: hecke_mul(5, unit(H333)),
+    "apply-str-word": lambda: apply_word("s3", unit(H333)),
+    "apply-str-element": lambda: apply_word(make_word(H333.group_params(), [S(3)]), "x"),
+    "specialize-int": lambda: specialize_to_group(3),
+    "reduce-int-word": lambda: reduce_word(H333, 5),
+    "element-int-combo": lambda: HeckeElement(H333, 5),
+    "unit": lambda: unit("x"),
+    "basis-enumerate": lambda: basis_enumerate("x"),
+    "leftmul": lambda: leftmul_generator("x", T(1), ()),
+    "basis-element": lambda: basis_element("x", ()),
+    "as-word": lambda: as_word("x", ()),
+    "relations": lambda: hecke_relations("x"),
+    "pow-s2zs2": lambda: pow_s2zs2("x", 1),
+    "reduce-str-params": lambda: reduce_word("x", "s3"),
+    "verify": lambda: verify_hecke("x"),
+}
+
+
+@pytest.mark.parametrize("call", WRONGLY_TYPED.values(), ids=WRONGLY_TYPED.keys())
+def test_a_wrongly_typed_argument_raises_params_mismatch(call):
+    # each of these used to raise a bare AttributeError
+    with pytest.raises(ParamsMismatch):
+        call()
+
+
 @pytest.mark.parametrize("hp", [een(1, 3), een(3, 3), d1n(2, 3)])
 def test_as_word_is_the_normal_form(hp):
     # every basis word is literally the geodesic normal form of its element

@@ -7,6 +7,8 @@ derive bits and degrees from the columns it checks, so that an error in a
 column cannot hide in a digit that a narrower encoding would alias.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 import gdeen.hecke as hecke_mod
@@ -142,7 +144,9 @@ def test_an_index_outside_lambda_is_refused(monkeypatch):
     def leftmul(hp, sym, lam):
         h = real(hp, sym, lam)
         if sym == T(1):
-            return hecke_mod._element(hp, [(Poly.const(1, 1), bad)])
+            # no element can hold such an index: a stand-in that has only
+            # the ``combo`` that verify_hecke reads
+            return SimpleNamespace(combo={bad: Poly.const(1, 1)})
         return h
 
     monkeypatch.setattr(verify_mod, "leftmul_generator", leftmul)

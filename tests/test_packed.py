@@ -19,9 +19,9 @@ import threading
 import pytest
 
 import gdeen.hecke as hecke_mod
-from gdeen import HeckeElement, Poly, apply_word, d1n, een, hecke_mul, reduce_word
-from gdeen.polyring import _decode, _pack, _packed_terms, _render, _unpack, var_names
-from gdeen.words import alphabet, make_word
+from gdeen import HeckeElement, Poly, apply_word, basis_enumerate, d1n, een, hecke_mul, reduce_word
+from gdeen.polyring import _decode, _pack, _packed_terms, _render, _rewiden, _unpack, var_names
+from gdeen.words import alphabet, make_word, parse_word
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -66,6 +66,44 @@ def test_packing_is_a_ring_map(case, data):
             product[b1 + b2] = product.get(b1 + b2, 0) + v1 * v2
     want = _pack(p * q, bits)
     assert {b: v for b, v in product.items() if v} == want
+
+
+WIDTHS = [4, 13, 64, 128]
+
+
+@pytest.mark.parametrize("new", WIDTHS)
+@pytest.mark.parametrize("bits", WIDTHS)
+@hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data())
+def test_rewidening_packs_at_the_new_width(bits, new, data):
+    # within the bound of the old width, narrower widths included
+    arity = data.draw(st.integers(1, 3))
+    top = 2 ** (bits - 1) - 1
+    coeff = st.sampled_from([top, -top, 1, -1]) | st.integers(-top, top)
+    mono = st.tuples(*(st.integers(0, 150) for _ in range(arity)))
+    p = Poly(arity, data.draw(st.dictionaries(mono, coeff, max_size=8)))
+    assert {b: _rewiden(v, bits, new) for b, v in _pack(p, bits).items()} == _pack(p, new)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from([een(3, 3), d1n(2, 3)]), st.data())
+def test_sums_and_scalings_are_those_of_the_coefficients(hp, data):
+    # coefficients around 2^63 and past it: the two states of a sum may
+    # differ in width, and a sum or a scaling may have to widen
+    big = 2**70
+    coeff = st.sampled_from([1, -1, 2**62, -(2**63), big]) | st.integers(-big, big)
+    mono = st.tuples(*(st.integers(0, 5) for _ in range(hp.arity)))
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(lambda t: Poly(hp.arity, t))
+    combos = st.dictionaries(st.sampled_from(basis_enumerate(hp)), poly, max_size=4)
+    g, h = (HeckeElement(hp, data.draw(combos)) for _ in range(2))
+    c = data.draw(poly)
+    total = dict(g.combo)
+    for lam, v in h.combo.items():
+        total[lam] = total[lam] + v if lam in total else v
+    total = HeckeElement(hp, total)
+    assert (g + h).combo == total.combo and str(g + h) == str(total)
+    product = HeckeElement(hp, {lam: v * c for lam, v in g.combo.items()})
+    assert g.scaled(c).combo == product.combo and str(g.scaled(c)) == str(product)
 
 
 @pytest.mark.parametrize("bits", [2, 5, 64])
@@ -311,3 +349,58 @@ def test_threads_reading_one_combo_agree(decodes):
     for combo in seen:
         assert combo == want and list(combo) == list(want)
     assert h.combo == want and len(decodes) == 1
+
+
+@pytest.mark.parametrize("hp", [een(3, 3), d1n(3, 3)], ids=str)
+def test_the_engine_takes_an_element_as_it_is(hp, decodes):
+    # apply_word reads no coefficient of h; hecke_mul reads those of g
+    # only, for its words
+    g, h = (reduce_word(hp, seeded_word(hp, 20, seed)) for seed in (7, 8))
+    w = parse_word(hp.group_params(), seeded_word(hp, 12, 9))
+    decodes.clear()
+    apply_word(w, h)
+    assert decodes == []
+    hecke_mul(g, h)
+    assert len(decodes) == 1
+
+
+def test_threads_applying_words_to_one_element_leave_its_state_alone(monkeypatch):
+    # every call starts at the shared element's narrow width and widens; a
+    # product's later words read the element again at the wider width.  A
+    # widened state is a new one, so the element's ints and width stay.
+    monkeypatch.setattr(hecke_mod, "_BITS", 4)
+    hp = een(3, 3)
+    h = reduce_word(hp, seeded_word(hp, 10, 11))
+    words = [parse_word(hp.group_params(), seeded_word(hp, 30, 20 + k)) for k in range(8)]
+    jobs = [
+        (apply_word, w) if k % 2 else (hecke_mul, reduce_word(hp, w)) for k, w in enumerate(words)
+    ]
+    state, vec, bits = h._state, h._state.vec, h._state.bits
+    values = dict(vec)
+    serial = [op(x, h) for op, x in jobs]
+    assert all(r._state.bits > bits for r in serial)
+    hecke_mod._engine.cache_clear()
+
+    results = [None] * len(jobs)
+    barrier = threading.Barrier(4)
+
+    def work(k):
+        barrier.wait()
+        for j in range(k, len(jobs), 4):
+            op, x = jobs[j]
+            results[j] = op(x, h).to_json()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [r.to_json() for r in serial]
+    assert h._state is state and state.vec is vec and state.bits is bits
+    assert vec == values
