@@ -44,7 +44,10 @@ Levels below n compute on ``Poly`` terms; the top level n computes on
 packed ints, with a bound on the coefficients that each call proves
 (``_TopLevel``).  Its packed state is the one form of a ``HeckeElement``,
 which the engine takes and returns as it is; the ``Poly`` coefficients are
-decoded only when they are read.
+decoded only when they are read.  A state holds coefficients by basis
+position, and the position map is arithmetic (``_Engine._position``): the
+mixed-radix number of an index's per-level shape ranks, top level fastest,
+which is the order of ``basis_enumerate``.  No engine lists the basis.
 
 Coefficients live in Z[a] (H(e,e,n)) or Z[a, b_1..b_{d-1}] (H(d,1,n));
 the quadratic relations are x^2 = a x + 1 and z^d = b_1 z^{d-1} + ... +
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -94,6 +98,7 @@ __all__ = [
 Shape = tuple
 BasisIndex = tuple
 ONE: Shape = ("one",)
+_SHAPE_TYPES = frozenset({str, int})  # of a shape's parts: a kind, then ints
 
 MOVE_BUDGET = 10**6
 
@@ -200,16 +205,7 @@ def basis_enumerate(hp: HeckeParams) -> list[BasisIndex]:
 
 def validate_basis_index(hp: HeckeParams, lam: BasisIndex) -> None:
     _check_params(hp)
-    levels = _levels(hp)
-    if not isinstance(lam, tuple) or len(lam) != len(levels):
-        raise ParamsMismatch(f"basis index needs a tuple of {len(levels)} levels for {hp}")
-    for shape, i, valid in zip(lam, levels, _shape_table(hp)[1]):
-        try:
-            ok = shape in valid
-        except TypeError:  # unhashable, so not a shape
-            ok = False
-        if not ok:
-            raise ParamsMismatch(f"shape {shape} is not valid at level {i} of {hp}")
+    _engine(hp)._position(lam)
 
 
 def _shape_word(hp: HeckeParams, i: int, shape: Shape) -> tuple[Sym, ...]:
@@ -269,12 +265,15 @@ class HeckeElement:
     """A finite R0-linear combination of basis indices, held as a packed
     state of the engine's top level (``_State``): the coefficients by basis
     position, in the order of ``basis_enumerate``, at a = 2^bits.  The
-    constructor validates every index and coefficient and packs them once
+    constructor checks every coefficient, and positions every index by the
+    walk that also checks it (``_Engine._position``), and packs them once
     (``_Engine._state``); engine results, sums and scalings are states
-    already.  No operation changes the ints or the width of a state.
+    already.  No operation changes the ints or the width of a state, and
+    ``==`` compares the ints.
 
     ``combo`` maps each basis index to its nonzero coefficient: the
-    constructor's map, or the state's, decoded the first time it is read.
+    constructor's map, or the state's, decoded the first time it is read,
+    with indices from positions by the inverse walk (``_Engine._index``).
     ``str()`` and ``to_json()`` render the digits of the state, one basis
     position at a time, without it.  Copies and pickles go through it."""
 
@@ -284,11 +283,10 @@ class HeckeElement:
         _check_params(params)
         if not isinstance(combo, dict):
             raise ParamsMismatch(f"{combo!r} is not a dict from basis index to Poly")
-        for lam, c in combo.items():
-            validate_basis_index(params, lam)
+        for c in combo.values():
             _check_coeff(params, c)
-        combo = {lam: c for lam, c in combo.items() if not c.is_zero()}
-        self.params, self._state, self._combo = params, _engine(params)._state(combo), combo
+        self.params, self._state = params, _engine(params)._state(combo)  # checks every index
+        self._combo = {lam: c for lam, c in combo.items() if not c.is_zero()}
 
     @classmethod
     def _of(cls, params: HeckeParams, state: _State) -> HeckeElement:
@@ -306,18 +304,20 @@ class HeckeElement:
                 combo = self._combo
                 if combo is None:
                     polys = eng._unpack_vec(self._state.vec, self._state.bits)
-                    combo = self._combo = {eng.basis[pos]: c for pos, c in polys.items()}
+                    combo = self._combo = {eng._index(pos): c for pos, c in polys.items()}
         return combo
 
     def __reduce__(self):
         return HeckeElement, (self.params, self.combo)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HeckeElement)
-            and self.params == other.params
-            and self.combo == other.combo
-        )
+        """The two states' nonzero ints, compared at the wider width."""
+        if not (isinstance(other, HeckeElement) and self.params == other.params):
+            return False
+        states = self._state, other._state
+        top = _TopLevel(_engine(self.params), max(states, key=lambda st: st.bits))
+        a, b = ({q: v for q, v in top._wide(st).vec.items() if v} for st in states)
+        return a == b
 
     def __add__(self, other: HeckeElement) -> HeckeElement:
         _check_element(other, self.params)
@@ -331,10 +331,8 @@ class HeckeElement:
 
     def items(self):
         """The terms in the canonical order of ``basis_enumerate``."""
-        ranks = _shape_table(self.params)[0]
-        return sorted(
-            self.combo.items(), key=lambda kv: tuple(map(dict.__getitem__, ranks, kv[0]))
-        )
+        eng = _engine(self.params)
+        return sorted(self.combo.items(), key=lambda kv: eng._position(kv[0]))
 
     def _rendered(self) -> list[tuple[str, str]]:
         """(basis word text, coefficient text) per term, in basis order: the
@@ -398,9 +396,11 @@ class _Engine:
         self._F = [Poly.const(ar, 0), Poly.const(ar, 1)]
         self._G = [Poly.const(ar, 1), Poly.const(ar, 0)]
         self.letters = frozenset(alphabet(hp.group_params()))
-        self.basis = basis_enumerate(hp)
-        self.pos = {lam: j for j, lam in enumerate(self.basis)}
-        self._texts: list[str | None] = [None] * len(self.basis)
+        self._ranks, self._level_texts = _shape_table(hp)
+        self._shapes = [list(rank) for rank in self._ranks]
+        self.size = math.prod(map(len, self._shapes))  # |Lambda|
+        self._at: dict[int, BasisIndex] = {}  # position -> index, as read
+        self._texts: dict[int, str] = {}
         self._lm: dict = {}  # levels below n
         self._rw: dict = {}
         # the level-n columns, packed: width -> letter -> column by position;
@@ -408,7 +408,7 @@ class _Engine:
         # L1 norms in row mu over the columns of x stored so far, and
         # _rowmax[x] the largest of them.
         self._packed: dict[int, dict[Sym, list]] = {}
-        self._rows: dict[Sym, list[int]] = {}
+        self._rows: dict[Sym, dict[int, int]] = {}
         self._rowmax: dict[Sym, int] = {}
         self._lock = threading.RLock()
         self._tk0: dict[int, list] = {}
@@ -875,19 +875,46 @@ class _Engine:
         key = (m, word)
         res = self._rw.get(key)
         if res is None:
-            unit_m = self.basis[0][: m - 1 if self.een else m]  # the unit, levels <= m
+            unit_m = identity_index(self.hp)[: m - 1 if self.een else m]  # levels <= m
             res = self._apply_at(m, word, [(self.one, unit_m)])
             self._rw[key] = res
         return res
 
     # -- the top level, on packed ints ------------------------------------------
 
+    def _position(self, lam: BasisIndex) -> int:
+        """The position of a basis index in ``basis_enumerate``, the mixed-radix
+        number of its per-level ranks, top level fastest, and its check: each
+        shape must be exactly one of its level's, so ("x", True) is refused."""
+        levels = _levels(self.hp)
+        if not isinstance(lam, tuple) or len(lam) != len(levels):
+            raise ParamsMismatch(f"basis index needs a tuple of {len(levels)} levels for {self.hp}")
+        pos = 0
+        for shape, rank, i in zip(lam, self._ranks, levels):
+            exact = type(shape) is tuple and _SHAPE_TYPES.issuperset(map(type, shape))
+            r = rank.get(shape) if exact else None  # exact, so hashable
+            if r is None:
+                raise ParamsMismatch(f"shape {shape} is not valid at level {i} of {self.hp}")
+            pos = pos * len(rank) + r
+        return pos
+
+    def _index(self, pos: int) -> BasisIndex:
+        """The basis index at a position, by the inverse divmod walk; kept once read."""
+        lam = self._at.get(pos)
+        if lam is None:
+            q, parts = pos, []
+            for shapes in reversed(self._shapes):
+                q, r = divmod(q, len(shapes))
+                parts.append(shapes[r])
+            lam = self._at[pos] = tuple(reversed(parts))
+        return lam
+
     def _text(self, pos: int) -> str:
         """The text of ``as_word`` of the basis index at a position, joined
         from the per-level texts, and kept once made."""
-        text = self._texts[pos]
+        text = self._texts.get(pos)
         if text is None:
-            levels = map(dict.__getitem__, _shape_table(self.hp)[1], self.basis[pos])
+            levels = map(dict.__getitem__, self._level_texts, self._index(pos))
             text = self._texts[pos] = " ".join(filter(None, levels))
         return text
 
@@ -898,17 +925,17 @@ class _Engine:
         bits = _BITS
         while bound >> (bits - 1):
             bits *= 2
-        size, pos = len(self.basis), self.pos
-        vec = {
-            pos[lam] + b * size: w for lam, c in combo.items() for b, w in _pack(c, bits).items()
-        }
+        vec = {}
+        for lam, c in combo.items():
+            pos = self._position(lam)
+            vec.update((pos + b * self.size, w) for b, w in _pack(c, bits).items())
         return _State(vec, bound, bits)
 
     def _by_position(self, vec: dict[int, int]) -> dict[int, dict[int, int]]:
         """The nonzero ints of a packed vector by position, then by the code
         of their b-monomial; positions in the order in which they first
         appear."""
-        size, groups = len(self.basis), {}
+        size, groups = self.size, {}
         for q, v in vec.items():
             if v:
                 b, pos = divmod(q, size)
@@ -927,7 +954,7 @@ class _Engine:
         (key, s) for the entries -a^k, with s = k * _STORE_BITS, which are
         all but a few, and (key, int) for the rest (``_Engine._state``), so
         that most entries act by a shift rather than a product."""
-        size, arity = len(self.basis), self.hp.arity
+        size, arity = self.size, self.hp.arity
         plus, minus, other = [], [], []
         for pos, c in polys.items():
             if len(c.terms) == 1:
@@ -946,7 +973,7 @@ class _Engine:
             return self._packed[bits][x]
         except KeyError:
             with self._lock:
-                return self._packed.setdefault(bits, {}).setdefault(x, [None] * len(self.basis))
+                return self._packed.setdefault(bits, {}).setdefault(x, [None] * self.size)
 
     def _fetch(self, x: Sym, pos: int, bits: int) -> tuple:
         """x * e_pos at level n, packed at width ``bits``, in the form of
@@ -962,14 +989,15 @@ class _Engine:
         with self._lock:
             stored = self._table(_STORE_BITS, x)
             if stored[pos] is None:
-                polys = {self.pos[lam]: c for c, lam in self._column(self.n, x, self.basis[pos])}
+                column = self._column(self.n, x, self._index(pos))
+                polys = {self._position(lam): c for c, lam in column}
                 norms = {mu: _l1(c) for mu, c in polys.items()}
                 if max(norms.values(), default=0) >> (_STORE_BITS - 1):
                     why = f"a coefficient of a column of {x} reaches 2^{_STORE_BITS - 1}"
                     raise InvariantViolation(why)
-                rows = self._rows.setdefault(x, [0] * len(self.basis))
+                rows = self._rows.setdefault(x, {})
                 for mu, l1 in norms.items():
-                    rows[mu] += l1
+                    rows[mu] = rows.get(mu, 0) + l1
                     self._rowmax[x] = max(self._rowmax.get(x, 0), rows[mu])
                 stored[pos] = self._column_form(polys)
             table = self._table(bits, x)
@@ -1012,7 +1040,8 @@ def _l1(c: Poly) -> int:
 
 
 class _State:
-    """A packed vector at width ``bits``, with ``bound`` at least the largest
+    """A packed vector at width ``bits``, keyed by basis position (from
+    ``_Engine._position``) and b-monomial, with ``bound`` at least the largest
     L1 norm of any position's coefficient, and below 2^(bits-1).  Once made,
     a state keeps its ints and its width; only its bound may fall, to the
     true norm (``_TopLevel._lin``)."""
@@ -1028,9 +1057,11 @@ class _TopLevel:
     scaling of elements, on packed ints.
 
     A state maps position + bcode * |Lambda| to one int (``_Engine._state``):
-    the position of a basis element in ``basis_enumerate``, the code of a
-    monomial in the b_i (always 0 for H(e,e,n)), and that monomial's
-    polynomial in a at a = 2^bits.  a -> 2^bits is a ring map, so the ints
+    the position of a basis element in ``basis_enumerate``, computed by
+    ``_Engine._position`` (|Lambda| is the product of the level sizes, and
+    no list of the basis is made), the code of a monomial in the b_i
+    (always 0 for H(e,e,n)), and that monomial's polynomial in a at
+    a = 2^bits.  a -> 2^bits is a ring map, so the ints
     are exact at any size.  They read back exactly, as balanced base-2^bits
     digits, when every coefficient is below 2^(bits-1); each state carries a
     bound, proved when it was made, on its largest L1 norm, which is more:
@@ -1082,7 +1113,7 @@ class _TopLevel:
     def _norm(self, st: _State) -> int:
         """The true largest L1 norm of a position's coefficient in st, from
         the digits of its ints (re-tightening)."""
-        size, norms = len(self.eng.basis), {}
+        size, norms = self.eng.size, {}
         for q, v in st.vec.items():
             pos = q % size
             norms[pos] = norms.get(pos, 0) + sum(map(abs, _digits(v, st.bits)))
@@ -1093,7 +1124,7 @@ class _TopLevel:
         letter or a coefficient, at this call's width, with its bound.  The
         width is at least that of every state, and only grows."""
         eng, arity = self.eng, self.eng.hp.arity
-        size = len(eng.basis)
+        size = eng.size
         self.bits = max([self.bits] + [st.bits for _, st in parts])
         while True:
             parts = [(op, self._wide(st)) for op, st in parts]
@@ -1155,13 +1186,10 @@ def leftmul_generator(hp: HeckeParams, sym: Sym, lam: BasisIndex) -> HeckeElemen
     """x * lambda expressed on the basis Lambda."""
     _check_params(hp)
     eng = _engine(hp)
-    try:
-        known = sym in eng.letters
-    except TypeError:  # unhashable, so not a letter
-        known = False
-    if not known:
+    # as in make_word: Sym("t", 1.0) equals, and would pass as, T(1)
+    if not (isinstance(sym, Sym) and _is_int(sym.i) and sym in eng.letters):
         raise UnknownSymbol(f"{sym} is not a generator of {hp}")
-    validate_basis_index(hp, lam)
+    eng._position(lam)  # checked before it is a dict key: a list is unhashable
     return eng.apply([(eng.one, (sym,))], eng._state({lam: eng.one}))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadFormat, UnknownSymbol
-from .group import GroupElement, Params
+from .group import GroupElement, Params, _is_int
 
 __all__ = [
     "Sym",
@@ -87,6 +87,9 @@ def alphabet(params: Params) -> list[Sym]:
 
 def _check_symbol(params: Params, sym: Sym) -> None:
     d, e, n = params.d, params.e, params.n
+    if not (isinstance(sym, Sym) and _is_int(sym.i)):
+        # Sym("t", 1.0) and Sym("t", True) equal T(1), but are not letters
+        raise UnknownSymbol(f"{sym!r} is not a letter of G({d*e},{e},{n})")
     ok = False
     if sym.kind == "z":
         ok = d > 1
@@ -161,8 +164,9 @@ def eval_word(word: Word) -> GroupElement:
     perm, exps = list(range(1, p.n + 1)), [0] * p.n
     for sym in word.syms:
         m = mats.get(sym)
-        if m is None:
-            # generator() raises UnknownSymbol for a letter outside the alphabet
+        if m is None or not _is_int(sym.i):
+            # generator() raises UnknownSymbol for a letter outside the
+            # alphabet, and for Sym("s", 3.0), which finds the matrix of s3
             x = generator(p, sym)
             m = mats[sym] = ((0, *x.perm), (0, *x.exps))
         xp, xe = m

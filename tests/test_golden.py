@@ -51,6 +51,9 @@ CLI_CASES = {
     "reduce-h313-b": _reduce("d1n", 3, 3, "s2 z s3 z z s2 s3 z s2 s3 z"),
     "reduce-bad-token": _reduce("een", 3, 3, "t1 q0"),
     "reduce-h333-pretty": ["--pretty", *_reduce("een", 3, 3, "s3 t2 t1 s3 t0 t2 s3 t1")],
+    # ranks 7 and 6: |Lambda| is 3 674 160 and 46 080
+    "reduce-h337-rank7": _reduce("een", 3, 7, "s7 t1 s7"),
+    "reduce-h216-rank6": _reduce("d1n", 2, 6, "s6 z s2 s6 s5"),
     "reduce-h313-pretty": ["--pretty", *_reduce("d1n", 3, 3, "s2 z s3 z z s2 s3 z s2 s3 z")],
     "verify-h333": ["hecke-verify", "--family", "een", "--e", "3", "--n", "3", "--samples", "3"],
     "verify-h213": ["hecke-verify", "--family", "d1n", "--d", "2", "--n", "3", "--samples", "3"],
@@ -149,6 +152,7 @@ GOLDEN = {
     'reduce-bad-token': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'reduce-h213-a': (0, '037f78fb4b329b9c8879daa1b2198b5073bf035c7347c58a7069201e7d0e82b8'),
     'reduce-h213-b': (0, '8d1462adbb9f3c8267d76a0366cb58b29040274b7ef3fa31de34e90ed30ce03a'),
+    'reduce-h216-rank6': (0, '8ff69c0753edd35db1370cd92496203969d9eaf8a5befbe5068709578b2e7b1f'),
     'reduce-h313-a': (0, '20952787639aa1d528a461fa6a7b211c007a34deb628111f300ca3480f569c8f'),
     'reduce-h313-b': (0, '896b9d95eae103b93642aa690a5901c3dc2ff03f887a26d1a50123aeaf5bf1fd'),
     'reduce-h313-pretty': (0, 'cd010e95919a8f08b0ec7eee1def8caa9f01aeabedd762cdbf67a908df712b56'),
@@ -156,6 +160,7 @@ GOLDEN = {
     'reduce-h333-b': (0, '35d94dde0b200a612fcc276c689d68418eb0ea6d3d187270b0eb9c40547d4062'),
     'reduce-h333-c': (0, 'de06dbb8898efa808125363ce3064e1415dba197ebfcdc430defea8e1337af04'),
     'reduce-h333-pretty': (0, '4802d20ea448f28a2e9f5ac7880f1727df913ccf2781cf7afe786c7a482eddad'),
+    'reduce-h337-rank7': (0, '1c24d13b76511333f63ab454c61d61da7fc9cb1c03d1fd1e2bb813fefbe08ee8'),
     'reduce-h443-a': (0, 'a496234073fc524521577806c56cd1b87bd4dd30a08ed2879dd90355165a7aec'),
     'reduce-h443-b': (0, '342cfc847011868c88017b9c2281dd83df117e55a9642145ae76134b217e1e4d'),
     'verify-geodesic-g623': (0, 'b03841c38e0cffc3974df8c8c9f418edf95a3fa524035ca1809059362121ceef'),

@@ -7,6 +7,7 @@ product into the corresponding product of group elements.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -519,6 +520,14 @@ def test_leftmul_refuses_a_letter_outside_the_alphabet(hp, letter):
         leftmul_generator(hp, letter, identity_index(hp))
 
 
+@pytest.mark.parametrize("letter", [Sym("t", 1.0), Sym("t", True), Sym("s", 3.0)], ids=repr)
+def test_leftmul_refuses_a_letter_whose_index_is_not_an_int(letter):
+    # each equals a letter of H(3,3,3), and used to pass as it
+    hp = een(3, 3)
+    with pytest.raises(UnknownSymbol):
+        leftmul_generator(hp, letter, identity_index(hp))
+
+
 @pytest.mark.parametrize("helper", [pow_s2zs2, s2_zk_s2], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("hp, k", [(een(3, 3), 1), (d1n(3, 2), 0), (d1n(3, 2), 3)], ids=str)
 def test_d1n_helpers_refuse_other_algebras_and_powers(helper, hp, k):
@@ -564,6 +573,60 @@ def test_validate_basis_index_rejects_non_shapes():
     for bad in [(ONE,), (ONE, ("d", 2)), (ONE, ["one"]), (ONE, ("x", [1]))]:
         with pytest.raises(ParamsMismatch):
             validate_basis_index(hp, bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [(("x", True), ONE), (("x", 1.0), ONE), (ONE, ("d", 3.0)), (ONE, ("xa", True, 2))],
+    ids=["bool", "float", "float-level-3", "bool-level-3"],
+)
+def test_a_shape_must_be_exactly_a_canonical_one(bad):
+    # each equals a valid index, and used to pass; ("x", True) rendered as
+    # tTrue, and so did ("x", 1.0) after it, through the cache of T
+    hp = een(3, 3)
+    for call in (validate_basis_index, as_word, basis_element):
+        with pytest.raises(ParamsMismatch):
+            call(hp, bad)
+    with pytest.raises(ParamsMismatch):
+        HeckeElement(hp, {bad: Poly.const(1, 1)})
+    assert str(as_word(hp, (("x", 1), ("d", 3)))) == "t1 s3"
+
+
+POSITION_ALGEBRAS = [een(e, n) for e in range(1, 5) for n in range(2, 5) if n > 2 or e % 2]
+POSITION_ALGEBRAS += [d1n(d, n) for d in range(2, 5) for n in (2, 3)]
+
+
+@pytest.mark.parametrize("hp", POSITION_ALGEBRAS, ids=str)
+def test_a_position_is_the_mixed_radix_number_of_the_level_ranks(hp):
+    eng = hecke_mod._engine(hp)
+    basis = basis_enumerate(hp)
+    assert eng.size == len(basis)
+    for j, lam in enumerate(basis):
+        assert eng._position(lam) == j
+        assert eng._index(j) == lam
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (unit, "(1)*[1]"),
+        (lambda hp: basis_element(hp, (("x", 2), ("xa", 1, 3)) + (ONE,) * 4), "(1)*[t2 s3 t1 t0 s3]"),
+    ],
+    ids=["unit", "basis-element"],
+)
+def test_an_element_costs_no_copy_of_the_basis(build, text):
+    # H(3,3,7) has 3 674 160 basis indices; building one element used to
+    # list them all, in 3.6-3.9 s and 707 MB
+    hp = een(3, 7)
+    hecke_mod._engine.cache_clear()
+    tracemalloc.start()
+    try:
+        h = build(hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    assert str(h) == text
 
 
 @pytest.mark.parametrize(

@@ -322,6 +322,39 @@ def test_a_packed_result_equals_the_eager_element(hp):
         assert copied == eager and str(copied) == str(eager)
 
 
+@pytest.mark.parametrize("hp", [een(3, 4), d1n(3, 3)], ids=str)
+def test_equality_compares_states_and_decodes_nothing(hp, decodes):
+    g, h = (reduce_word(hp, seeded_word(hp, 20, seed)) for seed in (12, 13))
+    again = reduce_word(hp, seeded_word(hp, 20, 12))
+    decodes.clear()
+    assert g == again and not g != again
+    assert g != h and not g == h
+    assert decodes == []
+
+
+@pytest.mark.parametrize("hp", [een(3, 3), d1n(3, 3)], ids=str)
+def test_equality_holds_across_widths(hp, monkeypatch):
+    words = [seeded_word(hp, 40, seed) for seed in (14, 15)]
+    wide = [reduce_word(hp, w) for w in words]
+    hecke_mod._engine.cache_clear()
+    monkeypatch.setattr(hecke_mod, "_BITS", 4)
+    narrow = [reduce_word(hp, w) for w in words]
+    assert narrow[0]._state.bits < wide[0]._state.bits
+    for x in narrow + wide:
+        for y in narrow + wide:
+            assert (x == y) == (x.combo == y.combo)
+    assert narrow[0] == wide[0] and wide[0] == narrow[0] and narrow[0] != wide[1]
+
+
+@pytest.mark.parametrize("hp", [een(3, 3), d1n(3, 3)], ids=str)
+def test_an_element_minus_itself_equals_zero(hp):
+    h = reduce_word(hp, seeded_word(hp, 20, 16))
+    zero = h + h.scaled(Poly.const(hp.arity, -1))
+    assert 0 in zero._state.vec.values()  # the sum keeps its cancelled ints
+    assert zero == HeckeElement(hp, {}) and HeckeElement(hp, {}) == zero
+    assert zero != h
+
+
 def test_threads_reading_one_combo_agree(decodes):
     hp = d1n(3, 4)
     word = seeded_word(hp, 35, 6)

@@ -20,7 +20,7 @@ from gdeen import (
     relations,
     word_text,
 )
-from gdeen.words import S, T, Word, Z
+from gdeen.words import S, Sym, T, Word, Z
 
 
 def test_alphabet_g333():
@@ -117,6 +117,25 @@ def test_eval_word_rejects_a_letter_outside_the_alphabet():
     # a Word built directly skips make_word's check
     with pytest.raises(UnknownSymbol):
         eval_word(Word(Params(1, 3, 3), (T(0), T(99))))
+
+
+NOT_LETTERS = {
+    "float-index": lambda: make_word(Params(1, 6, 3), [Sym("t", 2.5)]),
+    "float-generator": lambda: generator(Params(1, 3, 3), Sym("t", 1.0)),
+    "bool-index": lambda: make_word(Params(1, 3, 3), [Sym("t", True)]),
+    # s3 first, so that the matrix that s3.0 would find is there
+    "float-eval": lambda: eval_word(Word(Params(1, 3, 3), (S(3), Sym("s", 3.0)))),
+    "str": lambda: make_word(Params(1, 3, 3), ["t0"]),
+    "none": lambda: make_word(Params(1, 3, 3), [None]),
+}
+
+
+@pytest.mark.parametrize("call", NOT_LETTERS.values(), ids=NOT_LETTERS.keys())
+def test_a_letter_is_a_sym_with_an_int_index(call):
+    # t2.5 gave the exponents 3.5 and 2.5, t1.0 and tTrue passed as t1, and
+    # the others raised a bare TypeError or AttributeError
+    with pytest.raises(UnknownSymbol):
+        call()
 
 
 def test_parse_roundtrip_and_json_form():
