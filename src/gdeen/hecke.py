@@ -41,13 +41,14 @@ over (coefficient, word) pairs, by Horner's rule over the trie of the
 words.  ``leftmul_generator``, ``reduce_word``, ``apply_word`` and
 ``hecke_mul`` all go through it, and each call is one budget session.
 Levels below n compute on ``Poly`` terms; the top level n computes on
-packed ints, with a bound on the coefficients that each call proves
-(``_TopLevel``).  Its packed state is the one form of a ``HeckeElement``,
-which the engine takes and returns as it is; the ``Poly`` coefficients are
-decoded only when they are read.  A state holds coefficients by basis
-position, and the position map is arithmetic (``_Engine._position``): the
-mixed-radix number of an index's per-level shape ranks, top level fastest,
-which is the order of ``basis_enumerate``.  No engine lists the basis.
+packed ints, each with a bound on its coefficients that the call proves as
+it computes the int (``_TopLevel``).  Its packed state is the one form of
+a ``HeckeElement``, which the engine takes and returns as it is; the
+``Poly`` coefficients are decoded only when they are read.  A state holds
+coefficients by basis position, and the position map is arithmetic
+(``_Engine._position``): the mixed-radix number of an index's per-level
+shape ranks, top level fastest, which is the order of
+``basis_enumerate``.  No engine lists the basis.
 
 Coefficients live in Z[a] (H(e,e,n)) or Z[a, b_1..b_{d-1}] (H(d,1,n));
 the quadratic relations are x^2 = a x + 1 and z^d = b_1 z^{d-1} + ... +
@@ -67,7 +68,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, ParamsMismatch, RecursionGuardExceeded, UnknownSymbol
 from .group import GroupElement, Params, _is_int
-from .polyring import WIDTH, Poly, _a_split, _digits, _dot, _pack, _packed_terms, _render
+from .polyring import WIDTH, Poly, _a_split, _dot, _norms, _pack, _packed_terms, _render
 from .polyring import _rewiden, _unpack
 from .words import S, Sym, T, Word, Z, alphabet, eval_word, make_word, relations
 
@@ -404,12 +405,8 @@ class _Engine:
         self._lm: dict = {}  # levels below n
         self._rw: dict = {}
         # the level-n columns, packed: width -> letter -> column by position;
-        # tables are only added to.  _rows[x][mu] is the sum of the entries'
-        # L1 norms in row mu over the columns of x stored so far, and
-        # _rowmax[x] the largest of them.
+        # tables are only added to
         self._packed: dict[int, dict[Sym, list]] = {}
-        self._rows: dict[Sym, dict[int, int]] = {}
-        self._rowmax: dict[Sym, int] = {}
         self._lock = threading.RLock()
         self._tk0: dict[int, list] = {}
         self._zpow: dict[int, list] = {}
@@ -920,15 +917,17 @@ class _Engine:
 
     def _state(self, combo: dict[BasisIndex, Poly]) -> _State:
         """Coefficients by basis index as a packed state (``_TopLevel``), at
-        ``_BITS``, doubled until their largest L1 norm, its bound, fits."""
-        bound = max(map(_l1, combo.values()), default=0)
+        ``_BITS``, doubled until the largest of its bounds, the L1 norms of
+        its ints' polynomials in a (``polyring._norms``), fits."""
+        size, vec, bound = self.size, {}, {}
+        polys = {self._position(lam): c for lam, c in combo.items()}
+        for pos, c in polys.items():
+            bound.update((pos + b * size, l1) for b, l1 in _norms(c).items())
         bits = _BITS
-        while bound >> (bits - 1):
+        while max(bound.values(), default=0) >> (bits - 1):
             bits *= 2
-        vec = {}
-        for lam, c in combo.items():
-            pos = self._position(lam)
-            vec.update((pos + b * self.size, w) for b, w in _pack(c, bits).items())
+        for pos, c in polys.items():
+            vec.update((pos + b * size, w) for b, w in _pack(c, bits).items())
         return _State(vec, bound, bits)
 
     def _by_position(self, vec: dict[int, int]) -> dict[int, dict[int, int]]:
@@ -952,8 +951,9 @@ class _Engine:
         """A column, given as its coefficients by position, packed at width
         ``_STORE_BITS`` as three tuples: (key, s) for the entries a^k and
         (key, s) for the entries -a^k, with s = k * _STORE_BITS, which are
-        all but a few, and (key, int) for the rest (``_Engine._state``), so
-        that most entries act by a shift rather than a product."""
+        all but a few, and (key, int, norm) for the rest (``_Engine._state``),
+        norm being the L1 norm of the int's polynomial in a.  So most
+        entries act by a shift rather than a product, and have norm 1."""
         size, arity = self.size, self.hp.arity
         plus, minus, other = [], [], []
         for pos, c in polys.items():
@@ -963,7 +963,8 @@ class _Engine:
                     b, k = _a_split(arity, m)
                     (plus if v == 1 else minus).append((pos + b * size, k * _STORE_BITS))
                     continue
-            other += [(pos + b * size, w) for b, w in _pack(c, _STORE_BITS).items()]
+            norms = _norms(c)
+            other += [(pos + b * size, w, norms[b]) for b, w in _pack(c, _STORE_BITS).items()]
         return tuple(plus), tuple(minus), tuple(other)
 
     def _table(self, bits: int, x: Sym) -> list:
@@ -979,34 +980,27 @@ class _Engine:
         """x * e_pos at level n, packed at width ``bits``, in the form of
         ``_column_form``.
 
-        A column is computed once and stored at width ``_STORE_BITS``.
-        Its entries' L1 norms are added to the row sums of x before it is
-        stored, once, under the lock: a lost update would leave a bound
-        too small.  A column at another width is derived from the stored
-        one: a shift k * _STORE_BITS becomes k * bits, and an int is
-        re-widened (``_rewiden``), which is exact as the coefficients are
-        checked to be below 2^(_STORE_BITS - 1)."""
+        A column is computed once, under the lock, and stored at width
+        ``_STORE_BITS``.  A column at another width is derived from the
+        stored one: a shift k * _STORE_BITS becomes k * bits, and an int is
+        re-widened (``_rewiden``), which is exact as its norm is checked to
+        be below 2^(_STORE_BITS - 1)."""
         with self._lock:
             stored = self._table(_STORE_BITS, x)
             if stored[pos] is None:
                 column = self._column(self.n, x, self._index(pos))
-                polys = {self._position(lam): c for c, lam in column}
-                norms = {mu: _l1(c) for mu, c in polys.items()}
-                if max(norms.values(), default=0) >> (_STORE_BITS - 1):
+                form = self._column_form({self._position(lam): c for c, lam in column})
+                if max((l1 for _, _, l1 in form[2]), default=0) >> (_STORE_BITS - 1):
                     why = f"a coefficient of a column of {x} reaches 2^{_STORE_BITS - 1}"
                     raise InvariantViolation(why)
-                rows = self._rows.setdefault(x, {})
-                for mu, l1 in norms.items():
-                    rows[mu] = rows.get(mu, 0) + l1
-                    self._rowmax[x] = max(self._rowmax.get(x, 0), rows[mu])
-                stored[pos] = self._column_form(polys)
+                stored[pos] = form
             table = self._table(bits, x)
             if table[pos] is None:
                 plus, minus, other = stored[pos]
                 table[pos] = (
                     tuple((k, s // _STORE_BITS * bits) for k, s in plus),
                     tuple((k, s // _STORE_BITS * bits) for k, s in minus),
-                    tuple((k, _rewiden(w, _STORE_BITS, bits)) for k, w in other),
+                    tuple((k, _rewiden(w, _STORE_BITS, bits), l1) for k, w, l1 in other),
                 )
             return table[pos]
 
@@ -1034,17 +1028,12 @@ class _Engine:
                 self._active = False
 
 
-def _l1(c: Poly) -> int:
-    """The sum of the absolute values of c's coefficients."""
-    return sum(map(abs, c.terms.values()))
-
-
 class _State:
     """A packed vector at width ``bits``, keyed by basis position (from
-    ``_Engine._position``) and b-monomial, with ``bound`` at least the largest
-    L1 norm of any position's coefficient, and below 2^(bits-1).  Once made,
-    a state keeps its ints and its width; only its bound may fall, to the
-    true norm (``_TopLevel._lin``)."""
+    ``_Engine._position``) and b-monomial, and its bounds by the same keys:
+    ``bound[q]`` is at least the L1 norm of the polynomial in a that
+    ``vec[q]`` packs, and below 2^(bits-1).  Nothing in a state changes
+    after it is made."""
 
     __slots__ = ("vec", "bound", "bits")
 
@@ -1063,17 +1052,15 @@ class _TopLevel:
     (always 0 for H(e,e,n)), and that monomial's polynomial in a at
     a = 2^bits.  a -> 2^bits is a ring map, so the ints
     are exact at any size.  They read back exactly, as balanced base-2^bits
-    digits, when every coefficient is below 2^(bits-1); each state carries a
-    bound, proved when it was made, on its largest L1 norm, which is more:
-
-    * a letter x multiplies it by the largest row sum of the L1 norms over
-      the columns of x fetched so far, which include every column it used;
-    * a coefficient c multiplies it by |c|_1, and a sum adds the bounds.
-
-    When a result's bound would reach 2^(bits-1), the inputs, which are
-    still exact, are read back and their bounds cut to their true norms.
-    Only if the result still does not fit is the width doubled, for the
-    rest of the call, and the inputs re-widened into new states.
+    digits, when every coefficient is below 2^(bits-1); each state carries,
+    per int, a bound on the L1 norm of its polynomial in a, which is more.
+    L1 norms are sub-multiplicative, so ``_lin`` proves each bound of its
+    result beside the int, as it adds into it: the input's bound times the
+    entry's norm, which is 1 for +-a^k in a column of a letter, and a
+    coefficient's norm at its b-monomial (``polyring._norms``).  When the
+    largest bound reaches 2^(bits-1), the width is doubled, for the rest of
+    the call, the inputs are re-widened into new states, and the sum is
+    made again.
     """
 
     def __init__(self, eng: _Engine, terms: _State):
@@ -1110,15 +1097,6 @@ class _TopLevel:
         vec = {q: _rewiden(v, st.bits, self.bits) for q, v in st.vec.items()}
         return _State(vec, st.bound, self.bits)
 
-    def _norm(self, st: _State) -> int:
-        """The true largest L1 norm of a position's coefficient in st, from
-        the digits of its ints (re-tightening)."""
-        size, norms = self.eng.size, {}
-        for q, v in st.vec.items():
-            pos = q % size
-            norms[pos] = norms.get(pos, 0) + sum(map(abs, _digits(v, st.bits)))
-        return max(norms.values(), default=0)
-
     def _lin(self, parts: list) -> _State:
         """The sum of op * state over the (op, state) pairs, where op is a
         letter or a coefficient, at this call's width, with its bound.  The
@@ -1129,13 +1107,18 @@ class _TopLevel:
         while True:
             parts = [(op, self._wide(st)) for op, st in parts]
             out: dict[int, int] = {}
-            get = out.get
+            bound: dict[int, int] = {}
+            get, bget = out.get, bound.get
             for op, st in parts:
+                norm = st.bound
                 if isinstance(op, Poly):
-                    shifts = [(b * size, v) for b, v in _pack(op, self.bits).items()]
+                    norms = _norms(op)
+                    shifts = [(b * size, v, norms[b]) for b, v in _pack(op, self.bits).items()]
                     for q, w in st.vec.items():
-                        for s, v in shifts:
+                        u = norm[q]
+                        for s, v, l1 in shifts:
                             out[q + s] = get(q + s, 0) + v * w
+                            bound[q + s] = bget(q + s, 0) + u * l1
                     continue
                 table = eng._table(self.bits, op)
                 for q, v in st.vec.items():
@@ -1144,32 +1127,27 @@ class _TopLevel:
                         col = table[pos]
                         if col is None:
                             col = eng._fetch(op, pos, self.bits)
-                        base = q - pos
+                        base, u = q - pos, norm[q]
                         plus, minus, other = col
                         for k, s in plus:
                             k += base
                             out[k] = get(k, 0) + (v << s)
+                            bound[k] = bget(k, 0) + u
                         for k, s in minus:
                             k += base
                             out[k] = get(k, 0) - (v << s)
-                        for k, w in other:
+                            bound[k] = bget(k, 0) + u
+                        for k, w, l1 in other:
                             k += base
                             out[k] = get(k, 0) + v * w
+                            bound[k] = bget(k, 0) + u * l1
             # b-codes add field by field: no field may carry into the next
             if arity > 1 and out and max(out) // size >> (WIDTH * arity):
                 raise InvariantViolation(f"product degree reaches 2^{WIDTH} in arity {arity}")
-            # read after the fetches: the row sums only grow
-            factors = [
-                _l1(op) if isinstance(op, Poly) else eng._rowmax.get(op, 0) for op, _ in parts
-            ]
-            bound = sum(st.bound * f for (_, st), f in zip(parts, factors))
-            if bound >> (self.bits - 1):
-                for _, st in parts:
-                    st.bound = self._norm(st)
-                bound = sum(st.bound * f for (_, st), f in zip(parts, factors))
-            if not bound >> (self.bits - 1):
+            top = max(bound.values(), default=0)
+            if not top >> (self.bits - 1):
                 return _State(out, bound, self.bits)
-            while bound >> (self.bits - 1):
+            while top >> (self.bits - 1):
                 self.bits *= 2
 
 

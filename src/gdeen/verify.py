@@ -7,8 +7,9 @@ against the generator matrices rather than against the code under test.
 Neither suite builds a BFS table.  The geodesic certificate evaluates
 words with the generators' row moves (``cayley.row_moves``); the Hecke
 suite checks the defining relations on every column of the action, in
-exact integer arithmetic, and compares the action with left
-multiplication of group elements through the a -> 0 specialization.
+exact integer arithmetic, compares the action with left multiplication
+of group elements through the a -> 0 specialization, and checks that
+each basis word sends 1 to its basis element.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .hecke import (
     basis_enumerate,
     hecke_mul,
     hecke_relations,
+    identity_index,
     leftmul_generator,
 )
 from .normal_form import _rank_order, _sweeps, census_expected, normal_form
@@ -170,12 +172,17 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
       cyclotomic relation hold on every basis column of the action;
     * specialization: at a, b_i -> 0 every generator acts on every basis
       element as left translation of the group;
+    * freeness: each basis word, one letter at a time on the identity,
+      gives a basis vector at every step and e_lambda at the end
+      (``_unit_path``), so h -> h * e_1 sends T_lambda to e_lambda.  The
+      T_lambda are then independent; with the paper's spanning theorem
+      the algebra is free of rank |W|;
     * associativity: ``samples`` seeded triples (xy)z = x(yz) of basis
-      elements, a cross-check of ``hecke_mul``.
+      elements, a cross-check of ``hecke_mul`` only.
 
     Each letter's columns x * e_lambda come from ``leftmul_generator``
-    once, with their indices checked against Lambda.  The relation checks
-    compose them on ints: Kronecker substitution, a -> 2^B and
+    once, with their indices checked against Lambda.  The checks compose
+    them on ints: Kronecker substitution, a -> 2^B and
     b_i -> 2^(B*s_i), is a ring map, and B and the strides s_i are derived
     from the columns on every run so that it is injective on every side
     (``_relation_width``, ``_kronecker``).  So two sides are equal exactly
@@ -223,9 +230,9 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
 
 
 def _action_failure(hp: HeckeParams, basis: list, lam_to_g: dict, report: dict):
-    """Check the relations, then the specialization, on the columns of the
-    action; return the first failure, or None.  The counts of the checks
-    that pass go into ``report``."""
+    """Check the relations, then the specialization, then freeness, on the
+    columns of the action; return the first failure, or None.  The counts
+    of the checks that pass go into ``report``."""
     gp = hp.group_params()
     # the action, read once: x * e_lambda for every letter x and basis index
     # lambda, as (position, coefficient) pairs.  At a -> 0 (b_i -> 0) each
@@ -278,6 +285,7 @@ def _action_failure(hp: HeckeParams, basis: list, lam_to_g: dict, report: dict):
         powers = [(Poly.variable(hp.arity, i), make_word(gp, [Z] * (d - i))) for i in range(1, d)]
         cyclotomic = "cyclotomic relation z^d = sum b_i z^{{d-i}} + 1 failed"
         checks.append((cyclotomic, [(one, make_word(gp, [Z] * d))], [(one, empty)] + powers))
+    words = [as_word(hp, lam) for lam in basis]
     encode = _kronecker(hp.arity, *_relation_width(hp.arity, columns, checks))
     for cols in columns.values():
         for j, col in enumerate(cols):
@@ -290,13 +298,18 @@ def _action_failure(hp: HeckeParams, basis: list, lam_to_g: dict, report: dict):
         lhs, rhs = (
             [(encode(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides
         )
-        for j, lam in enumerate(basis):
+        for j, w in enumerate(words):
             if _int_side(lhs, j) != _int_side(rhs, j):
-                return failure.format(word_text(as_word(hp, lam)))
+                return failure.format(word_text(w))
 
-    if translation is None:
-        report["action_entries_checked"] = len(columns) * len(basis)
-    return translation
+    if translation is not None:
+        return translation
+    report["action_entries_checked"] = len(columns) * len(basis)
+    unit = pos[identity_index(hp)]
+    for j, w in enumerate(words):
+        if _unit_path(columns, w, unit) != j:
+            return f"basis word {word_text(w)} does not send 1 to its basis element"
+    return None
 
 
 def _relation_width(arity: int, columns: dict, checks: list) -> tuple[int, list[int]]:
@@ -362,6 +375,20 @@ def _kronecker(arity: int, bits: int, degrees: list[int]):
         return total
 
     return encode
+
+
+def _unit_path(columns: dict, word, at: int):
+    """Where the int columns of ``word``'s letters, from the right, send the
+    basis vector at ``at``, if each column on the way is one entry of int
+    1; else None.  One column is within the bounds that make the Kronecker
+    map injective (each letter has a relation side of its own), so each
+    step is exactly a basis vector; a whole word's side might not be."""
+    for x in reversed(word.syms):
+        col = columns[x][at]
+        if len(col) != 1 or col[0][1] != 1:
+            return None
+        ((at, _),) = col
+    return at
 
 
 def _int_side(terms: list, j: int) -> dict[int, int]:

@@ -53,12 +53,14 @@ class Sym:
 Z = Sym("z")
 
 
-@lru_cache(maxsize=256)  # the normal-form sweeps rebuild the same few letters per element
+# the normal-form sweeps rebuild the same few letters per element; typed,
+# since T(True) and T(1.0) would share T(1)'s key
+@lru_cache(maxsize=256, typed=True)
 def T(k: int) -> Sym:
     return Sym("t", k)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def S(j: int) -> Sym:
     return Sym("s", j)
 
@@ -92,7 +94,7 @@ def _check_symbol(params: Params, sym: Sym) -> None:
         raise UnknownSymbol(f"{sym!r} is not a letter of G({d*e},{e},{n})")
     ok = False
     if sym.kind == "z":
-        ok = d > 1
+        ok = d > 1 and sym.i == 0
     elif sym.kind == "t":
         ok = (e > 1 or d == 1) and 0 <= sym.i < d * e
     elif sym.kind == "s":
@@ -163,10 +165,11 @@ def eval_word(word: Word) -> GroupElement:
     mats = _matrices(p)
     perm, exps = list(range(1, p.n + 1)), [0] * p.n
     for sym in word.syms:
-        m = mats.get(sym)
-        if m is None or not _is_int(sym.i):
-            # generator() raises UnknownSymbol for a letter outside the
-            # alphabet, and for Sym("s", 3.0), which finds the matrix of s3
+        # checked first: Sym("t", [0]) is unhashable, and Sym("s", 3.0)
+        # finds the matrix of s3; generator() raises UnknownSymbol for them,
+        # and for a letter outside the alphabet
+        m = mats.get(sym) if isinstance(sym, Sym) and _is_int(sym.i) else None
+        if m is None:
             x = generator(p, sym)
             m = mats[sym] = ((0, *x.perm), (0, *x.exps))
         xp, xe = m

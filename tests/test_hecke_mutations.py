@@ -14,7 +14,7 @@ import pytest
 
 import gdeen.hecke as hecke_mod
 import gdeen.verify as verify_mod
-from gdeen import d1n, een, verify_hecke
+from gdeen import Poly, as_word, basis_element, d1n, een, verify_hecke, word_text
 from gdeen.cli import main
 from gdeen.hecke import _Engine
 from gdeen.words import T
@@ -126,3 +126,24 @@ def test_colliding_basis_words_fail_the_bijection(monkeypatch):
         verify_mod, "as_word", lambda hp, lam: real(hp, first if lam == second else lam)
     )
     assert failure(H333) == f"as_word not injective: {second} and {first} collide"
+
+
+@pytest.mark.parametrize("hp", [H333, d1n(2, 3)], ids=str)
+def test_a_conjugated_action_fails_freeness(monkeypatch, hp):
+    # every column conjugated by Q = I + a E_{mu,nu}, with mu, nu distinct
+    # and not the identity: the relations hold and a -> 0 gives the same
+    # translations, but T_nu sends 1 to Q^{-1} e_nu = e_nu - a e_mu
+    real = verify_mod.leftmul_generator
+    mu, nu = hecke_mod.basis_enumerate(hp)[1:3]
+    a = Poly.variable(hp.arity, 0)
+
+    def conjugated(hp, sym, lam):
+        col = real(hp, sym, lam)  # X Q e_lam, then Q^{-1} = I - a E_{mu,nu}
+        if lam == nu:
+            col = col + real(hp, sym, mu).scaled(a)
+        c = col.combo.get(nu)
+        return col if c is None else col + basis_element(hp, mu).scaled(-(a * c))
+
+    monkeypatch.setattr(verify_mod, "leftmul_generator", conjugated)
+    word = word_text(as_word(hp, nu))
+    assert failure(hp) == f"basis word {word} does not send 1 to its basis element"

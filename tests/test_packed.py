@@ -4,10 +4,10 @@
 monomial in the b_i is its polynomial in a at a = 2^bits
 (``polyring._pack``), and results are read back as balanced base-2^bits
 digits (``polyring._unpack``).  That is exact only while every coefficient
-stays below 2^(bits-1).  Each call proves a bound on its coefficients,
-re-tightens it from the exact digits, and doubles bits when it must; these
-tests check the pair, the bound's sharpness, that a narrow starting width
-changes no result, and that without the re-tightening it would.
+stays below 2^(bits-1).  Each call proves a bound per int as it computes
+it, and doubles bits when it must; these tests check the pair, the bound's
+sharpness, that the bounds hold, that a narrow starting width changes no
+result, and that without the bounds it would.
 """
 
 import copy
@@ -20,7 +20,8 @@ import pytest
 
 import gdeen.hecke as hecke_mod
 from gdeen import HeckeElement, Poly, apply_word, basis_enumerate, d1n, een, hecke_mul, reduce_word
-from gdeen.polyring import _decode, _pack, _packed_terms, _render, _rewiden, _unpack, var_names
+from gdeen.polyring import _decode, _digits, _pack, _packed_terms, _render, _rewiden, _unpack
+from gdeen.polyring import var_names
 from gdeen.words import alphabet, make_word, parse_word
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -172,17 +173,15 @@ def products(hp, seed):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Per call of the engine, the re-tightenings and the widest width."""
+    """Per call of the engine, the widest width, and the largest L1 norm of
+    an int of any of its states, read from the digits."""
     seen = []
-    norm, lin = hecke_mod._TopLevel._norm, hecke_mod._TopLevel._lin
-
-    def counting_norm(self, st):
-        seen[-1][0] += 1
-        return norm(self, st)
+    lin = hecke_mod._TopLevel._lin
 
     def widest_lin(self, parts):
         st = lin(self, parts)
-        seen[-1][1] = max(seen[-1][1], st.bits)
+        norms = (sum(map(abs, _digits(v, st.bits))) for v in st.vec.values())
+        seen[-1] = [max(seen[-1][0], st.bits), max(seen[-1][1], *norms, 0)]
         return st
 
     def start(self, *args):
@@ -190,7 +189,6 @@ def calls(monkeypatch):
         return apply(self, *args)
 
     apply = hecke_mod._Engine.apply
-    monkeypatch.setattr(hecke_mod._TopLevel, "_norm", counting_norm)
     monkeypatch.setattr(hecke_mod._TopLevel, "_lin", widest_lin)
     monkeypatch.setattr(hecke_mod._Engine, "apply", start)
     return seen
@@ -203,19 +201,50 @@ def test_a_narrow_start_changes_no_result(hp, seed, calls, monkeypatch):
     monkeypatch.setattr(hecke_mod, "_BITS", 4)
     calls.clear()
     assert [h.to_json() for h in products(hp, seed)] == want
-    # every call re-tightened its bound and widened past 4 bits
-    assert calls and all(norms and widest > 4 for norms, widest in calls)
+    # every call widened past 4 bits, but one whose ints all fit 4 bits,
+    # such as the third call on H(3,1,3), whose largest norm is 6
+    assert calls and all(widest > 4 or peak < 8 for widest, peak in calls)
+    assert any(widest > 4 for widest, _ in calls)
 
 
 @pytest.mark.parametrize("hp, seed", CASES, ids=str)
 def test_the_bound_is_what_makes_a_narrow_start_exact(hp, seed, monkeypatch):
-    # with re-tightening replaced by "bound = 0" nothing ever widens, and
-    # some coefficient no longer fits 4 bits
+    # with every norm of a coefficient or a column entry taken as 0, every
+    # bound is 0 or a sum of bounds, so nothing ever widens, and some
+    # coefficient no longer fits 4 bits
     want = [h.to_json() for h in products(hp, seed)]
     hecke_mod._engine.cache_clear()
     monkeypatch.setattr(hecke_mod, "_BITS", 4)
-    monkeypatch.setattr(hecke_mod._TopLevel, "_norm", lambda self, st: 0)
+    norms = hecke_mod._norms
+    monkeypatch.setattr(hecke_mod, "_norms", lambda p: dict.fromkeys(norms(p), 0))
     assert [h.to_json() for h in products(hp, seed)] != want
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(st.sampled_from([een(3, 3), d1n(2, 3)]), st.data())
+def test_every_bound_holds_after_every_step(hp, data):
+    # each int's bound is at least the L1 norm of the polynomial it packs,
+    # read from its digits, and every bound fits the width
+    letters = [str(x) for x in alphabet(hp.group_params())]
+    word = " ".join(data.draw(st.lists(st.sampled_from(letters), max_size=12)))
+    hecke_mod._engine.cache_clear()
+    steps = []
+    lin = hecke_mod._TopLevel._lin
+
+    def checked_lin(self, parts):
+        state = lin(self, parts)
+        steps.append(state)
+        return state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hecke_mod, "_BITS", 4)
+        mp.setattr(hecke_mod._TopLevel, "_lin", checked_lin)
+        reduce_word(hp, word)
+    for state in steps:
+        assert state.bound.keys() == state.vec.keys()
+        for q, v in state.vec.items():
+            assert state.bound[q] >= sum(map(abs, _digits(v, state.bits)))
+        assert not max(state.bound.values(), default=0) >> (state.bits - 1)
 
 
 def test_the_top_level_keeps_its_columns_packed_only():
@@ -228,24 +257,16 @@ def test_the_top_level_keeps_its_columns_packed_only():
 
 def test_concurrent_callers_agree_with_serial_ones():
     # cold engines, four threads on two cores, a short switch interval, and
-    # words long enough that the bound is re-tightened at the default width.
-    # The row sums must come out as in a serial run: a lost update there
-    # would leave a bound too small.
+    # long words.  The stored columns must come out as in a serial run, each
+    # computed and stored once under the engine's lock.
     rng = random.Random(5)
     jobs = []
     for hp, length in [(een(3, 3), 70), (d1n(3, 3), 40)]:
         letters = [str(x) for x in alphabet(hp.group_params())]
         jobs += [(hp, " ".join(rng.choice(letters) for _ in range(length))) for _ in range(6)]
     serial = [reduce_word(hp, w).to_json() for hp, w in jobs]
-    rows = {hp: hecke_mod._engine(hp)._rows for hp, _ in jobs}
+    stored = {hp: hecke_mod._engine(hp)._packed[hecke_mod._STORE_BITS] for hp, _ in jobs}
     hecke_mod._engine.cache_clear()
-
-    norms = []
-    real = hecke_mod._TopLevel._norm
-
-    def counting_norm(self, st):
-        norms.append(1)
-        return real(self, st)
 
     results = [None] * len(jobs)
     barrier = threading.Barrier(4)
@@ -257,7 +278,6 @@ def test_concurrent_callers_agree_with_serial_ones():
             results[j] = reduce_word(hp, w).to_json()
 
     interval = sys.getswitchinterval()
-    hecke_mod._TopLevel._norm = counting_norm
     sys.setswitchinterval(1e-6)
     try:
         threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
@@ -267,11 +287,10 @@ def test_concurrent_callers_agree_with_serial_ones():
             t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-        hecke_mod._TopLevel._norm = real
     assert not any(t.is_alive() for t in threads)
-    assert norms
     assert results == serial
-    assert {hp: hecke_mod._engine(hp)._rows for hp in rows} == rows
+    stores = {hp: hecke_mod._engine(hp)._packed[hecke_mod._STORE_BITS] for hp in stored}
+    assert stores == stored
 
 
 def seeded_word(hp, length, seed):

@@ -186,3 +186,22 @@ def test_eval_word_builds_only_the_letters_it_uses():
         tracemalloc.stop()
     assert peak < 2**20
     assert g == generator(params, T(1))
+
+
+def _t_after_a_bool():
+    T(True)  # must not stand in for T(1.0) in the letter cache
+    return make_word(Params(1, 3, 3), [T(1.0)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_word(Params(3, 3, 3), [Sym("z", 5)]), "z"),
+        (_t_after_a_bool, r"i=1\.0"),
+        (lambda: eval_word(Word(Params(1, 3, 3), (Sym("t", [0]),))), r"i=\[0\]"),
+    ],
+    ids=["z-with-an-index", "t-of-a-float-after-a-bool", "unhashable-index-in-eval"],
+)
+def test_malformed_letters_are_refused(build, message):
+    with pytest.raises(UnknownSymbol, match=message):
+        build()
