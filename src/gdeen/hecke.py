@@ -44,11 +44,13 @@ Levels below n compute on ``Poly`` terms; the top level n computes on
 packed ints, each with a bound on its coefficients that the call proves as
 it computes the int (``_TopLevel``).  Its packed state is the one form of
 a ``HeckeElement``, which the engine takes and returns as it is; the
-``Poly`` coefficients are decoded only when they are read.  A state holds
-coefficients by basis position, and the position map is arithmetic
-(``_Engine._position``): the mixed-radix number of an index's per-level
-shape ranks, top level fastest, which is the order of
-``basis_enumerate``.  No engine lists the basis.
+``Poly`` coefficients are decoded only when they are read.  A width belongs
+to a state, not to what the engine stores: each level-n column is kept
+once, as the monomials c * a^k of its coefficients, and a call shifts them
+by k * bits at its own width.  A state holds coefficients by basis
+position, and the position map is arithmetic (``_Engine._position``): the
+mixed-radix number of an index's per-level shape ranks, top level fastest,
+which is the order of ``basis_enumerate``.  No engine lists the basis.
 
 Coefficients live in Z[a] (H(e,e,n)) or Z[a, b_1..b_{d-1}] (H(d,1,n));
 the quadratic relations are x^2 = a x + 1 and z^d = b_1 z^{d-1} + ... +
@@ -68,8 +70,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation, ParamsMismatch, RecursionGuardExceeded, UnknownSymbol
 from .group import GroupElement, Params, _is_int
-from .polyring import WIDTH, Poly, _a_split, _dot, _norms, _pack, _packed_terms, _render
-from .polyring import _rewiden, _unpack
+from .polyring import WIDTH, Poly, _a_split, _dot, _packed_terms, _render, _rewiden, _unpack
 from .words import S, Sym, T, Word, Z, alphabet, eval_word, make_word, relations
 
 __all__ = [
@@ -104,10 +105,9 @@ _SHAPE_TYPES = frozenset({str, int})  # of a shape's parts: a kind, then ints
 MOVE_BUDGET = 10**6
 
 # The top level of the engine runs on ints, a -> 2^bits (``_TopLevel``):
-# each call starts at width _BITS, and the level-n columns are stored at
-# width _STORE_BITS, from which a column at any other width is derived.
+# each state is made at width _BITS, which a call doubles as it must.  The
+# stored level-n columns have no width.
 _BITS = 64
-_STORE_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -267,10 +267,10 @@ class HeckeElement:
     state of the engine's top level (``_State``): the coefficients by basis
     position, in the order of ``basis_enumerate``, at a = 2^bits.  The
     constructor checks every coefficient, and positions every index by the
-    walk that also checks it (``_Engine._position``), and packs them once
-    (``_Engine._state``); engine results, sums and scalings are states
-    already.  No operation changes the ints or the width of a state, and
-    ``==`` compares the ints.
+    walk that also checks it (``_Engine._position``), and makes the state
+    as the sum of the c * e_pos (``_Engine._state``), by the same ``_lin``
+    that makes engine results, sums and scalings.  No operation changes the
+    ints or the width of a state, and ``==`` compares the ints.
 
     ``combo`` maps each basis index to its nonzero coefficient: the
     constructor's map, or the state's, decoded the first time it is read,
@@ -404,9 +404,9 @@ class _Engine:
         self._texts: dict[int, str] = {}
         self._lm: dict = {}  # levels below n
         self._rw: dict = {}
-        # the level-n columns, packed: width -> letter -> column by position;
-        # tables are only added to
-        self._packed: dict[int, dict[Sym, list]] = {}
+        # the level-n columns, with no width: letter -> column by position
+        # (``_column_form``); tables are only added to
+        self._packed: dict[Sym, list] = {}
         self._lock = threading.RLock()
         self._tk0: dict[int, list] = {}
         self._zpow: dict[int, list] = {}
@@ -915,20 +915,16 @@ class _Engine:
             text = self._texts[pos] = " ".join(filter(None, levels))
         return text
 
+    def _unit(self, pos: int) -> _State:
+        """e_pos as a state at width ``_BITS``: the int 1, with bound 1."""
+        return _State({pos: 1}, {pos: 1}, _BITS)
+
     def _state(self, combo: dict[BasisIndex, Poly]) -> _State:
-        """Coefficients by basis index as a packed state (``_TopLevel``), at
-        ``_BITS``, doubled until the largest of its bounds, the L1 norms of
-        its ints' polynomials in a (``polyring._norms``), fits."""
-        size, vec, bound = self.size, {}, {}
-        polys = {self._position(lam): c for lam, c in combo.items()}
-        for pos, c in polys.items():
-            bound.update((pos + b * size, l1) for b, l1 in _norms(c).items())
-        bits = _BITS
-        while max(bound.values(), default=0) >> (bits - 1):
-            bits *= 2
-        for pos, c in polys.items():
-            vec.update((pos + b * size, w) for b, w in _pack(c, bits).items())
-        return _State(vec, bound, bits)
+        """Coefficients by basis index as a packed state: the sum of the
+        c * e_pos, made by ``_TopLevel._lin`` on unit states, so at
+        ``_BITS``, doubled until its bounds fit."""
+        units = [(c, self._unit(self._position(lam))) for lam, c in combo.items()]
+        return _TopLevel(self, _State({}, {}, _BITS))._lin(units)
 
     def _by_position(self, vec: dict[int, int]) -> dict[int, dict[int, int]]:
         """The nonzero ints of a packed vector by position, then by the code
@@ -948,60 +944,41 @@ class _Engine:
         return {pos: _unpack(arity, g, bits) for pos, g in self._by_position(vec).items()}
 
     def _column_form(self, polys: dict[int, Poly]) -> tuple:
-        """A column, given as its coefficients by position, packed at width
-        ``_STORE_BITS`` as three tuples: (key, s) for the entries a^k and
-        (key, s) for the entries -a^k, with s = k * _STORE_BITS, which are
-        all but a few, and (key, int, norm) for the rest (``_Engine._state``),
-        norm being the L1 norm of the int's polynomial in a.  So most
-        entries act by a shift rather than a product, and have norm 1."""
+        """Coefficients by position as three tuples of monomials, with no
+        width, where key is position + bcode * |Lambda|: (key, k) for a
+        coefficient a^k, (key, k) for a coefficient -a^k, which are all but
+        a few, and (key, k, c, |c|) for each monomial c * a^k of any other
+        coefficient.  So most entries act by a shift rather than a product,
+        and add the input's bound to their key's."""
         size, arity = self.size, self.hp.arity
         plus, minus, other = [], [], []
         for pos, c in polys.items():
-            if len(c.terms) == 1:
-                ((m, v),) = c.terms.items()
-                if v == 1 or v == -1:
-                    b, k = _a_split(arity, m)
-                    (plus if v == 1 else minus).append((pos + b * size, k * _STORE_BITS))
-                    continue
-            norms = _norms(c)
-            other += [(pos + b * size, w, norms[b]) for b, w in _pack(c, _STORE_BITS).items()]
+            for m, v in c.terms.items():
+                b, k = _a_split(arity, m)
+                entry = (pos + b * size, k)
+                if len(c.terms) > 1 or abs(v) != 1:
+                    other.append(entry + (v, abs(v)))
+                else:
+                    (plus if v == 1 else minus).append(entry)
         return tuple(plus), tuple(minus), tuple(other)
 
-    def _table(self, bits: int, x: Sym) -> list:
-        """The level-n columns of x packed at width ``bits``, by position;
-        None where a column has not been fetched at that width."""
+    def _table(self, x: Sym) -> list:
+        """The level-n columns of x by position; None where a column has
+        not been fetched."""
         try:
-            return self._packed[bits][x]
+            return self._packed[x]
         except KeyError:
             with self._lock:
-                return self._packed.setdefault(bits, {}).setdefault(x, [None] * self.size)
+                return self._packed.setdefault(x, [None] * self.size)
 
-    def _fetch(self, x: Sym, pos: int, bits: int) -> tuple:
-        """x * e_pos at level n, packed at width ``bits``, in the form of
-        ``_column_form``.
-
-        A column is computed once, under the lock, and stored at width
-        ``_STORE_BITS``.  A column at another width is derived from the
-        stored one: a shift k * _STORE_BITS becomes k * bits, and an int is
-        re-widened (``_rewiden``), which is exact as its norm is checked to
-        be below 2^(_STORE_BITS - 1)."""
+    def _fetch(self, x: Sym, pos: int) -> tuple:
+        """x * e_pos at level n, in the form of ``_column_form``: computed
+        once, under the lock, and stored for every width."""
         with self._lock:
-            stored = self._table(_STORE_BITS, x)
-            if stored[pos] is None:
-                column = self._column(self.n, x, self._index(pos))
-                form = self._column_form({self._position(lam): c for c, lam in column})
-                if max((l1 for _, _, l1 in form[2]), default=0) >> (_STORE_BITS - 1):
-                    why = f"a coefficient of a column of {x} reaches 2^{_STORE_BITS - 1}"
-                    raise InvariantViolation(why)
-                stored[pos] = form
-            table = self._table(bits, x)
+            table = self._table(x)
             if table[pos] is None:
-                plus, minus, other = stored[pos]
-                table[pos] = (
-                    tuple((k, s // _STORE_BITS * bits) for k, s in plus),
-                    tuple((k, s // _STORE_BITS * bits) for k, s in minus),
-                    tuple((k, _rewiden(w, _STORE_BITS, bits), l1) for k, w, l1 in other),
-                )
+                column = self._column(self.n, x, self._index(pos))
+                table[pos] = self._column_form({self._position(lam): c for c, lam in column})
             return table[pos]
 
     # -- the one entry point ---------------------------------------------------
@@ -1055,12 +1032,12 @@ class _TopLevel:
     digits, when every coefficient is below 2^(bits-1); each state carries,
     per int, a bound on the L1 norm of its polynomial in a, which is more.
     L1 norms are sub-multiplicative, so ``_lin`` proves each bound of its
-    result beside the int, as it adds into it: the input's bound times the
-    entry's norm, which is 1 for +-a^k in a column of a letter, and a
-    coefficient's norm at its b-monomial (``polyring._norms``).  When the
-    largest bound reaches 2^(bits-1), the width is doubled, for the rest of
-    the call, the inputs are re-widened into new states, and the sum is
-    made again.
+    result beside the int, as it adds into it: the input's bound times |c|
+    for each monomial c * a^k that it adds in, which is 1 for +-a^k.  When
+    the largest bound reaches 2^(bits-1), the width is doubled, for the rest
+    of the call, the inputs are re-widened into new states, and the sum is
+    made again.  The width is the states' alone: the letters' columns and
+    the coefficients act through their monomials, shifted by k * bits.
     """
 
     def __init__(self, eng: _Engine, terms: _State):
@@ -1099,48 +1076,48 @@ class _TopLevel:
 
     def _lin(self, parts: list) -> _State:
         """The sum of op * state over the (op, state) pairs, where op is a
-        letter or a coefficient, at this call's width, with its bound.  The
-        width is at least that of every state, and only grows."""
+        letter or a coefficient, at this call's width, with its bound.  Both
+        act through monomials in the form of ``_Engine._column_form``: a
+        letter through its column at each position of the state, a
+        coefficient through its own, keyed by b-monomial alone.  The width
+        is at least that of every state, and only grows."""
         eng, arity = self.eng, self.eng.hp.arity
         size = eng.size
         self.bits = max([self.bits] + [st.bits for _, st in parts])
         while True:
             parts = [(op, self._wide(st)) for op, st in parts]
+            bits = self.bits
             out: dict[int, int] = {}
             bound: dict[int, int] = {}
             get, bget = out.get, bound.get
             for op, st in parts:
                 norm = st.bound
                 if isinstance(op, Poly):
-                    norms = _norms(op)
-                    shifts = [(b * size, v, norms[b]) for b, v in _pack(op, self.bits).items()]
-                    for q, w in st.vec.items():
-                        u = norm[q]
-                        for s, v, l1 in shifts:
-                            out[q + s] = get(q + s, 0) + v * w
-                            bound[q + s] = bget(q + s, 0) + u * l1
-                    continue
-                table = eng._table(self.bits, op)
+                    table, col = None, eng._column_form({0: op})
+                else:
+                    table = eng._table(op)
                 for q, v in st.vec.items():
-                    if v:
+                    base = q
+                    if table is not None:
+                        if not v:  # so no column is fetched for nothing
+                            continue
                         pos = q % size
-                        col = table[pos]
-                        if col is None:
-                            col = eng._fetch(op, pos, self.bits)
-                        base, u = q - pos, norm[q]
-                        plus, minus, other = col
-                        for k, s in plus:
-                            k += base
-                            out[k] = get(k, 0) + (v << s)
-                            bound[k] = bget(k, 0) + u
-                        for k, s in minus:
-                            k += base
-                            out[k] = get(k, 0) - (v << s)
-                            bound[k] = bget(k, 0) + u
-                        for k, w, l1 in other:
-                            k += base
-                            out[k] = get(k, 0) + v * w
-                            bound[k] = bget(k, 0) + u * l1
+                        col = table[pos] or eng._fetch(op, pos)
+                        base -= pos
+                    u = norm[q]
+                    plus, minus, other = col
+                    for key, k in plus:
+                        key += base
+                        out[key] = get(key, 0) + (v << k * bits)
+                        bound[key] = bget(key, 0) + u
+                    for key, k in minus:
+                        key += base
+                        out[key] = get(key, 0) - (v << k * bits)
+                        bound[key] = bget(key, 0) + u
+                    for key, k, c, l1 in other:
+                        key += base
+                        out[key] = get(key, 0) + (c * v << k * bits)
+                        bound[key] = bget(key, 0) + u * l1
             # b-codes add field by field: no field may carry into the next
             if arity > 1 and out and max(out) // size >> (WIDTH * arity):
                 raise InvariantViolation(f"product degree reaches 2^{WIDTH} in arity {arity}")
@@ -1167,8 +1144,7 @@ def leftmul_generator(hp: HeckeParams, sym: Sym, lam: BasisIndex) -> HeckeElemen
     # as in make_word: Sym("t", 1.0) equals, and would pass as, T(1)
     if not (isinstance(sym, Sym) and _is_int(sym.i) and sym in eng.letters):
         raise UnknownSymbol(f"{sym} is not a generator of {hp}")
-    eng._position(lam)  # checked before it is a dict key: a list is unhashable
-    return eng.apply([(eng.one, (sym,))], eng._state({lam: eng.one}))
+    return eng.apply([(eng.one, (sym,))], eng._unit(eng._position(lam)))
 
 
 def reduce_word(hp: HeckeParams, word: Word | str) -> HeckeElement:

@@ -252,17 +252,6 @@ def _pack(p: Poly, bits: int) -> dict[int, int]:
     return out
 
 
-def _norms(p: Poly) -> dict[int, int]:
-    """The L1 norm of each polynomial in ``a`` that ``_pack`` packs, by the
-    same keys: an int of ``_pack(p, bits)`` reads back exactly when its
-    norm is below 2^(bits-1), and norms are sub-multiplicative."""
-    out: dict[int, int] = {}
-    for m, c in p.terms.items():
-        b = _a_split(p.arity, m)[0]
-        out[b] = out.get(b, 0) + abs(c)
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _offset(bits: int, n: int) -> int:
     """2^(bits-1) in each of n base-2^bits digits."""

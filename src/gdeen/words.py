@@ -101,7 +101,9 @@ def _check_symbol(params: Params, sym: Sym) -> None:
         lo = 2 if (e == 1 and d > 1) else 3
         ok = lo <= sym.i <= n
     if not ok:
-        raise UnknownSymbol(f"symbol {sym} is not in the alphabet of G({d*e},{e},{n})")
+        # str(z) hides the index, which may be what is refused
+        name = f"z with index {sym.i}" if sym.kind == "z" and sym.i else sym
+        raise UnknownSymbol(f"symbol {name} is not in the alphabet of G({d*e},{e},{n})")
 
 
 def generator(params: Params, sym: Sym) -> GroupElement:

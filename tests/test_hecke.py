@@ -606,6 +606,25 @@ def test_a_position_is_the_mixed_radix_number_of_the_level_ranks(hp):
         assert eng._index(j) == lam
 
 
+def test_a_column_walks_its_index_once(monkeypatch):
+    # leftmul_generator positions its index by the walk that checks it, and
+    # starts from the unit state at that position.  From a cold engine, the
+    # certificate of H(3,3,4) walks 12 418 indices; walking each of its
+    # 3 240 columns' indices twice would make it 15 658
+    hecke_mod._engine.cache_clear()
+    walks = []
+    real = hecke_mod._Engine._position
+
+    def counting(self, lam):
+        walks.append(None)
+        return real(self, lam)
+
+    monkeypatch.setattr(hecke_mod._Engine, "_position", counting)
+    assert verify_hecke(een(3, 4), samples=0)["ok"]
+    assert len(walks) == 12418
+    hecke_mod._engine.cache_clear()
+
+
 @pytest.mark.parametrize(
     "build, text",
     [

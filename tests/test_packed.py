@@ -174,19 +174,25 @@ def products(hp, seed):
 @pytest.fixture
 def calls(monkeypatch):
     """Per call of the engine, the widest width, and the largest L1 norm of
-    an int of any of its states, read from the digits."""
-    seen = []
+    an int of any of its states, read from the digits.  The ``_lin`` of a
+    constructor, outside every call, is not counted."""
+    seen, inside = [], []
     lin = hecke_mod._TopLevel._lin
 
     def widest_lin(self, parts):
         st = lin(self, parts)
-        norms = (sum(map(abs, _digits(v, st.bits))) for v in st.vec.values())
-        seen[-1] = [max(seen[-1][0], st.bits), max(seen[-1][1], *norms, 0)]
+        if inside:
+            norms = (sum(map(abs, _digits(v, st.bits))) for v in st.vec.values())
+            seen[-1] = [max(seen[-1][0], st.bits), max(seen[-1][1], *norms, 0)]
         return st
 
     def start(self, *args):
         seen.append([0, 0])
-        return apply(self, *args)
+        inside.append(True)
+        try:
+            return apply(self, *args)
+        finally:
+            inside.pop()
 
     apply = hecke_mod._Engine.apply
     monkeypatch.setattr(hecke_mod._TopLevel, "_lin", widest_lin)
@@ -209,14 +215,25 @@ def test_a_narrow_start_changes_no_result(hp, seed, calls, monkeypatch):
 
 @pytest.mark.parametrize("hp, seed", CASES, ids=str)
 def test_the_bound_is_what_makes_a_narrow_start_exact(hp, seed, monkeypatch):
-    # with every norm of a coefficient or a column entry taken as 0, every
-    # bound is 0 or a sum of bounds, so nothing ever widens, and some
+    # with the bound of every unit state, where each state's bounds start,
+    # and every |c| of a monomial of a column or a coefficient taken as 0,
+    # every bound is 0 or a sum of bounds, so nothing ever widens, and some
     # coefficient no longer fits 4 bits
     want = [h.to_json() for h in products(hp, seed)]
     hecke_mod._engine.cache_clear()
     monkeypatch.setattr(hecke_mod, "_BITS", 4)
-    norms = hecke_mod._norms
-    monkeypatch.setattr(hecke_mod, "_norms", lambda p: dict.fromkeys(norms(p), 0))
+    unit, form = hecke_mod._Engine._unit, hecke_mod._Engine._column_form
+
+    def unbounded_unit(self, pos):
+        st = unit(self, pos)
+        return hecke_mod._State(st.vec, dict.fromkeys(st.bound, 0), st.bits)
+
+    def unbounded_form(self, polys):
+        plus, minus, other = form(self, polys)
+        return plus, minus, tuple((key, k, c, 0) for key, k, c, _ in other)
+
+    monkeypatch.setattr(hecke_mod._Engine, "_unit", unbounded_unit)
+    monkeypatch.setattr(hecke_mod._Engine, "_column_form", unbounded_form)
     assert [h.to_json() for h in products(hp, seed)] != want
 
 
@@ -252,7 +269,23 @@ def test_the_top_level_keeps_its_columns_packed_only():
     reduce_word(hp, "s4 s3 t1 t0 s3 s4 t2 s3")
     eng = hecke_mod._engine(hp)
     assert eng._lm and all(m < hp.n for m, _, _ in eng._lm)
-    assert set(eng._packed) == {hecke_mod._STORE_BITS}
+    assert eng._packed and set(eng._packed) <= set(alphabet(hp.group_params()))
+    assert all(len(table) == eng.size for table in eng._packed.values())
+
+
+def test_a_widening_call_stores_each_column_once(monkeypatch):
+    # a column has no width: a call that starts at 4 bits and widens five
+    # times stores one column list per letter, the one a 64-bit run stores
+    hp = een(3, 3)
+    word = seeded_word(hp, 100, 3)
+    reduce_word(hp, word)
+    wide = hecke_mod._engine(hp)._packed
+    hecke_mod._engine.cache_clear()
+    monkeypatch.setattr(hecke_mod, "_BITS", 4)
+    assert reduce_word(hp, word)._state.bits == 128
+    narrow = hecke_mod._engine(hp)._packed
+    assert set(narrow) <= set(alphabet(hp.group_params()))
+    assert narrow == wide
 
 
 def test_concurrent_callers_agree_with_serial_ones():
@@ -265,7 +298,7 @@ def test_concurrent_callers_agree_with_serial_ones():
         letters = [str(x) for x in alphabet(hp.group_params())]
         jobs += [(hp, " ".join(rng.choice(letters) for _ in range(length))) for _ in range(6)]
     serial = [reduce_word(hp, w).to_json() for hp, w in jobs]
-    stored = {hp: hecke_mod._engine(hp)._packed[hecke_mod._STORE_BITS] for hp, _ in jobs}
+    stored = {hp: hecke_mod._engine(hp)._packed for hp, _ in jobs}
     hecke_mod._engine.cache_clear()
 
     results = [None] * len(jobs)
@@ -289,7 +322,7 @@ def test_concurrent_callers_agree_with_serial_ones():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == serial
-    stores = {hp: hecke_mod._engine(hp)._packed[hecke_mod._STORE_BITS] for hp in stored}
+    stores = {hp: hecke_mod._engine(hp)._packed for hp in stored}
     assert stores == stored
 
 
@@ -322,7 +355,7 @@ def test_a_result_renders_packed_and_decodes_combo_once(hp, decodes):
     assert decodes == []  # rendered from the digits
     combo = h.combo
     assert h.combo is combo and len(decodes) == 1
-    # after the decode it renders from its Polys, to the same text
+    # the decode changes nothing that it renders: still the digits, the same text
     assert str(h) == text and h.to_json() == js and len(decodes) == 1
 
 

@@ -197,10 +197,16 @@ def _t_after_a_bool():
     "build, message",
     [
         (lambda: make_word(Params(3, 3, 3), [Sym("z", 5)]), "z"),
+        (lambda: make_word(Params(3, 3, 3), [Sym("z", 5)]), "symbol z with index 5 is not"),
         (_t_after_a_bool, r"i=1\.0"),
         (lambda: eval_word(Word(Params(1, 3, 3), (Sym("t", [0]),))), r"i=\[0\]"),
     ],
-    ids=["z-with-an-index", "t-of-a-float-after-a-bool", "unhashable-index-in-eval"],
+    ids=[
+        "z-with-an-index",
+        "z-names-its-index",
+        "t-of-a-float-after-a-bool",
+        "unhashable-index-in-eval",
+    ],
 )
 def test_malformed_letters_are_refused(build, message):
     with pytest.raises(UnknownSymbol, match=message):
