@@ -117,6 +117,8 @@ LIB_CASES = {
     "leftmul-s2-h512": lambda: _leftmul_columns(d1n(5, 2), 2),
     "leftmul-s2-s3-h413": lambda: _leftmul_columns(d1n(4, 3), 2, 3),
     "leftmul-s3-h553": lambda: _leftmul_columns(een(5, 3), 3),
+    "leftmul-s4-h334": lambda: _leftmul_columns(een(3, 4), 4),
+    "leftmul-s4-h314": lambda: _leftmul_columns(d1n(3, 4), 4),
     "reduce-long-h334": lambda: _long_words(een(3, 4), 200),
     "reduce-long-h314": lambda: _long_words(d1n(3, 4), 60),
     "reduce-35-h334": lambda: _long_words(een(3, 4), 35, count=20, seed=1),
@@ -169,6 +171,8 @@ GOLDEN = {
     'leftmul-s2-h512': 'dc1d03a652e86f81794716016f4c8f267be5d47a24cbfc396082e285e3648c18',
     'leftmul-s2-s3-h413': '73ef0d9ad48a899b8b0d70c88a92d7752bfbf4e2642d62a180b5af889ea9034c',
     'leftmul-s3-h553': '403c34c260fda1cecd1e02796c3f5e7151a8f11d5d42302f41dc84018fac1137',
+    'leftmul-s4-h314': 'd9543064414e36d57645e152dd04fe28cbceb95a79dfc148b56ea222d68584b9',
+    'leftmul-s4-h334': '1ee9c8e2d5c10a4511e1aef1d577f765745f68a0fa037f93485dcbde61ad441a',
     'mul-h313': '68bb8f07887b65e9ef13539807ff37764f2611035f324ebd030de05425528144',
     'mul-h333': '638cafc3cdeae0a9c8978e51c0cf642ab61c823b052359a51007027d4c2ab0ee',
     'mul-h443': 'ac62d4f0ef37871f3f2f98dd06cd7fc86db0b4aa71c68040c65318a8c6e75c6f',
