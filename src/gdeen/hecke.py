@@ -14,21 +14,21 @@ H(d,1,n)):
 
 Left multiplication by a generator is a structural recursion on the level
 n.  A generator of level below n acts on the prefix inside the rank-(n-1)
-subalgebra and the top part is re-appended.  For x = s_n, x commutes past
-levels 2..n-2 and the pair (lambda_{n-1}, lambda_n) is rewritten by a
-case analysis built from three ingredients:
+subalgebra and the top part is re-appended.  For x = s_m, x commutes past
+levels below m-1, and s_m * lambda_{m-1} is itself a level-m shape, the
+*lift* (at level 2 of H(d,1,n), s_2 z^k).  Right-multiplication *folds*
+then append the letters of lambda_m to it one at a time, its descending
+run s_m .. s_ip first and a run of z's as one fold.  Each fold step is a
+commutation shift, a braid move, a quadratic split, or a dip into the
+rank-2 subalgebra.  That is the one rule for every s_m, from rank 2 up.
+Beside it there are:
 
-* closed-form *heads* for s_n * (lambda_{n-1} * s_n..s_{i'}), which use
-  only commutation shifts and braid moves (plus one quadratic split in the
-  descending/descending case);
-* right-multiplication *folds* that append the remaining letters of
-  lambda_n one at a time, each fold step being a commutation shift, a
-  braid move, a quadratic expansion, or a dip into the rank-2 subalgebra;
-* rank-2 base cases, each a rank-2 product followed by one letter on the
-  right: for H(e,e,n), the t_j t_i recurrence
+* rank-2 base cases for the letters that are no s_m: t_i on Lambda_2 of
+  H(e,e,n), by the t_j t_i recurrence
   t_j t_i = t_{j-1} t_{i-1} + a (t_i - t_{j-1}), then t_0 on the right;
-  for H(d,1,n), (s_2 z^k s_2) z^l, then s_2 on the right, where
-  s_2 z^k s_2 is expanded in (s_2 z s_2)-powers.  The folds also need
+  and z on level 1 of H(d,1,n), by the cyclotomic relation;
+* the expansions that the folds dip into: (s_2 z^k s_2) z^l over
+  Lambda_1 Lambda_2, with s_2 z^k s_2 expanded in (s_2 z s_2)-powers, and
   the H(e,e,3)-local expansion of s_3 (t_k t_0) s_3 t_l.
 
 Every prefix produced on the way is re-reduced recursively in the smaller
@@ -228,13 +228,16 @@ def _shape_word(hp: HeckeParams, i: int, shape: Shape) -> tuple[Sym, ...]:
     return desc + (Z,) * k + tuple(S(j) for j in range(2, i2 + 1))
 
 
+def _index_word(hp: HeckeParams, lam: BasisIndex) -> tuple[Sym, ...]:
+    """The letters of a basis index's word, level by level, unchecked; of
+    its lowest levels when ``lam`` is a prefix of an index."""
+    return tuple(x for shape, i in zip(lam, _levels(hp)) for x in _shape_word(hp, i, shape))
+
+
 def as_word(hp: HeckeParams, lam: BasisIndex) -> Word:
     """The geodesic normal-form word of a basis element."""
     validate_basis_index(hp, lam)
-    syms: list[Sym] = []
-    for shape, i in zip(lam, _levels(hp)):
-        syms.extend(_shape_word(hp, i, shape))
-    return make_word(hp.group_params(), syms)
+    return make_word(hp.group_params(), _index_word(hp, lam))
 
 
 def identity_index(hp: HeckeParams) -> BasisIndex:
@@ -609,14 +612,6 @@ class _Engine:
         triples = ((c, c2, (cr, sh)) for c, cc, sh in raw for c2, cr in self._zpow_reduce(cc))
         return [(c, cc, sh) for c, (cc, sh) in _collect(triples)]
 
-    def _rmul2_s2(self, sh: Shape) -> list[tuple[Poly, Shape]]:
-        """(Lambda_2 shape) * s_2, for the shapes s_2, s_2 z^j and
-        s_2 z^j s_2 that _s2zs2_zl yields (never the empty word)."""
-        if sh[0] == "x":
-            return [(self.one, ("xa", sh[1], 2))]
-        # s_2 s_2 = a s_2 + 1, and s_2 z^j s_2 s_2 = a s_2 z^j s_2 + s_2 z^j
-        return [(self.A, sh), (self.one, ONE if sh[0] == "d" else ("x", sh[1]))]
-
     # -- base-case left multiplication -----------------------------------------
 
     def _base_een(self, sym: Sym, shapes: BasisIndex) -> TermList:
@@ -628,86 +623,18 @@ class _Engine:
         ((_, k),) = shapes
         return [(c, (("zp", cc),)) for c, cc in self._zpow_reduce(k + 1)]
 
-    def _base_d1n_s2(self, shapes: BasisIndex) -> TermList:
-        (_, k), lam2 = shapes
-        A, one = self.A, self.one
-        if k == 0:
-            if lam2 == ONE:
-                return [(one, (("zp", 0), ("d", 2)))]
-            if lam2 == ("d", 2):
-                return [(A, (("zp", 0), ("d", 2))), (one, (("zp", 0), ONE))]
-            if lam2[0] == "x":
-                return [(A, (("zp", 0), lam2)), (one, (("zp", lam2[1]), ONE))]
-            return [(A, (("zp", 0), lam2)), (one, (("zp", lam2[1]), ("d", 2)))]
-        if lam2 == ONE:
-            return [(one, (("zp", 0), ("x", k)))]
-        if lam2 == ("d", 2):  # s_2 z^k s_2 is itself a basis word
-            return [(one, (("zp", 0), ("xa", k, 2)))]
-        terms = self._s2zs2_zl(k, lam2[1])
-        if lam2[0] == "x":
-            return [(c, (("zp", cc), sh)) for c, cc, sh in terms]
-        # s_2 z^k (s_2 z^l s_2) = (s_2 z^k s_2) z^l, then s_2 on the right
-        return _collect(
-            (c, c2, (("zp", cc), sh2)) for c, cc, sh in terms for c2, sh2 in self._rmul2_s2(sh)
-        )
-
-    # -- the level handler: heads -----------------------------------------------
-
-    def _desc_word(self, top: int, bottom: int) -> tuple[Sym, ...]:
-        return tuple(S(j) for j in range(top, bottom - 1, -1))
+    # -- the level handler: a lift, then one fold per letter ---------------------
 
     def _dnorm(self, m: int, i2: int) -> Shape:
         return ("d", i2) if i2 <= m else ONE
 
     def _lift(self, m: int, a: Shape) -> Shape:
-        """Prefix a level-(m-1) shape with s_m: the same shape one level up."""
+        """s_m * a, for a shape a at level m-1, as a level-m shape: the same
+        shape one level up, s_m for the empty part, and at level 2 of
+        H(d,1,n), s_2 z^k for z^k (s_2 for z^0)."""
+        if a[0] == "zp":
+            return ("x", a[1]) if a[1] else ("d", 2)
         return ("d", m) if a == ONE else a
-
-    def _head(self, m: int, a: Shape, ip: int) -> LocList:
-        """s_m * (a * s_m .. s_{ip}) with a at level m-1: commutation and
-        braid moves only, except one quadratic split in the d/d case."""
-        A, one = self.A, self.one
-        dw = self._desc_word
-        if a == ONE:
-            return [(A, (), ("d", ip)), (one, dw(m - 1, ip), ONE)]
-        if a[0] == "d":
-            i = a[1]
-            if i < ip:
-                return [(one, dw(m - 1, ip - 1), ("d", i))]
-            return [
-                (A, dw(m - 1, i), ("d", ip)),
-                (one, dw(m - 1, ip), self._dnorm(m, i + 1)),
-            ]
-        if a[0] == "x":
-            k = a[1]
-            if self.een:
-                if ip == 3:
-                    return [(one, dw(m - 1, 3) + (T(k),), ("x", k))]
-            else:
-                if ip == 2:
-                    return [(one, dw(m - 1, 2), ("xa", k, 2))]
-            return [(one, dw(m - 1, ip - 1), ("x", k))]
-        k, i = a[1], a[2]
-        if i < ip:
-            if ip == i + 1:
-                return [(one, dw(m - 1, i + 1), ("xa", k, i + 1))]
-            return [(one, dw(m - 1, ip - 1), ("xa", k, i))]
-        return [(one, dw(m - 1, ip), ("xa", k, i + 1))]
-
-    def _b_split(self, b: Shape) -> tuple[int, list[tuple]]:
-        """Split a level-m shape into a descending head and fold letters."""
-        if b[0] == "d":
-            return b[1], []
-        if b[0] == "x":
-            if self.een:
-                return 3, [("t", b[1])]
-            return 2, [("zp", b[1])]
-        k, i2 = b[1], b[2]
-        if self.een:
-            return 3, [("t", k), ("t", 0)] + [("s", j) for j in range(3, i2 + 1)]
-        return 2, [("zp", k), ("s", 2)] + [("s", j) for j in range(3, i2 + 1)]
-
-    # -- the level handler: folds -------------------------------------------------
 
     def _fold(self, m: int, terms: LocList, op: tuple) -> LocList:
         loc = getattr(self, "_loc_" + op[0])  # _loc_s, _loc_t or _loc_zp
@@ -794,7 +721,8 @@ class _Engine:
             return [(c, pw + (Z,) * l, tail)]
         # splice the rank-2 expansion of (s_2 z^k s_2) z^l back into
         # s_m .. s_3 [ .. ] s_3 .. s_{i2}; the tail is never an x shape,
-        # because the z-fold comes right after _head(m, a, 2)
+        # because the z-fold comes right after the fold of s_2, which turns
+        # s_m .. s_2 z^k into s_m .. s_2 z^k s_2
         k, i2 = tail[1], tail[2]
         out: LocList = []
         for c2, cc, v in self._s2zs2_zl(k, l):
@@ -830,15 +758,11 @@ class _Engine:
             res = [(c, sh + (shapes[-1],)) for c, sh in sub]
         elif not self.een and m == 1:
             res = self._base_d1n_z(shapes)
-        elif m == 2:
-            res = self._base_een(sym, shapes) if self.een else self._base_d1n_s2(shapes)
-        else:
+        elif self.een and m == 2:
+            res = self._base_een(sym, shapes)
+        else:  # sym is s_m
             locterms = self._pair_terms(m, shapes[-2], shapes[-1])
-            head = tuple(
-                s
-                for sh, lev in zip(shapes[:-2], _levels(self.hp))
-                for s in _shape_word(self.hp, lev, sh)
-            )
+            head = _index_word(self.hp, shapes[:-2])
             res = _collect(
                 (c, c2, presh + (tail,))
                 for c, pw, tail in locterms
@@ -847,12 +771,14 @@ class _Engine:
         return res
 
     def _pair_terms(self, m: int, a: Shape, b: Shape) -> LocList:
-        if b == ONE:
-            return [(self.one, (), self._lift(m, a))]
-        ip, extras = self._b_split(b)
-        terms = self._head(m, a, ip)
-        for op in extras:
-            terms = self._fold(m, terms, op)
+        """s_m * (a * b), for shapes a at level m-1 and b at level m, as
+        (coefficient, prefix below level m, level-m tail) triples: the lift
+        of a, folded by each letter of b's word from the left, so by its
+        descending run s_m .. s_ip first.  A run of z's is one fold; other
+        letters come one to a run, as no geodesic word repeats s_j or t_k."""
+        terms = [(self.one, (), self._lift(m, a))]
+        for x, run in itertools.groupby(_shape_word(self.hp, m, b)):
+            terms = self._fold(m, terms, ("zp", len(list(run))) if x == Z else (x.kind, x.i))
         return terms
 
     def _act(self, m: int, sym: Sym, terms: TermList):
@@ -1174,14 +1100,16 @@ def hecke_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     product is evaluated by Horner's rule over it, so a prefix that several
     words share acts on h2 once.  The whole product is one move-budget
     session.  Only memo misses count as moves, so a cold engine is the worst
-    case: over the products in 40 associativity samples (xy)z = x(yz) of
-    basis elements of H(3,3,5), seeds 0 and 1, from a fresh engine, the
-    largest took 44 001 moves against the budget of 10^6.
+    case.  Over the 80 products of 20 associativity samples (xy)z = x(yz)
+    of basis elements of H(3,3,5), drawn as ``verify_hecke`` draws them at
+    seed 1, on a fresh engine, the largest took 77 596 moves against the
+    budget of 10^6 (50 907 when the same engine had first run the 20
+    samples of seed 0).
     """
     _check_element(h1)
     _check_element(h2, h1.params)
     hp = h1.params
-    words = [(c, as_word(hp, lam).syms) for lam, c in h1.combo.items()]
+    words = [(c, _index_word(hp, lam)) for lam, c in h1.combo.items()]
     return _engine(hp).apply(words, h2._state)
 
 

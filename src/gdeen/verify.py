@@ -201,10 +201,11 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
         report["failure"] = f"|Lambda| = {len(basis)} but |W| = {order}"
         return report
 
+    words = [as_word(hp, lam) for lam in basis]
     seen = {}
     lam_to_g = {}
-    for lam in basis:
-        g = eval_word(as_word(hp, lam))
+    for lam, w in zip(basis, words):
+        g = eval_word(w)
         if g in seen:
             report["ok"] = False
             report["failure"] = f"as_word not injective: {lam} and {seen[g]} collide"
@@ -212,7 +213,7 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
         seen[g] = lam
         lam_to_g[lam] = g
 
-    failure = _action_failure(hp, basis, lam_to_g, report)
+    failure = _action_failure(hp, basis, words, lam_to_g, report)
     if failure is not None:
         report["ok"] = False
         report["failure"] = failure
@@ -229,10 +230,11 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     return report
 
 
-def _action_failure(hp: HeckeParams, basis: list, lam_to_g: dict, report: dict):
+def _action_failure(hp: HeckeParams, basis: list, words: list, lam_to_g: dict, report: dict):
     """Check the relations, then the specialization, then freeness, on the
-    columns of the action; return the first failure, or None.  The counts
-    of the checks that pass go into ``report``."""
+    columns of the action, where ``words`` are the basis words in the order
+    of ``basis``; return the first failure, or None.  The counts of the
+    checks that pass go into ``report``."""
     gp = hp.group_params()
     # the action, read once: x * e_lambda for every letter x and basis index
     # lambda, as (position, coefficient) pairs.  At a -> 0 (b_i -> 0) each
@@ -245,7 +247,7 @@ def _action_failure(hp: HeckeParams, basis: list, lam_to_g: dict, report: dict):
     for sym in alphabet(gp):
         x = generator(gp, sym)
         columns[sym] = cols = []
-        for lam in basis:
+        for lam, w in zip(basis, words):
             combo = leftmul_generator(hp, sym, lam).combo
             if not pos.keys() >= combo.keys():
                 mu = next(mu for mu in combo if mu not in pos)
@@ -255,7 +257,7 @@ def _action_failure(hp: HeckeParams, basis: list, lam_to_g: dict, report: dict):
             if translation is None and spec != {mul(x, lam_to_g[lam]): 1}:
                 translation = {
                     "generator": str(sym),
-                    "basis": word_text(as_word(hp, lam)),
+                    "basis": word_text(w),
                     "specialization": {str(g): v for g, v in spec.items()},
                 }
 
@@ -285,7 +287,6 @@ def _action_failure(hp: HeckeParams, basis: list, lam_to_g: dict, report: dict):
         powers = [(Poly.variable(hp.arity, i), make_word(gp, [Z] * (d - i))) for i in range(1, d)]
         cyclotomic = "cyclotomic relation z^d = sum b_i z^{{d-i}} + 1 failed"
         checks.append((cyclotomic, [(one, make_word(gp, [Z] * d))], [(one, empty)] + powers))
-    words = [as_word(hp, lam) for lam in basis]
     encode = _kronecker(hp.arity, *_relation_width(hp.arity, columns, checks))
     for cols in columns.values():
         for j, col in enumerate(cols):

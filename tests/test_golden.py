@@ -73,8 +73,9 @@ def _lib_mul(hp, w1, w2):
 
 
 def _leftmul_columns(hp, *letters):
-    # every basis column under each letter: the s_2 cases run the H(d,1,n)
-    # rank-2 base case, the s_3 cases the rank-3 folds (_loc_zp, _expand_P)
+    # every basis column under each letter, each a lift folded by the
+    # letters of the top shape: at rank 2 for s_2 of H(d,1,n), through the
+    # rank-3 expansions (_loc_zp, _expand_P) for s_3, and at rank 4 for s_4
     return "\n".join(
         leftmul_generator(hp, S(i), lam).to_json() for i in letters for lam in basis_enumerate(hp)
     )

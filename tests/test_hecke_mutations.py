@@ -58,9 +58,14 @@ def test_sign_in_the_tjti_recurrence_breaks_a_relation(monkeypatch):
 
 
 def test_missing_a_term_of_s2_on_the_right_breaks_a_relation(monkeypatch):
-    # s_2 s_2 = 1 and s_2 z^j s_2 s_2 = s_2 z^j: the a terms dropped
-    mutate(monkeypatch, "_rmul2_s2", lambda eng, args, out: [t for t in out if t[0] != eng.A])
-    assert failure(H312) == "relation z s2 z s2 = s2 z s2 z failed on column s2"
+    # s_2 s_2 = 1 and s_2 z^j s_2 s_2 = s_2 z^j at rank 2: the a term of
+    # the quadratic split in the fold of s_2 dropped
+    def edit(eng, args, out):
+        m, c, _, _, j = args
+        return [t for t in out if t[0] != c * eng.A] if m == j == 2 else out
+
+    mutate(monkeypatch, "_loc_s", edit)
+    assert failure(H312) == "relation z s2 z s2 = s2 z s2 z failed on column s2 z"
 
 
 def test_missing_b1_breaks_the_cyclotomic_relation(monkeypatch):
