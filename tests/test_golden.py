@@ -14,6 +14,7 @@ over GOLDEN.
 import contextlib
 import hashlib
 import io
+import json
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from gdeen import (
     pow_s2zs2,
     reduce_word,
     s2_zk_s2,
+    verify_hecke,
 )
 from gdeen.cli import main
 from gdeen.words import S, alphabet
@@ -107,6 +109,24 @@ def _built_element():
     return HeckeElement(hp, {basis[j]: c for j, c in zip([40, 3, 161, 0, 77, 12], coeffs)})
 
 
+# every algebra whose certificate takes well under a second: ranks 2 to 5,
+# H(e,e,n) with e odd and even, and H(d,1,n)
+VERIFIED = [
+    *(een(e, 2) for e in (1, 3, 5, 7)),
+    *(een(e, 3) for e in (1, 2, 3, 4, 5)),
+    een(1, 4),
+    een(2, 4),
+    een(1, 5),
+    *(d1n(d, 2) for d in (2, 3, 4, 5)),
+    *(d1n(d, 3) for d in (2, 3, 4)),
+    d1n(2, 4),
+]
+
+
+def _verify_reports():
+    return "\n".join(json.dumps(verify_hecke(hp, samples=2), sort_keys=True) for hp in VERIFIED)
+
+
 LIB_CASES = {
     "mul-h333": lambda: _lib_mul(een(3, 3), "t1 t0 s3 t2", "s3 t2 t1 s3 t0"),
     "mul-h443": lambda: _lib_mul(een(4, 3), "t3 t1 s3", "t2 s3 t0 t1"),
@@ -126,6 +146,7 @@ LIB_CASES = {
     "reduce-35-h314": lambda: _long_words(d1n(3, 4), 35, count=20, seed=1),
     "str-engine-h313": lambda: str(reduce_word(d1n(3, 3), "z z s2 z s3 s2 z z s2 s3 s2 z")),
     "str-built-h313": lambda: str(_built_element()),
+    "verify-reports": _verify_reports,
 }
 
 
@@ -187,6 +208,7 @@ GOLDEN = {
     's2-zk-s2-h412': '78e7774d2001b194c35f1a760817b68ac92b0e30351bc26e2d22e59bcddc0471',
     'str-built-h313': 'fc0bb54c2ee623f3b4ca70b040bfafd1b43d83a06566052484d71b6593785383',
     'str-engine-h313': '2a5ab04b00ae0f70f6ac3a28f44a08b635b14552fdce336b0d91f000af369544',
+    'verify-reports': 'eeebedd16b1aa03873871fc4e4925a6da70ade3cc902fea3ce83c075aee1de71',
 }
 
 
