@@ -407,6 +407,7 @@ class _Engine:
         self._texts: dict[int, str] = {}
         self._lm: dict = {}  # levels below n
         self._rw: dict = {}
+        self._pairs: dict = {}  # (m, a, b) -> the terms of _pair_terms
         # the level-n columns, with no width: letter -> column by position
         # (``_column_form``); tables are only added to
         self._packed: dict[Sym, list] = {}
@@ -775,10 +776,15 @@ class _Engine:
         (coefficient, prefix below level m, level-m tail) triples: the lift
         of a, folded by each letter of b's word from the left, so by its
         descending run s_m .. s_ip first.  A run of z's is one fold; other
-        letters come one to a run, as no geodesic word repeats s_j or t_k."""
-        terms = [(self.one, (), self._lift(m, a))]
-        for x, run in itertools.groupby(_shape_word(self.hp, m, b)):
-            terms = self._fold(m, terms, ("zp", len(list(run))) if x == Z else (x.kind, x.i))
+        letters come one to a run, as no geodesic word repeats s_j or t_k.
+        It depends on the top two shapes alone, so it is memoized."""
+        key = (m, a, b)
+        terms = self._pairs.get(key)
+        if terms is None:
+            terms = [(self.one, (), self._lift(m, a))]
+            for x, run in itertools.groupby(_shape_word(self.hp, m, b)):
+                terms = self._fold(m, terms, ("zp", len(list(run))) if x == Z else (x.kind, x.i))
+            self._pairs[key] = terms
         return terms
 
     def _act(self, m: int, sym: Sym, terms: TermList):
@@ -812,13 +818,18 @@ class _Engine:
         levels = _levels(self.hp)
         if not isinstance(lam, tuple) or len(lam) != len(levels):
             raise ParamsMismatch(f"basis index needs a tuple of {len(levels)} levels for {self.hp}")
-        pos = 0
         for shape, rank, i in zip(lam, self._ranks, levels):
             exact = type(shape) is tuple and _SHAPE_TYPES.issuperset(map(type, shape))
-            r = rank.get(shape) if exact else None  # exact, so hashable
-            if r is None:
+            if not exact or shape not in rank:  # exact, so hashable
                 raise ParamsMismatch(f"shape {shape} is not valid at level {i} of {self.hp}")
-            pos = pos * len(rank) + r
+        return self._walk(lam)
+
+    def _walk(self, lam: BasisIndex) -> int:
+        """The position of a basis index with no check: for the indices that
+        the engine builds itself."""
+        pos = 0
+        for shape, rank in zip(lam, self._ranks):
+            pos = pos * len(rank) + rank[shape]
         return pos
 
     def _index(self, pos: int) -> BasisIndex:
@@ -904,7 +915,7 @@ class _Engine:
             table = self._table(x)
             if table[pos] is None:
                 column = self._column(self.n, x, self._index(pos))
-                table[pos] = self._column_form({self._position(lam): c for c, lam in column})
+                table[pos] = self._column_form({self._walk(lam): c for c, lam in column})
             return table[pos]
 
     # -- the one entry point ---------------------------------------------------
@@ -975,10 +986,13 @@ class _TopLevel:
         R(v) = c_v * terms + sum over letters x of x * R(child_x), so a
         prefix shared by many words is applied once.  A chain of nodes with
         one child and no coefficient is applied as one word, which keeps
-        the recursion as deep as the trie has branch points."""
+        the recursion as deep as the trie has branch points.  A leaf whose
+        coefficient is 1 is the state itself."""
         parts = []
         if None in node:
             self.terms = self._wide(self.terms)  # re-widened once per width
+            if len(node) == 1 and node[None] == self.eng.one:
+                return self.terms
             parts.append((node[None], self.terms))
         for x, child in node.items():
             if x is None:
@@ -1102,9 +1116,9 @@ def hecke_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     session.  Only memo misses count as moves, so a cold engine is the worst
     case.  Over the 80 products of 20 associativity samples (xy)z = x(yz)
     of basis elements of H(3,3,5), drawn as ``verify_hecke`` draws them at
-    seed 1, on a fresh engine, the largest took 77 596 moves against the
-    budget of 10^6 (50 907 when the same engine had first run the 20
-    samples of seed 0).
+    seed 1, on a fresh engine, the largest took 20 526 moves against the
+    budget of 10^6 (882 when the same engine had first run the 20 samples
+    of seed 0).
     """
     _check_element(h1)
     _check_element(h2, h1.params)

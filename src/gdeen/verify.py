@@ -6,14 +6,16 @@ for the geodesic and freeness theorems: exhaustive, exact, and checked
 against the generator matrices rather than against the code under test.
 Neither suite builds a BFS table.  The geodesic certificate evaluates
 words with the generators' row moves (``cayley.row_moves``); the Hecke
-suite checks the defining relations on every column of the action, in
-exact integer arithmetic, compares the action with left multiplication
-of group elements through the a -> 0 specialization, and checks that
-each basis word sends 1 to its basis element.
+suite checks, by induction on the rank, that the defining relations hold
+on every column of the action, in exact integer arithmetic, compares the
+action with left multiplication of group elements through the a -> 0
+specialization, and checks that each basis word sends 1 to its basis
+element.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from collections import Counter
@@ -24,18 +26,19 @@ from .cayley import row_moves
 from .errors import InvariantViolation, ParamsMismatch
 from .group import DEFAULT_CAP, GroupElement, Params, _checked_order, _is_int, mul
 from .hecke import (
+    HeckeElement,
     HeckeParams,
     _check_params,
+    _shape_table,
     as_word,
     basis_element,
     basis_enumerate,
     hecke_mul,
     hecke_relations,
-    identity_index,
     leftmul_generator,
 )
 from .normal_form import _rank_order, _sweeps, census_expected, normal_form
-from .polyring import Poly, _decode
+from .polyring import Poly, _a_step, _decode, _digits
 from .words import Z, alphabet, eval_word, generator, make_word, word_text
 
 __all__ = ["verify_geodesic", "verify_hecke"]
@@ -180,13 +183,22 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     * associativity: ``samples`` seeded triples (xy)z = x(yz) of basis
       elements, a cross-check of ``hecke_mul`` only.
 
-    Each letter's columns x * e_lambda come from ``leftmul_generator``
-    once, with their indices checked against Lambda.  The checks compose
-    them on ints: Kronecker substitution, a -> 2^B and
-    b_i -> 2^(B*s_i), is a ring map, and B and the strides s_i are derived
+    The relations and the specialization are certified by induction on the
+    rank (``_first_failure``): each check runs on every column of the
+    lowest rank that has all its letters, and above that rank it follows
+    from the block check (``_blocks``) where that holds.  So at rank n only
+    the relations that contain s_n, and the translations of s_n, run on all
+    |Lambda| columns.  The report names the failure that running every
+    check on every column would name, and its counts are that coverage.
+
+    Each letter's columns x * e_lambda are read once, as the packed states
+    that ``leftmul_generator`` returns, and each coefficient's digits
+    (``polyring._digits``) are read into one Kronecker int: a -> 2^B,
+    b_i -> 2^(B*s_i) is a ring map, and B and the strides s_i are derived
     from the columns on every run so that it is injective on every side
     (``_relation_width``, ``_kronecker``).  So two sides are equal exactly
-    when their ints are.
+    when their ints are, and a coefficient's value at a, b_i -> 0 is its
+    int's lowest balanced digit.
     """
     _check_params(hp)
     if not _is_int(samples) or samples < 0:
@@ -202,18 +214,16 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
         return report
 
     words = [as_word(hp, lam) for lam in basis]
-    seen = {}
-    lam_to_g = {}
-    for lam, w in zip(basis, words):
-        g = eval_word(w)
-        if g in seen:
+    elements = [eval_word(w) for w in words]
+    at: dict = {}  # group element -> its basis position
+    for j, g in enumerate(elements):
+        if g in at:
             report["ok"] = False
-            report["failure"] = f"as_word not injective: {lam} and {seen[g]} collide"
+            report["failure"] = f"as_word not injective: {basis[j]} and {basis[at[g]]} collide"
             return report
-        seen[g] = lam
-        lam_to_g[lam] = g
+        at[g] = j
 
-    failure = _action_failure(hp, basis, words, lam_to_g, report)
+    failure = _action_failure(hp, basis, words, elements, at, report)
     if failure is not None:
         report["ok"] = False
         report["failure"] = failure
@@ -230,36 +240,25 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     return report
 
 
-def _action_failure(hp: HeckeParams, basis: list, words: list, lam_to_g: dict, report: dict):
+def _level(x) -> int:
+    """The level of a letter: i for s_i, 2 for a t, 1 for z."""
+    return x.i if x.kind == "s" else 2 if x.kind == "t" else 1
+
+
+def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, at: dict, report):
     """Check the relations, then the specialization, then freeness, on the
-    columns of the action, where ``words`` are the basis words in the order
-    of ``basis``; return the first failure, or None.  The counts of the
-    checks that pass go into ``report``."""
+    columns of the action, where ``words`` and ``elements`` are the basis
+    words and their group elements in the order of ``basis``, and ``at``
+    maps each element to its position; return the first failure, or None.
+    The counts of the checks that pass go into ``report``."""
     gp = hp.group_params()
-    # the action, read once: x * e_lambda for every letter x and basis index
-    # lambda, as (position, coefficient) pairs.  At a -> 0 (b_i -> 0) each
-    # column must be the left translate of lambda; the first that is not is
-    # reported once the relations hold.
-    pos = {lam: j for j, lam in enumerate(basis)}
-    zeros = [0] * hp.arity
-    columns: dict = {}
-    translation = None
-    for sym in alphabet(gp):
-        x = generator(gp, sym)
-        columns[sym] = cols = []
-        for lam, w in zip(basis, words):
-            combo = leftmul_generator(hp, sym, lam).combo
-            if not pos.keys() >= combo.keys():
-                mu = next(mu for mu in combo if mu not in pos)
-                raise ParamsMismatch(f"{sym} * {lam} has the index {mu}, not in Lambda of {hp}")
-            cols.append(tuple((pos[mu], c) for mu, c in combo.items()))
-            spec = {lam_to_g[mu]: v for mu, c in combo.items() if (v := c.specialize(zeros))}
-            if translation is None and spec != {mul(x, lam_to_g[lam]): 1}:
-                translation = {
-                    "generator": str(sym),
-                    "basis": word_text(w),
-                    "specialization": {str(g): v for g, v in spec.items()},
-                }
+    # each letter's columns, with each coefficient as the id of its ints
+    # (``_read``); positions are the ints of one list, shared by all columns
+    coeffs: dict = {}
+    positions = list(range(len(basis)))
+    packed, sizes = {}, {}
+    for x in alphabet(gp):
+        packed[x], sizes[x] = _read(hp, x, basis, positions, coeffs)
 
     # every defining relation holds on every basis column, not just against
     # the identity: this certifies the generator action matrices as a
@@ -279,7 +278,7 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, lam_to_g: dict, r
             [(one, make_word(gp, [x, x]))],
             [(a_poly, make_word(gp, [x])), (one, empty)],
         )
-        for x in alphabet(gp)
+        for x in packed
         if x.kind != "z"
     ]
     if hp.family == "d1n":
@@ -287,60 +286,191 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, lam_to_g: dict, r
         powers = [(Poly.variable(hp.arity, i), make_word(gp, [Z] * (d - i))) for i in range(1, d)]
         cyclotomic = "cyclotomic relation z^d = sum b_i z^{{d-i}} + 1 failed"
         checks.append((cyclotomic, [(one, make_word(gp, [Z] * d))], [(one, empty)] + powers))
-    encode = _kronecker(hp.arity, *_relation_width(hp.arity, columns, checks))
+    encode = _kronecker(hp.arity, *_relation_width(hp.arity, sizes, checks))
+    ints = [0] * len(coeffs)  # the Kronecker int of each coefficient, by id
+    for cid, _, _, terms in coeffs.values():
+        ints[cid] = encode(terms)
+    columns = packed  # each column in place, as (position, Kronecker int) pairs
     for cols in columns.values():
         for j, col in enumerate(cols):
-            cols[j] = tuple((q, encode(c)) for q, c in col)
-    for r, (failure, *sides) in enumerate(checks):
-        if r == len(relations):  # every braid-type relation holds
+            cols[j] = tuple((q, k) for q, c in col if (k := ints[c]))
+    # each check as its failure text, its level (that of its highest letter),
+    # and its sides, each term as its scalar's int and its letters' columns,
+    # rightmost first
+    checks = [
+        (
+            failure,
+            max(_level(x) for _, w in chain(*sides) for x in w.syms),
+            *([(encode(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides),
+        )
+        for failure, *sides in checks
+    ]
+
+    # at a, b_i -> 0 each column must be the left translate of its index:
+    # each int's lowest balanced digit is its coefficient's value there
+    half = 1 << (encode.bits - 1)
+    mats = {x: generator(gp, x) for x in columns}
+
+    def translation(x, j: int):
+        spec = [(q, v) for q, k in columns[x][j] if (v := ((k + half) & (2 * half - 1)) - half)]
+        if spec == [(at.get(mul(mats[x], elements[j])), 1)]:
+            return None
+        return {
+            "generator": str(x),
+            "basis": word_text(words[j]),
+            "specialization": {str(elements[q]): v for q, v in spec},
+        }
+
+    found = _first_failure(hp, columns, checks, translation)
+    if found is not None and found[0] == "relation":
+        _, r, j = found
+        if r >= len(relations):  # every braid-type relation holds
             report["relations_checked"] = len(relations)
             report["relation_columns_checked"] = len(relations) * len(basis)
-        # each term as its scalar's int and its letters' columns, rightmost first
-        lhs, rhs = (
-            [(encode(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides
-        )
-        for j, w in enumerate(words):
-            if _int_side(lhs, j) != _int_side(rhs, j):
-                return failure.format(word_text(w))
-
-    if translation is not None:
-        return translation
+        return checks[r][0].format(word_text(words[j]))
+    report["relations_checked"] = len(relations)
+    report["relation_columns_checked"] = len(relations) * len(basis)
+    if found is not None:
+        return found[2]
     report["action_entries_checked"] = len(columns) * len(basis)
-    unit = pos[identity_index(hp)]
+    unit = at[eval_word(empty)]
     for j, w in enumerate(words):
         if _unit_path(columns, w, unit) != j:
             return f"basis word {word_text(w)} does not send 1 to its basis element"
     return None
 
 
-def _relation_width(arity: int, columns: dict, checks: list) -> tuple[int, list[int]]:
+def _read(hp: HeckeParams, x, basis: list, positions: list, coeffs: dict) -> tuple[list, tuple]:
+    """x * e_lambda for every basis index, read from the packed state that
+    ``leftmul_generator`` returns: each column as (position, coefficient id)
+    pairs, positions in the order in which they first appear in the state
+    and taken from ``positions``; and the largest L1 norm of a column (the
+    sum of |coefficient| over its entries and monomials) and the largest
+    degree of each variable in any.
+
+    ``coeffs`` maps each coefficient read so far, as the width and the
+    (bcode, int) pairs of its position, to its id, its L1 norm, its degrees
+    and its (monomial code, coefficient) pairs, read from the ints' digits
+    (``_digits``)."""
+    size, arity, step = len(basis), hp.arity, _a_step(hp.arity)
+    top, seen = 0, set()
+    cols = []
+    for lam in basis:
+        h = leftmul_generator(hp, x, lam)
+        if not (isinstance(h, HeckeElement) and h.params == hp):
+            raise ParamsMismatch(f"{x} * {lam} is not in Lambda's span: {h!r} is no element of {hp}")
+        st = h._state
+        ints: dict = {}
+        for q, v in st.vec.items():
+            if v:
+                b, pos = divmod(q, size)
+                ints.setdefault(pos, []).append((b, v))
+        col, l1 = [], 0
+        for pos, bv in ints.items():
+            key = (st.bits, *bv)
+            c = coeffs.get(key)
+            if c is None:
+                terms, deg = [], [0] * arity
+                for b, v in bv:
+                    digits = [(k, d) for k, d in enumerate(_digits(v, st.bits)) if d]
+                    terms += ((b + k * step, d) for k, d in digits)
+                    deg = list(map(max, deg, [digits[-1][0]] + _decode(arity, b)[1:]))
+                c = coeffs[key] = (len(coeffs), sum(abs(d) for _, d in terms), deg, terms)
+            col.append((positions[pos], c[0]))
+            l1 += c[1]
+            seen.add(c[0])
+        top = max(top, l1)
+        cols.append(tuple(col))
+    degs = [c[2] for c in coeffs.values() if c[0] in seen]
+    return cols, (top, [max(d) for d in zip([0] * arity, *degs)])
+
+
+def _first_failure(hp: HeckeParams, columns: dict, checks: list, translation):
+    """The first failure of the relations, then of the translations, in the
+    order of ``_action_failure``: ("relation", check index, position),
+    ("translation", letter, its report), or None.
+
+    By induction on the rank k, from the lowest level up.  The rank-k module
+    is spanned by the positions whose levels above k all hold the empty
+    shape, rank 0: the multiples of ``stride``, the product of the sizes of
+    those levels.  When the block check holds at rank k, each letter of
+    level below k acts there as on the rank-(k-1) module tensored with the
+    identity on the level-k shapes.  A check or a translation among those
+    letters then holds at rank k exactly when it does at rank k-1, and it
+    first fails on the same position, whose level-k shape is empty."""
+    radix = [len(ranks) for ranks in _shape_table(hp)[0]]  # shapes per level
+    size = stride = math.prod(radix)
+    found = ()
+    for k, width in zip(range(hp.n - len(radix) + 1, hp.n + 1), radix):
+        stride //= width
+        lower = [col for x, col in columns.items() if _level(x) < k]
+        below = found if _blocks(lower, size, stride, width) else None
+        found = _rank_failure(k, range(0, size, stride), below, columns, checks, translation)
+    return found or None
+
+
+def _rank_failure(k: int, span: range, below, columns: dict, checks: list, translation):
+    """The first failure at rank k, on the positions of ``span``, or () if
+    there is none.  The checks and letters of level k run on every position.
+    Those of lower level run too when ``below`` is None; else ``below`` is
+    the first failure at rank k-1, or (), and each of them holds up to it."""
+    for r, (_, level, lhs, rhs) in enumerate(checks):
+        if level < k and below is not None:
+            if below[:2] == ("relation", r):
+                return below
+        elif level <= k:
+            for j in span:
+                if _int_side(lhs, j) != _int_side(rhs, j):
+                    return "relation", r, j
+    for x in columns:
+        if _level(x) < k and below is not None:
+            if below[:2] == ("translation", x):
+                return below
+        elif _level(x) <= k:
+            for j in span:
+                if (why := translation(x, j)) is not None:
+                    return "translation", x, why
+    return ()
+
+
+def _blocks(columns: list, size: int, stride: int, width: int) -> bool:
+    """The block check at rank k: whether the columns of each lower letter
+    on the rank-k module are those on the rank-(k-1) module with the
+    level-k shape re-appended.  The column at each position p of rank k-1
+    (a multiple of stride * width) has its entries at such positions, and
+    the column at p + r * stride is the one at p with every entry moved by
+    r * stride."""
+    outer = stride * width
+    for col in columns:
+        for base in range(0, size, outer):
+            below = col[base]
+            if any(q % outer for q, _ in below):
+                return False
+            for shift in range(stride, outer, stride):
+                if col[base + shift] != tuple((q + shift, k) for q, k in below):
+                    return False
+    return True
+
+
+def _relation_width(arity: int, letters: dict, checks: list) -> tuple[int, list[int]]:
     """B and the per-variable degree bounds that make the Kronecker map
     injective on every side of every check.
 
-    Let M_x be the largest L1 norm of a column of letter x (the sum of
-    |coefficient| over its entries and their monomials), and D_x its
+    ``letters`` gives M_x, the largest L1 norm of a column of letter x (the
+    sum of |coefficient| over its entries and their monomials), and D_x, its
     largest degree in each variable.  L1 is sub-multiplicative, so every
     coefficient of c * x_1 .. x_L * e_lambda is at most |c|_1 M_{x_1} ..
     M_{x_L}, and its degrees are at most deg c + D_{x_1} + .. + D_{x_L}.
     2^(B-1) exceeds the sum of these coefficient bounds over both sides of
     every check, and the degree bounds are the largest of any side term.
     """
-
-    def size(polys_per_column) -> tuple[int, list[int]]:
-        top, codes, deg = 0, set(), [0] * arity
-        for polys in polys_per_column:
-            top = max(top, sum(abs(c) for p in polys for c in p.terms.values()))
-            codes.update(m for p in polys for m in p.terms)
-        for m in codes:
-            deg = list(map(max, deg, _decode(arity, m)))
-        return top, deg
-
-    letters = {x: size([c for _, c in col] for col in cols) for x, cols in columns.items()}
     bound, degrees = 0, [0] * arity
     for _, *sides in checks:
         total = 0
         for c, w in chain(*sides):
-            l1, deg = size([[c]])
+            l1, deg = sum(map(abs, c.terms.values())), [0] * arity
+            for m in c.terms:
+                deg = list(map(max, deg, _decode(arity, m)))
             for x in w.syms:
                 l1 *= letters[x][0]
                 deg = [u + v for u, v in zip(deg, letters[x][1])]
@@ -353,7 +483,8 @@ def _relation_width(arity: int, columns: dict, checks: list) -> tuple[int, list[
 def _kronecker(arity: int, bits: int, degrees: list[int]):
     """The ring map Z[a, b_1..] -> Z that sends a to 2^bits and b_i to
     2^(bits*s_i), where s_i is the product of (degrees[j] + 1) over the
-    variables j before b_i, as a function on Polys.
+    variables j before b_i, as a function on Polys or on the (monomial
+    code, coefficient) pairs of one; its ``bits`` is the width.
 
     A polynomial whose degree in each variable is at most ``degrees`` goes
     to the sum of c * 2^(bits*k) with one k per monomial, distinct for
@@ -365,9 +496,9 @@ def _kronecker(arity: int, bits: int, degrees: list[int]):
         strides.append(strides[-1] * (deg + 1))
     shifts: dict[int, int] = {}
 
-    def encode(p: Poly) -> int:
+    def encode(p) -> int:
         total = 0
-        for m, c in p.terms.items():
+        for m, c in p.terms.items() if isinstance(p, Poly) else p:
             shift = shifts.get(m)
             if shift is None:
                 exps = _decode(arity, m)
@@ -375,6 +506,7 @@ def _kronecker(arity: int, bits: int, degrees: list[int]):
             total += c << shift
         return total
 
+    encode.bits = bits
     return encode
 
 

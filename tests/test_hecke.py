@@ -608,9 +608,11 @@ def test_a_position_is_the_mixed_radix_number_of_the_level_ranks(hp):
 
 def test_a_column_walks_its_index_once(monkeypatch):
     # leftmul_generator positions its index by the walk that checks it, and
-    # starts from the unit state at that position.  From a cold engine, the
-    # certificate of H(3,3,4) walks 11 770 indices; walking each of its
-    # 3 240 columns' indices twice would make it 15 010
+    # starts from the unit state at that position; the engine positions the
+    # indices of the columns it builds with no check.  From a cold engine,
+    # the certificate of H(3,3,4) makes 3 888 checked walks: one for each of
+    # its 3 240 columns and one for each of the 648 basis words.  Walking
+    # each column's index twice would make it 7 128
     hecke_mod._engine.cache_clear()
     walks = []
     real = hecke_mod._Engine._position
@@ -621,15 +623,25 @@ def test_a_column_walks_its_index_once(monkeypatch):
 
     monkeypatch.setattr(hecke_mod._Engine, "_position", counting)
     assert verify_hecke(een(3, 4), samples=0)["ok"]
-    assert len(walks) == 11770
+    assert len(walks) == 3888
     hecke_mod._engine.cache_clear()
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("hp, size", [(een(2, 6), 23040), (d1n(3, 5), 29160)], ids=str)
+@pytest.mark.parametrize(
+    "hp, size",
+    [
+        (een(2, 6), 23040),
+        (d1n(3, 5), 29160),
+        (een(4, 5), 30720),
+        (d1n(2, 6), 46080),
+        (een(3, 6), 174960),
+    ],
+    ids=str,
+)
 def test_ranks_5_and_6_certify_exhaustively(hp, size):
     # every column of every letter, so the folds of s_5 and s_6 run on
-    # every basis index
+    # every basis index; H(3,3,6) takes 3-4 minutes and about 1.7 GB
     report = verify_hecke(hp, samples=0)
     assert report["ok"], report.get("failure")
     assert report["basis_size"] == size
