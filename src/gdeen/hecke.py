@@ -184,6 +184,11 @@ def _levels(hp: HeckeParams) -> range:
     return range(1, hp.n + 1) if hp.family == "d1n" else range(2, hp.n + 1)
 
 
+def _letter_level(sym: Sym) -> int:
+    """The level of a letter: i for s_i, 2 for a t, 1 for z."""
+    return sym.i if sym.kind == "s" else 2 if sym.kind == "t" else 1
+
+
 @lru_cache(maxsize=None)
 def _shape_table(hp: HeckeParams) -> tuple[list[dict[Shape, int]], list[dict[Shape, str]]]:
     """Per level, two maps from each valid shape: to its position in the
@@ -735,13 +740,6 @@ class _Engine:
 
     # -- the structural recursion ---------------------------------------------
 
-    def _sym_level(self, sym: Sym) -> int:
-        if sym.kind == "s":
-            return sym.i
-        if sym.kind == "t":
-            return 2
-        return 1  # z
-
     def _leftmul_at(self, m: int, sym: Sym, shapes: BasisIndex) -> TermList:
         """sym * shapes at level m < n, memoized in ``_lm``."""
         key = (m, sym, shapes)
@@ -753,7 +751,7 @@ class _Engine:
     def _column(self, m: int, sym: Sym, shapes: BasisIndex) -> TermList:
         """sym * shapes at level m, computed; one move, plus those it makes."""
         self._tick()
-        lvl = self._sym_level(sym)
+        lvl = _letter_level(sym)
         if lvl < m:
             sub = self._leftmul_at(m - 1, sym, shapes[:-1])
             res = [(c, sh + (shapes[-1],)) for c, sh in sub]

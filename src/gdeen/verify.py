@@ -29,12 +29,14 @@ from .hecke import (
     HeckeElement,
     HeckeParams,
     _check_params,
+    _letter_level,
     _shape_table,
     as_word,
     basis_element,
     basis_enumerate,
     hecke_mul,
     hecke_relations,
+    identity_index,
     leftmul_generator,
 )
 from .normal_form import _rank_order, _sweeps, census_expected, normal_form
@@ -240,11 +242,6 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     return report
 
 
-def _level(x) -> int:
-    """The level of a letter: i for s_i, 2 for a t, 1 for z."""
-    return x.i if x.kind == "s" else 2 if x.kind == "t" else 1
-
-
 def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, at: dict, report):
     """Check the relations, then the specialization, then freeness, on the
     columns of the action, where ``words`` and ``elements`` are the basis
@@ -300,7 +297,7 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, a
     checks = [
         (
             failure,
-            max(_level(x) for _, w in chain(*sides) for x in w.syms),
+            max(_letter_level(x) for _, w in chain(*sides) for x in w.syms),
             *([(encode(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides),
         )
         for failure, *sides in checks
@@ -333,7 +330,7 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, a
     if found is not None:
         return found[2]
     report["action_entries_checked"] = len(columns) * len(basis)
-    unit = at[eval_word(empty)]
+    unit = basis.index(identity_index(hp))
     for j, w in enumerate(words):
         if _unit_path(columns, w, unit) != j:
             return f"basis word {word_text(w)} does not send 1 to its basis element"
@@ -403,7 +400,7 @@ def _first_failure(hp: HeckeParams, columns: dict, checks: list, translation):
     found = ()
     for k, width in zip(range(hp.n - len(radix) + 1, hp.n + 1), radix):
         stride //= width
-        lower = [col for x, col in columns.items() if _level(x) < k]
+        lower = [col for x, col in columns.items() if _letter_level(x) < k]
         below = found if _blocks(lower, size, stride, width) else None
         found = _rank_failure(k, range(0, size, stride), below, columns, checks, translation)
     return found or None
@@ -423,10 +420,10 @@ def _rank_failure(k: int, span: range, below, columns: dict, checks: list, trans
                 if _int_side(lhs, j) != _int_side(rhs, j):
                     return "relation", r, j
     for x in columns:
-        if _level(x) < k and below is not None:
+        if _letter_level(x) < k and below is not None:
             if below[:2] == ("translation", x):
                 return below
-        elif _level(x) <= k:
+        elif _letter_level(x) <= k:
             for j in span:
                 if (why := translation(x, j)) is not None:
                     return "translation", x, why
