@@ -10,16 +10,29 @@ column would name.
 
 import contextlib
 import io
+import random
 from collections import Counter
 
 import pytest
 
 import gdeen.hecke as hecke_mod
 import gdeen.verify as verify_mod
-from gdeen import een, verify_hecke
+from gdeen import (
+    Poly,
+    as_word,
+    basis_element,
+    basis_enumerate,
+    d1n,
+    een,
+    eval_word,
+    hecke_relations,
+    mul,
+    verify_hecke,
+    word_text,
+)
 from gdeen.cli import main
 from gdeen.hecke import ONE, _Engine
-from gdeen.words import T
+from gdeen.words import T, Z, alphabet, generator
 
 H333 = een(3, 3)
 
@@ -88,3 +101,97 @@ def test_rank_n_checks_only_the_relations_with_s_n_on_every_column(monkeypatch):
     # a column whose top shape is not empty sees only the checks with s4
     top = len(hecke_mod._shape_table(een(3, 4))[0][-1])
     assert {n for j, n in sides.items() if j % top} == {2 * 5}
+
+
+def flat_failure(hp):
+    """The first failure of the relations, then of the translations, each
+    checked on every column, on the ``Poly`` columns that ``verify_hecke``
+    reads: the reference that the induction must agree with."""
+    gp, basis = hp.group_params(), basis_enumerate(hp)
+    letters = alphabet(gp)
+    cols = {x: {lam: verify_mod.leftmul_generator(hp, x, lam).combo for lam in basis} for x in letters}
+    zero, one, a = (Poly.const(hp.arity, 0), Poly.const(hp.arity, 1), Poly.variable(hp.arity, 0))
+    checks = [
+        (f"relation {word_text(u)} = {word_text(v)} failed on column {{}}", [(one, u.syms)], [(one, v.syms)])
+        for u, v in hecke_relations(hp)
+    ]
+    checks += [
+        (f"quadratic relation failed for {x}", [(one, (x, x))], [(a, (x,)), (one, ())])
+        for x in letters
+        if x.kind != "z"
+    ]
+    if hp.family == "d1n":
+        powers = [(Poly.variable(hp.arity, i), (Z,) * (hp.p - i)) for i in range(1, hp.p)]
+        text = "cyclotomic relation z^d = sum b_i z^{{d-i}} + 1 failed"
+        checks.append((text, [(one, (Z,) * hp.p)], [(one, ())] + powers))
+
+    def side(terms, lam):
+        acc = {}
+        for c, word in terms:
+            vec = {lam: c}
+            for x in reversed(word):
+                out = {}
+                for mu, k in vec.items():
+                    for nu, k2 in cols[x][mu].items():
+                        out[nu] = out.get(nu, zero) + k * k2
+                vec = out
+            for mu, k in vec.items():
+                acc[mu] = acc.get(mu, zero) + k
+        return {mu: k for mu, k in acc.items() if not k.is_zero()}
+
+    for text, lhs, rhs in checks:
+        for lam in basis:
+            if side(lhs, lam) != side(rhs, lam):
+                return text.format(word_text(as_word(hp, lam)))
+    g = {lam: eval_word(as_word(hp, lam)) for lam in basis}
+    for x in letters:
+        for lam in basis:
+            spec = {g[mu]: v for mu, c in cols[x][lam].items() if (v := c.specialize([0] * hp.arity))}
+            if spec != {mul(generator(gp, x), g[lam]): 1}:
+                return {
+                    "generator": str(x),
+                    "basis": word_text(as_word(hp, lam)),
+                    "specialization": {str(h): v for h, v in spec.items()},
+                }
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_perturbed_action_gets_the_flat_report(monkeypatch, seed):
+    # seeded changes to the columns that verify_hecke reads: a multiple of
+    # a basis vector added to one or two columns, mostly ones whose top
+    # shape is not empty, or every column conjugated by I + c E_{mu,nu};
+    # the report names what checking everything on every column names
+    rng = random.Random(seed)
+    hp = [een(3, 3), d1n(2, 3), een(2, 4)][seed % 3]
+    basis = basis_enumerate(hp)
+    a = Poly.variable(hp.arity, 0)
+    c = rng.choice([Poly.const(hp.arity, 1), -a, a * a])
+    real = verify_mod.leftmul_generator
+    if seed % 2:
+        mu, nu = rng.sample(basis[1:], 2)
+
+        def leftmul(hp, sym, lam):
+            col = real(hp, sym, lam)
+            if lam == nu:
+                col = col + real(hp, sym, mu).scaled(c)
+            k = col.combo.get(nu)
+            return col if k is None else col + basis_element(hp, mu).scaled(-(c * k))
+
+    else:
+        tops = [lam for lam in basis if lam[-1] != ONE]
+        letters = alphabet(hp.group_params())
+        changed = {(rng.choice(letters), rng.choice(tops)) for _ in range(rng.choice([1, 2]))}
+        target = rng.choice(basis)
+
+        def leftmul(hp, sym, lam):
+            col = real(hp, sym, lam)
+            return col + basis_element(hp, target).scaled(c) if (sym, lam) in changed else col
+
+    monkeypatch.setattr(verify_mod, "leftmul_generator", leftmul)
+    report = verify_hecke(hp, samples=0)
+    expected = flat_failure(hp)
+    if expected is None:
+        assert report["ok"] or report["failure"].startswith("basis word")
+    else:
+        assert report["failure"] == expected
