@@ -33,6 +33,7 @@ from gdeen import (
     verify_hecke,
 )
 from gdeen.cli import main
+from gdeen.hecke import _letter_level
 from gdeen.words import S, alphabet
 
 
@@ -81,6 +82,13 @@ def _leftmul_columns(hp, *letters):
     return "\n".join(
         leftmul_generator(hp, S(i), lam).to_json() for i in letters for lam in basis_enumerate(hp)
     )
+
+
+def _lower_columns(hp):
+    # every basis column under each letter of level below n: at rank n it
+    # acts on (lambda', lambda_n) as on (lambda', 1), with lambda_n re-appended
+    lower = [x for x in alphabet(hp.group_params()) if _letter_level(x) < hp.n]
+    return "\n".join(leftmul_generator(hp, x, lam).to_json() for x in lower for lam in basis_enumerate(hp))
 
 
 def _long_words(hp, length, count=10, seed=0):
@@ -140,6 +148,8 @@ LIB_CASES = {
     "leftmul-s3-h553": lambda: _leftmul_columns(een(5, 3), 3),
     "leftmul-s4-h334": lambda: _leftmul_columns(een(3, 4), 4),
     "leftmul-s4-h314": lambda: _leftmul_columns(d1n(3, 4), 4),
+    "leftmul-lower-h334": lambda: _lower_columns(een(3, 4)),
+    "leftmul-lower-h314": lambda: _lower_columns(d1n(3, 4)),
     "reduce-long-h334": lambda: _long_words(een(3, 4), 200),
     "reduce-long-h314": lambda: _long_words(d1n(3, 4), 60),
     "reduce-35-h334": lambda: _long_words(een(3, 4), 35, count=20, seed=1),
@@ -190,6 +200,8 @@ GOLDEN = {
     'verify-geodesic-g623': (0, 'b03841c38e0cffc3974df8c8c9f418edf95a3fa524035ca1809059362121ceef'),
     'verify-h213': (0, '7e1240474b443581d67c43486bd1cbd6c4ba5958ad58e68a614749125ba998c1'),
     'verify-h333': (0, '8525b58cd36819c9c23f05de76db9940f3a8f884723396204f43585db9a0f35b'),
+    'leftmul-lower-h314': 'deb6cd2e9cd93ee9ab22c16399d9fbf127a46b0123b08f0ff12983e06aed611f',
+    'leftmul-lower-h334': '5200cc8b74a290a4d97fb407040cb4344b7c27c565da81731702ce2b8f0b9b75',
     'leftmul-s2-h512': 'dc1d03a652e86f81794716016f4c8f267be5d47a24cbfc396082e285e3648c18',
     'leftmul-s2-s3-h413': '73ef0d9ad48a899b8b0d70c88a92d7752bfbf4e2642d62a180b5af889ea9034c',
     'leftmul-s3-h553': '403c34c260fda1cecd1e02796c3f5e7151a8f11d5d42302f41dc84018fac1137',
