@@ -47,10 +47,14 @@ a ``HeckeElement``, which the engine takes and returns as it is; the
 ``Poly`` coefficients are decoded only when they are read.  A width belongs
 to a state, not to what the engine stores: each level-n column is kept
 once, as the monomials c * a^k of its coefficients, and a call shifts them
-by k * bits at its own width.  A state holds coefficients by basis
-position, and the position map is arithmetic (``_Engine._position``): the
-mixed-radix number of an index's per-level shape ranks, top level fastest,
-which is the order of ``basis_enumerate``.  No engine lists the basis.
+by k * bits at its own width.  A letter of level below n acts on
+(lambda', lambda_n) as on (lambda', 1), with lambda_n re-appended, so it
+keeps only its columns at the indices whose top shape is empty, and a call
+reads the others from those, moved (``_Engine._table``).  A state holds
+coefficients by basis position, and the position map is arithmetic
+(``_Engine._position``): the mixed-radix number of an index's per-level
+shape ranks, top level fastest, which is the order of
+``basis_enumerate``.  No engine lists the basis.
 
 Coefficients live in Z[a] (H(e,e,n)) or Z[a, b_1..b_{d-1}] (H(d,1,n));
 the quadratic relations are x^2 = a x + 1 and z^d = b_1 z^{d-1} + ... +
@@ -413,9 +417,9 @@ class _Engine:
         self._lm: dict = {}  # levels below n
         self._rw: dict = {}
         self._pairs: dict = {}  # (m, a, b) -> the terms of _pair_terms
-        # the level-n columns, with no width: letter -> column by position
-        # (``_column_form``); tables are only added to
-        self._packed: dict[Sym, list] = {}
+        # the level-n columns, with no width: letter -> its fold and its
+        # columns (``_table``, ``_column_form``); tables are only added to
+        self._packed: dict[Sym, tuple[int, list]] = {}
         self._lock = threading.RLock()
         self._tk0: dict[int, list] = {}
         self._zpow: dict[int, list] = {}
@@ -831,15 +835,19 @@ class _Engine:
         return pos
 
     def _index(self, pos: int) -> BasisIndex:
-        """The basis index at a position, by the inverse divmod walk; kept once read."""
+        """The basis index at a position (``_unwalk``), kept once read."""
         lam = self._at.get(pos)
         if lam is None:
-            q, parts = pos, []
-            for shapes in reversed(self._shapes):
-                q, r = divmod(q, len(shapes))
-                parts.append(shapes[r])
-            lam = self._at[pos] = tuple(reversed(parts))
+            lam = self._at[pos] = self._unwalk(pos)
         return lam
+
+    def _unwalk(self, pos: int) -> BasisIndex:
+        """The basis index at a position, by the inverse divmod walk."""
+        q, parts = pos, []
+        for shapes in reversed(self._shapes):
+            q, r = divmod(q, len(shapes))
+            parts.append(shapes[r])
+        return tuple(reversed(parts))
 
     def _text(self, pos: int) -> str:
         """The text of ``as_word`` of the basis index at a position, joined
@@ -897,24 +905,33 @@ class _Engine:
                     (plus if v == 1 else minus).append(entry)
         return tuple(plus), tuple(minus), tuple(other)
 
-    def _table(self, x: Sym) -> list:
-        """The level-n columns of x by position; None where a column has
-        not been fetched."""
+    def _table(self, x: Sym) -> tuple[int, list]:
+        """x's fold w, and its level-n columns at the positions that are
+        multiples of w, the one at p at p // w; None where a column has not
+        been fetched.  w is 1 for s_n, and for a letter of level below n the
+        number w of level-n shapes: such a letter acts on (lambda', lambda_n)
+        as on (lambda', 1), with lambda_n re-appended.  Positions are mixed
+        radix, top level fastest, so its column at p is the one at p - r,
+        r = p mod w, with every key moved by r.  A key is position +
+        bcode * |Lambda|, and w divides |Lambda|, so the move keeps the
+        b-code."""
         try:
             return self._packed[x]
         except KeyError:
+            fold = len(self._shapes[-1]) if _letter_level(x) < self.n else 1
             with self._lock:
-                return self._packed.setdefault(x, [None] * self.size)
+                return self._packed.setdefault(x, (fold, [None] * (self.size // fold)))
 
     def _fetch(self, x: Sym, pos: int) -> tuple:
-        """x * e_pos at level n, in the form of ``_column_form``: computed
-        once, under the lock, and stored for every width."""
+        """x * e_pos at level n, for a position that x's table keeps, in the
+        form of ``_column_form``: computed once, under the lock, and stored
+        for every width."""
         with self._lock:
-            table = self._table(x)
-            if table[pos] is None:
-                column = self._column(self.n, x, self._index(pos))
-                table[pos] = self._column_form({self._walk(lam): c for c, lam in column})
-            return table[pos]
+            fold, table = self._table(x)
+            if table[pos // fold] is None:
+                column = self._column(self.n, x, self._unwalk(pos))  # read once
+                table[pos // fold] = self._column_form({self._walk(lam): c for c, lam in column})
+            return table[pos // fold]
 
     # -- the one entry point ---------------------------------------------------
 
@@ -1016,9 +1033,10 @@ class _TopLevel:
         """The sum of op * state over the (op, state) pairs, where op is a
         letter or a coefficient, at this call's width, with its bound.  Both
         act through monomials in the form of ``_Engine._column_form``: a
-        letter through its column at each position of the state, a
-        coefficient through its own, keyed by b-monomial alone.  The width
-        is at least that of every state, and only grows."""
+        letter through its column at each position of the state, read from
+        its table (``_Engine._table``), a coefficient through its own, keyed
+        by b-monomial alone.  The width is at least that of every state, and
+        only grows."""
         eng, arity = self.eng, self.eng.hp.arity
         size = eng.size
         self.bits = max([self.bits] + [st.bits for _, st in parts])
@@ -1033,14 +1051,15 @@ class _TopLevel:
                 if isinstance(op, Poly):
                     table, col = None, eng._column_form({0: op})
                 else:
-                    table = eng._table(op)
+                    fold, table = eng._table(op)
                 for q, v in st.vec.items():
                     base = q
                     if table is not None:
                         if not v:  # so no column is fetched for nothing
                             continue
                         pos = q % size
-                        col = table[pos] or eng._fetch(op, pos)
+                        pos -= pos % fold  # the kept column, moved to q
+                        col = table[pos // fold] or eng._fetch(op, pos)
                         base -= pos
                     u = norm[q]
                     plus, minus, other = col
@@ -1114,8 +1133,8 @@ def hecke_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     session.  Only memo misses count as moves, so a cold engine is the worst
     case.  Over the 80 products of 20 associativity samples (xy)z = x(yz)
     of basis elements of H(3,3,5), drawn as ``verify_hecke`` draws them at
-    seed 1, on a fresh engine, the largest took 20 526 moves against the
-    budget of 10^6 (882 when the same engine had first run the 20 samples
+    seed 1, on a fresh engine, the largest took 7 516 moves against the
+    budget of 10^6 (632 when the same engine had first run the 20 samples
     of seed 0).
     """
     _check_element(h1)

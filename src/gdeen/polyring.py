@@ -240,18 +240,6 @@ def _a_split(arity: int, code: int) -> tuple[int, int]:
     return code - k * _a_step(arity), k
 
 
-def _pack(p: Poly, bits: int) -> dict[int, int]:
-    """p as a map from the code of each monomial in the b_i (``_a_split``)
-    to the int of its polynomial in ``a`` at a = 2^bits.  a -> 2^bits is a
-    ring map, so sums and products of packed ints are the packed sums and
-    products, at any size."""
-    out: dict[int, int] = {}
-    for m, c in p.terms.items():
-        b, k = _a_split(p.arity, m)
-        out[b] = out.get(b, 0) + (c << bits * k)
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _offset(bits: int, n: int) -> int:
     """2^(bits-1) in each of n base-2^bits digits."""
@@ -287,11 +275,13 @@ def _rewiden(v: int, bits: int, new: int) -> int:
 
 
 def _packed_terms(arity: int, packed: dict[int, int], bits: int):
-    """The (code, coefficient) pairs of the polynomial that ``_pack`` sends
-    to ``packed``, highest code first, as ``_render`` takes them, read back
-    as balanced base-2^bits digits (``_digits``); some coefficients may be
-    0.  Exact when every coefficient is below 2^(bits-1) in absolute value.
-    An int of one b-monomial needs no sort: its codes fall with its digits."""
+    """The (code, coefficient) pairs of a polynomial packed as a map from the
+    code of each monomial in the b_i (``_a_split``) to the int of its
+    polynomial in ``a`` at a = 2^bits, highest code first, as ``_render``
+    takes them, read back as balanced base-2^bits digits (``_digits``);
+    some coefficients may be 0.  Exact when every coefficient is below
+    2^(bits-1) in absolute value.  An int of one b-monomial needs no sort:
+    its codes fall with its digits."""
     step = _a_step(arity)
     if len(packed) == 1:
         ((m, v),) = packed.items()

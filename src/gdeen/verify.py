@@ -194,7 +194,9 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     check on every column would name, and its counts are that coverage.
 
     Each letter's columns x * e_lambda are read once, as the packed states
-    that ``leftmul_generator`` returns, and each coefficient's digits
+    that ``leftmul_generator`` returns; a letter of level below n keeps
+    only those at the indices whose top shape is empty where it passes the
+    block check at rank n (``_read``).  Each coefficient's digits
     (``polyring._digits``) are read into one Kronecker int: a -> 2^B,
     b_i -> 2^(B*s_i) is a ring map, and B and the strides s_i are derived
     from the columns on every run so that it is injective on every side
@@ -249,8 +251,9 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, a
     maps each element to its position; return the first failure, or None.
     The counts of the checks that pass go into ``report``."""
     gp = hp.group_params()
-    # each letter's columns, with each coefficient as the id of its ints
-    # (``_read``); positions are the ints of one list, shared by all columns
+    # each letter's fold and columns, with each coefficient as the id of its
+    # ints (``_read``); positions are the ints of one list, shared by all
+    # columns
     coeffs: dict = {}
     positions = list(range(len(basis)))
     packed, sizes = {}, {}
@@ -287,10 +290,10 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, a
     ints = [0] * len(coeffs)  # the Kronecker int of each coefficient, by id
     for cid, _, _, terms in coeffs.values():
         ints[cid] = encode(terms)
-    columns = packed  # each column in place, as (position, Kronecker int) pairs
-    for cols in columns.values():
+    columns = packed  # each column in place, as flat (position, Kronecker int) pairs
+    for _, cols in columns.values():
         for j, col in enumerate(cols):
-            cols[j] = tuple((q, k) for q, c in col if (k := ints[c]))
+            cols[j] = tuple(chain.from_iterable((q, k) for q, c in _pairs(col) if (k := ints[c])))
     # each check as its failure text, its level (that of its highest letter),
     # and its sides, each term as its scalar's int and its letters' columns,
     # rightmost first
@@ -309,7 +312,8 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, a
     mats = {x: generator(gp, x) for x in columns}
 
     def translation(x, j: int):
-        spec = [(q, v) for q, k in columns[x][j] if (v := ((k + half) & (2 * half - 1)) - half)]
+        col = _at(columns[x], j)
+        spec = [(q, v) for q, k in _pairs(col) if (v := ((k + half) & (2 * half - 1)) - half)]
         if spec == [(at.get(mul(mats[x], elements[j])), 1)]:
             return None
         return {
@@ -337,13 +341,22 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, a
     return None
 
 
-def _read(hp: HeckeParams, x, basis: list, positions: list, coeffs: dict) -> tuple[list, tuple]:
+def _read(hp: HeckeParams, x, basis: list, positions: list, coeffs: dict) -> tuple[tuple, tuple]:
     """x * e_lambda for every basis index, read from the packed state that
-    ``leftmul_generator`` returns: each column as (position, coefficient id)
-    pairs, positions in the order in which they first appear in the state
-    and taken from ``positions``; and the largest L1 norm of a column (the
-    sum of |coefficient| over its entries and monomials) and the largest
-    degree of each variable in any.
+    ``leftmul_generator`` returns: x's fold w and its columns, each as one
+    flat tuple of (position, coefficient id) pairs (``_pairs``), positions
+    in the order in which they first appear in the state and taken from
+    ``positions``; and the largest L1 norm of a column (the sum of
+    |coefficient| over its entries and monomials) and the largest degree of
+    each variable in any.
+
+    A letter of level below n is checked as its columns come back against
+    the block check at rank n (``_blocks``): its column at each position p
+    is the one at p - r, r = p mod w, with every entry moved by r, where w
+    is the number of level-n shapes, and the one at p - r has its entries
+    at multiples of w.  While that holds, only the columns at multiples of
+    w are kept, and ``_at`` reads the others; from where it fails, the
+    letter keeps every column, with fold 1.  s_n has fold 1.
 
     ``coeffs`` maps each coefficient read so far, as the width and the
     (bcode, int) pairs of its position, to its id, its L1 norm, its degrees
@@ -351,8 +364,9 @@ def _read(hp: HeckeParams, x, basis: list, positions: list, coeffs: dict) -> tup
     (``_digits``)."""
     size, arity, step = len(basis), hp.arity, _a_step(hp.arity)
     top, seen = 0, set()
+    fold = len(_shape_table(hp)[0][-1]) if _letter_level(x) < hp.n else 1
     cols = []
-    for lam in basis:
+    for j, lam in enumerate(basis):
         h = leftmul_generator(hp, x, lam)
         if not (isinstance(h, HeckeElement) and h.params == hp):
             raise ParamsMismatch(f"{x} * {lam} is not in Lambda's span: {h!r} is no element of {hp}")
@@ -373,13 +387,22 @@ def _read(hp: HeckeParams, x, basis: list, positions: list, coeffs: dict) -> tup
                     terms += ((b + k * step, d) for k, d in digits)
                     deg = list(map(max, deg, [digits[-1][0]] + _decode(arity, b)[1:]))
                 c = coeffs[key] = (len(coeffs), sum(abs(d) for _, d in terms), deg, terms)
-            col.append((positions[pos], c[0]))
+            col += (positions[pos], c[0])
             l1 += c[1]
             seen.add(c[0])
         top = max(top, l1)
-        cols.append(tuple(col))
+        col = tuple(col)
+        if fold > 1:
+            r = j % fold
+            if r and col == _at((fold, cols), j):
+                continue
+            if not (r or any(q % fold for q in col[::2])):
+                cols.append(col)
+                continue
+            cols, fold = [_at((fold, cols), i) for i in range(j)], 1
+        cols.append(col)
     degs = [c[2] for c in coeffs.values() if c[0] in seen]
-    return cols, (top, [max(d) for d in zip([0] * arity, *degs)])
+    return (fold, cols), (top, [max(d) for d in zip([0] * arity, *degs)])
 
 
 def _first_failure(hp: HeckeParams, columns: dict, checks: list, translation):
@@ -400,7 +423,7 @@ def _first_failure(hp: HeckeParams, columns: dict, checks: list, translation):
     found = ()
     for k, width in zip(range(hp.n - len(radix) + 1, hp.n + 1), radix):
         stride //= width
-        lower = [col for x, col in columns.items() if _letter_level(x) < k]
+        lower = [letter for x, letter in columns.items() if _letter_level(x) < k]
         below = found if _blocks(lower, size, stride, width) else None
         found = _rank_failure(k, range(0, size, stride), below, columns, checks, translation)
     return found or None
@@ -430,21 +453,24 @@ def _rank_failure(k: int, span: range, below, columns: dict, checks: list, trans
     return ()
 
 
-def _blocks(columns: list, size: int, stride: int, width: int) -> bool:
-    """The block check at rank k: whether the columns of each lower letter
-    on the rank-k module are those on the rank-(k-1) module with the
-    level-k shape re-appended.  The column at each position p of rank k-1
-    (a multiple of stride * width) has its entries at such positions, and
-    the column at p + r * stride is the one at p with every entry moved by
-    r * stride."""
+def _blocks(letters: list, size: int, stride: int, width: int) -> bool:
+    """The block check at rank k: whether the columns of each lower letter,
+    given as its fold and kept columns (``_read``), on the rank-k module are
+    those on the rank-(k-1) module with the level-k shape re-appended.  The
+    column at each position p of rank k-1 (a multiple of stride * width)
+    has its entries at such positions, and the column at p + r * stride is
+    the one at p with every entry moved by r * stride.  A letter kept once
+    per stride * width positions passed this check as it was read."""
     outer = stride * width
-    for col in columns:
+    for letter in letters:
+        if letter[0] == outer:
+            continue
         for base in range(0, size, outer):
-            below = col[base]
-            if any(q % outer for q, _ in below):
+            below = _at(letter, base)
+            if any(q % outer for q in below[::2]):
                 return False
             for shift in range(stride, outer, stride):
-                if col[base + shift] != tuple((q + shift, k) for q, k in below):
+                if _at(letter, base + shift) != _moved(below, shift):
                     return False
     return True
 
@@ -507,6 +533,28 @@ def _kronecker(arity: int, bits: int, degrees: list[int]):
     return encode
 
 
+def _pairs(col: tuple):
+    """The (position, value) pairs of a column, kept as one flat tuple."""
+    it = iter(col)
+    return zip(it, it)
+
+
+def _moved(col: tuple, r: int) -> tuple:
+    """A column with every entry moved by r positions."""
+    out = list(col)
+    out[::2] = [q + r for q in col[::2]]
+    return tuple(out)
+
+
+def _at(letter: tuple, p: int) -> tuple:
+    """A letter's column at position p, from its fold w and the columns it
+    keeps (``_read``): the one kept at p - r, r = p mod w, moved by r."""
+    fold, cols = letter
+    r = p % fold
+    col = cols[p // fold]
+    return _moved(col, r) if r else col
+
+
 def _unit_path(columns: dict, word, at: int):
     """Where the int columns of ``word``'s letters, from the right, send the
     basis vector at ``at``, if each column on the way is one entry of int
@@ -514,24 +562,28 @@ def _unit_path(columns: dict, word, at: int):
     map injective (each letter has a relation side of its own), so each
     step is exactly a basis vector; a whole word's side might not be."""
     for x in reversed(word.syms):
-        col = columns[x][at]
-        if len(col) != 1 or col[0][1] != 1:
+        fold, cols = columns[x]
+        col = cols[at // fold]  # ``_at``, unmoved
+        if len(col) != 2 or col[1] != 1:
             return None
-        ((at, _),) = col
+        at = col[0] + at % fold
     return at
 
 
 def _int_side(terms: list, j: int) -> dict[int, int]:
     """The sum of c * (x_1 .. x_L * e_j) over the terms, each given as c and
-    the int columns of x_L .. x_1, composed in that order; as a map from
-    basis position to its nonzero int."""
+    the fold and int columns of x_L .. x_1 (``_at``), composed in that
+    order; as a map from basis position to its nonzero int."""
     acc: dict[int, int] = {}
-    for c, cols in terms:
+    for c, letters in terms:
         items = [(j, c)]
-        for col in cols:
+        for fold, cols in letters:
             out: dict[int, int] = {}
             for p, k in items:
-                for q, kq in col[p]:
+                r = p % fold
+                it = iter(cols[p // fold])
+                for q, kq in zip(it, it):  # ``_pairs``, inline
+                    q += r
                     out[q] = out.get(q, 0) + k * kq
             items = out.items()
         for q, k in items:

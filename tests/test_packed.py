@@ -2,7 +2,7 @@
 
 ``_Engine.apply`` evaluates level n on ints: each coefficient's part at one
 monomial in the b_i is its polynomial in a at a = 2^bits
-(``polyring._pack``), and results are read back as balanced base-2^bits
+(``_pack`` below), and results are read back as balanced base-2^bits
 digits (``polyring._unpack``).  That is exact only while every coefficient
 stays below 2^(bits-1).  Each call proves a bound per int as it computes
 it, and doubles bits when it must; these tests check the pair, the bound's
@@ -20,9 +20,9 @@ import pytest
 
 import gdeen.hecke as hecke_mod
 from gdeen import HeckeElement, Poly, apply_word, basis_enumerate, d1n, een, hecke_mul, reduce_word
-from gdeen.polyring import _decode, _digits, _pack, _packed_terms, _render, _rewiden, _unpack
+from gdeen.polyring import _a_split, _decode, _digits, _packed_terms, _render, _rewiden, _unpack
 from gdeen.polyring import var_names
-from gdeen.words import alphabet, make_word, parse_word
+from gdeen.words import S, alphabet, make_word, parse_word
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,6 +33,18 @@ def fresh_engines():
     hecke_mod._engine.cache_clear()
     yield
     hecke_mod._engine.cache_clear()
+
+
+def _pack(p: Poly, bits: int) -> dict[int, int]:
+    """p as a map from the code of each monomial in the b_i (``_a_split``)
+    to the int of its polynomial in ``a`` at a = 2^bits: the reference
+    encoding.  a -> 2^bits is a ring map, so sums and products of packed
+    ints are the packed sums and products, at any size."""
+    out: dict[int, int] = {}
+    for m, c in p.terms.items():
+        b, k = _a_split(p.arity, m)
+        out[b] = out.get(b, 0) + (c << bits * k)
+    return out
 
 
 @st.composite
@@ -270,7 +282,11 @@ def test_the_top_level_keeps_its_columns_packed_only():
     eng = hecke_mod._engine(hp)
     assert eng._lm and all(m < hp.n for m, _, _ in eng._lm)
     assert eng._packed and set(eng._packed) <= set(alphabet(hp.group_params()))
-    assert all(len(table) == eng.size for table in eng._packed.values())
+    # s4 keeps every column; a lower letter, one per rank-3 position
+    top = len(hecke_mod._shape_table(hp)[0][-1])
+    for x, (fold, table) in eng._packed.items():
+        assert fold == (1 if x == S(hp.n) else top)
+        assert len(table) == eng.size // fold
 
 
 def test_a_widening_call_stores_each_column_once(monkeypatch):

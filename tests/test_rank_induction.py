@@ -18,6 +18,7 @@ import pytest
 import gdeen.hecke as hecke_mod
 import gdeen.verify as verify_mod
 from gdeen import (
+    HeckeElement,
     Poly,
     as_word,
     basis_element,
@@ -31,8 +32,8 @@ from gdeen import (
     word_text,
 )
 from gdeen.cli import main
-from gdeen.hecke import ONE, _Engine
-from gdeen.words import T, Z, alphabet, generator
+from gdeen.hecke import ONE
+from gdeen.words import S, T, Z, alphabet, generator
 
 H333 = een(3, 3)
 
@@ -45,19 +46,21 @@ def fresh_engines():
 
 
 def break_top_copy(monkeypatch, letter):
-    """Drop the a-multiples from the top-level copy of ``letter``'s columns
-    (``_Engine._column``, branch lvl < m at m = n) where the top shape is
-    not empty.  On the indices (lambda', 1) the letter still acts as at
-    rank n-1, so only a check at rank n sees the damage."""
-    real = _Engine._column
+    """Drop the a-multiples from ``letter``'s columns where the top shape is
+    not empty, as ``verify_hecke`` reads them (``leftmul_generator``): the
+    engine keeps no such column, it moves the one at (lambda', 1).  On the
+    indices (lambda', 1) the letter still acts as at rank n-1, so only a
+    check at rank n sees the damage."""
+    real = verify_mod.leftmul_generator
 
-    def column(self, m, sym, shapes):
-        res = real(self, m, sym, shapes)
-        if m == self.n and sym == letter and shapes[-1] != ONE:
-            res = [(c, sh) for c, sh in res if c.specialize([0] * self.hp.arity)]
-        return res
+    def leftmul(hp, sym, lam):
+        col = real(hp, sym, lam)
+        if sym != letter or lam[-1] == ONE:
+            return col
+        zeros = [0] * hp.arity
+        return HeckeElement(hp, {mu: c for mu, c in col.combo.items() if c.specialize(zeros)})
 
-    monkeypatch.setattr(_Engine, "_column", column)
+    monkeypatch.setattr(verify_mod, "leftmul_generator", leftmul)
 
 
 def test_a_broken_top_level_copy_fails_the_lower_relations_at_rank_n(monkeypatch):
@@ -79,6 +82,60 @@ def test_without_the_block_check_the_break_is_found_later(monkeypatch):
     monkeypatch.setattr(verify_mod, "_blocks", lambda *args: True)
     report = verify_hecke(H333, samples=0)
     assert report["failure"] == "relation t0 s3 t0 = s3 t0 s3 failed on column s3"
+
+
+def spy_reads(monkeypatch):
+    """Each letter's fold and kept columns, as ``verify._read`` returns them."""
+    reads = {}
+    real = verify_mod._read
+
+    def read(hp, x, *args):
+        out = real(hp, x, *args)
+        reads[x] = out[0]
+        return out
+
+    monkeypatch.setattr(verify_mod, "_read", read)
+    return reads
+
+
+def test_a_lower_letter_is_kept_once_per_rank_n_minus_1_position(monkeypatch):
+    # in the engine and in the certificate: no level-n column of a lower
+    # letter is computed where the top shape is not empty, and each keeps
+    # |Lambda| / w columns, where w = 12 is the number of level-4 shapes
+    hp = een(3, 4)
+    calls = []
+    real = hecke_mod._Engine._column
+
+    def column(self, m, sym, shapes):
+        if m == self.n and sym != S(4) and shapes[-1] != ONE:
+            calls.append((sym, shapes))
+        return real(self, m, sym, shapes)
+
+    monkeypatch.setattr(hecke_mod._Engine, "_column", column)
+    reads = spy_reads(monkeypatch)
+    assert verify_hecke(hp, samples=0)["ok"]
+    assert calls == []
+    w = len(hecke_mod._shape_table(hp)[0][-1])
+    assert w == 12
+    eng = hecke_mod._engine(hp)
+    for x, (fold, table) in eng._packed.items():
+        assert (fold, len(table)) == ((1, 648) if x == S(4) else (w, 648 // w))
+        assert None not in table
+        assert reads[x][0] == fold and len(reads[x][1]) == len(table)
+
+
+def test_a_broken_letter_keeps_every_column_in_the_certificate(monkeypatch):
+    # t0 fails the block check as it is read, so it keeps all 54 columns;
+    # the other lower letters keep one per rank-2 position
+    break_top_copy(monkeypatch, T(0))
+    reads = spy_reads(monkeypatch)
+    verify_hecke(H333, samples=0)
+    assert {str(x): (fold, len(cols)) for x, (fold, cols) in reads.items()} == {
+        "t0": (1, 54),
+        "t1": (9, 6),
+        "t2": (9, 6),
+        "s3": (1, 54),
+    }
 
 
 def test_rank_n_checks_only_the_relations_with_s_n_on_every_column(monkeypatch):
@@ -195,3 +252,47 @@ def test_a_perturbed_action_gets_the_flat_report(monkeypatch, seed):
         assert report["ok"] or report["failure"].startswith("basis word")
     else:
         assert report["failure"] == expected
+
+
+@pytest.mark.parametrize(
+    "hp, letter, index, target",
+    [
+        # t1's column at (t1, 1) gains an entry at (t1, s3), and the one at
+        # (t1, mu) the entry moved by mu: each copy is still the moved
+        # (t1, 1) column, but that column leaves the rank-2 module, which
+        # the block check at rank 3 finds as t1 is read
+        (een(3, 3), T(1), (("x", 1), ONE), (("x", 1), ("d", 3))),
+        # z's column at (1, s2, mu) gains the entry at (1, 1, mu): the block
+        # check holds at rank 3, so z is kept once per rank-2 position, and
+        # fails at rank 2, where (1, s2, 1) is no copy of (1, 1, 1)
+        (d1n(2, 3), Z, (("zp", 0), ("d", 2), ONE), (("zp", 0), ONE, ONE)),
+    ],
+    ids=["rank-3", "rank-2"],
+)
+def test_a_perturbation_moved_along_the_top_shape_gets_the_flat_report(monkeypatch, hp, letter, index, target):
+    basis = basis_enumerate(hp)
+    w = len(hecke_mod._shape_table(hp)[0][-1])
+    p0, t = basis.index(index), basis.index(target)
+    c = -Poly.variable(hp.arity, 0)
+    real = verify_mod.leftmul_generator
+
+    def leftmul(hp, sym, lam):
+        col = real(hp, sym, lam)
+        r = basis.index(lam) - p0
+        return col + basis_element(hp, basis[t + r]).scaled(c) if sym == letter and 0 <= r < w else col
+
+    monkeypatch.setattr(verify_mod, "leftmul_generator", leftmul)
+    reads = spy_reads(monkeypatch)
+    report = verify_hecke(hp, samples=0)
+    expected = flat_failure(hp)
+    assert expected is not None and report["failure"] == expected
+    assert reads[letter][0] == (1 if t % w else w)
+
+
+def test_a_letter_kept_once_per_rank_n_minus_1_position_takes_the_lower_block_checks():
+    # four positions, two shapes at each of two levels: a letter kept at
+    # positions 0 and 2 (fold 2) passed the check at rank 2 as it was read,
+    # and still takes it at rank 1, on its kept columns
+    assert verify_mod._blocks([(2, [(0, 5), (0, 5)])], 4, 1, 2)
+    assert not verify_mod._blocks([(2, [(0, 5), (0, 5)])], 4, 2, 2)
+    assert verify_mod._blocks([(2, [(0, 5), (2, 5)])], 4, 2, 2)
