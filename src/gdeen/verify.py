@@ -399,6 +399,7 @@ def _read(hp: HeckeParams, x, basis: list, positions: list, coeffs: dict) -> tup
             if not (r or any(q % fold for q in col[::2])):
                 cols.append(col)
                 continue
+            # the block check fails at j: keep every column from here on
             cols, fold = [_at((fold, cols), i) for i in range(j)], 1
         cols.append(col)
     degs = [c[2] for c in coeffs.values() if c[0] in seen]
