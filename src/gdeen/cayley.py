@@ -1,8 +1,8 @@
 """The generators' row moves: left multiplication as a rewrite of rows.
 
-``verify_geodesic`` evaluates every normal form with these moves, on
-ranks of permutations and exponent vectors, and checks the Cayley-graph
-edges g -> x*g with them; no group table is built.
+Both certificates in ``verify`` evaluate words with these moves, on ranks
+of permutations and exponent vectors, and build no group table: the normal
+forms and the Cayley-graph edges g -> x*g, the basis words and translations.
 """
 
 from __future__ import annotations

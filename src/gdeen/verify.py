@@ -4,13 +4,13 @@ Each function returns a JSON-serializable report with an "ok" flag and,
 on failure, the first counterexample.  These are the desk-scale witnesses
 for the geodesic and freeness theorems: exhaustive, exact, and checked
 against the generator matrices rather than against the code under test.
-Neither suite builds a BFS table.  The geodesic certificate evaluates
-words with the generators' row moves (``cayley.row_moves``); the Hecke
-suite checks, by induction on the rank, that the defining relations hold
-on every column of the action, in exact integer arithmetic, compares the
-action with left multiplication of group elements through the a -> 0
-specialization, and checks that each basis word sends 1 to its basis
-element.
+Neither suite builds a BFS table: both evaluate words on the ranks of
+group elements with the generators' row moves (``cayley.row_moves``,
+``_left_action``).  The Hecke suite checks, by induction on the rank,
+that the defining relations hold on every column of the action, in exact
+integer arithmetic, compares the action with left multiplication of group
+elements through the a -> 0 specialization, and checks that each basis
+word sends 1 to its basis element.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from operator import sub
 
 from .cayley import row_moves
 from .errors import InvariantViolation, ParamsMismatch
-from .group import DEFAULT_CAP, GroupElement, Params, _checked_order, _is_int, mul
+from .group import DEFAULT_CAP, GroupElement, Params, _is_int
 from .hecke import (
     HeckeElement,
     HeckeParams,
     _check_params,
+    _index_word,
     _letter_level,
     _shape_table,
     as_word,
@@ -36,12 +37,11 @@ from .hecke import (
     basis_enumerate,
     hecke_mul,
     hecke_relations,
-    identity_index,
     leftmul_generator,
 )
 from .normal_form import _rank_order, _sweeps, census_expected, normal_form
 from .polyring import Poly, _a_step, _decode, _digits
-from .words import Z, alphabet, eval_word, generator, make_word, word_text
+from .words import Z, alphabet, make_word, word_text
 
 __all__ = ["verify_geodesic", "verify_hecke"]
 
@@ -62,22 +62,14 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     a geodesic.  No BFS table is built; a group whose order exceeds ``cap``
     is refused.  ``gdeen enumerate`` reports this order and histogram.
     """
-    perms, vecs = _rank_order(params, cap)
-    perms = list(perms)
+    perms, vecs, tables = _left_action(params, cap)
     width = len(vecs)
-    # left multiplication acts on the permutation and on the exponents
-    # separately, so a letter maps rank P * width + E to ptab[P] * width + etab[E]
-    tables = _left_tables(params, perms, vecs)
     n, d = params.n, params.d
     # a level-i part has at most 2i + d letters; wider lengths still raise
     f = array("B" if n * (n + 1 + d) < 256 else "H", [0]) * params.order()
     for rank, (perm, ks, parts) in enumerate(_sweeps(params, perms, vecs)):
         word = list(chain.from_iterable(parts))
-        at, ke = 0, 0  # the identity's ranks
-        for x in reversed(word):
-            ptab, etab = tables[x]
-            at, ke = ptab[at], etab[ke]
-        if at * width + ke != rank:
+        if _spell(tables, width, word) != rank:
             why = "normal form does not evaluate back to the element"
             return _geodesic_failure(params, perm, ks, len(word), reason=why)
         try:
@@ -126,9 +118,12 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     return report
 
 
-def _left_tables(params: Params, perms, vecs) -> list[tuple[list[int], list[int]]]:
-    """Per letter x, the rank of x*g's permutation for each permutation rank
-    of g, and the rank of its exponents for each exponent rank of g."""
+def _left_action(params: Params, cap: int) -> tuple[list, list, list[tuple[list[int], list[int]]]]:
+    """The permutations and exponent vectors in rank order (``_rank_order``),
+    and per letter x the tables (ptab, etab) by which x maps the rank
+    P * len(vecs) + E of g to that of x*g, ptab[P] * len(vecs) + etab[E]."""
+    perms, vecs = _rank_order(params, cap)
+    perms = list(perms)
     p_rank = {p: i for i, p in enumerate(perms)}
     e_rank = {v: i for i, v in enumerate(vecs)}
     de = params.de
@@ -146,7 +141,16 @@ def _left_tables(params: Params, perms, vecs) -> list[tuple[list[int], list[int]
                 w[r] = (v[src] + k) % de
             etab.append(e_rank[tuple(w)])
         tables.append((ptab, etab))
-    return tables
+    return perms, vecs, tables
+
+
+def _spell(tables, width: int, word) -> int:
+    """The rank of the element a word spells, from the identity's rank 0."""
+    at, ke = 0, 0
+    for x in reversed(word):
+        ptab, etab = tables[x]
+        at, ke = ptab[at], etab[ke]
+    return at * width + ke
 
 
 def _geodesic_failure(params: Params, perm, exps, length: int, **why) -> dict:
@@ -171,7 +175,8 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     The report is ok when these checks pass, run in this order:
 
     * count: |Lambda| = |W|, where |W| is ``order()``, refused past ``cap``;
-    * bijection: distinct basis words spell distinct group elements;
+    * bijection: distinct basis words spell distinct group elements, each
+      evaluated to its rank as ``verify_geodesic`` evaluates a normal form;
     * relations: every braid-type relation, the quadratic relation
       x^2 = a x + 1 of every letter x other than z, and for H(d,1,n) the
       cyclotomic relation hold on every basis column of the action;
@@ -208,26 +213,28 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     if not _is_int(samples) or samples < 0:
         raise ParamsMismatch(f"samples must be an int >= 0, got {samples!r}")
     gp = hp.group_params()
-    order = _checked_order(gp, cap)
+    perms, vecs, tables = _left_action(gp, cap)
     basis = basis_enumerate(hp)
     report: dict = {"ok": True, "algebra": str(hp), "basis_size": len(basis)}
 
-    if len(basis) != order:
+    if len(basis) != gp.order():
         report["ok"] = False
-        report["failure"] = f"|Lambda| = {len(basis)} but |W| = {order}"
+        report["failure"] = f"|Lambda| = {len(basis)} but |W| = {gp.order()}"
         return report
 
-    words = [as_word(hp, lam) for lam in basis]
-    elements = [eval_word(w) for w in words]
-    at: dict = {}  # group element -> its basis position
-    for j, g in enumerate(elements):
-        if g in at:
+    # each basis word's rank by position, and each rank's position
+    tables = dict(zip(alphabet(gp), tables))
+    ranks, at = array("l"), array("l", [-1]) * len(basis)
+    for j, lam in enumerate(basis):
+        r = _spell(tables, len(vecs), _index_word(hp, lam))
+        if at[r] >= 0:
             report["ok"] = False
-            report["failure"] = f"as_word not injective: {basis[j]} and {basis[at[g]]} collide"
+            report["failure"] = f"as_word not injective: {lam} and {basis[at[r]]} collide"
             return report
-        at[g] = j
+        at[r] = j
+        ranks.append(r)
 
-    failure = _action_failure(hp, basis, words, elements, at, report)
+    failure = _action_failure(hp, basis, perms, vecs, tables, ranks, at, report)
     if failure is not None:
         report["ok"] = False
         report["failure"] = failure
@@ -244,13 +251,14 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     return report
 
 
-def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, at: dict, report):
+def _action_failure(hp: HeckeParams, basis: list, perms, vecs, tables, ranks, at, report):
     """Check the relations, then the specialization, then freeness, on the
-    columns of the action, where ``words`` and ``elements`` are the basis
-    words and their group elements in the order of ``basis``, and ``at``
-    maps each element to its position; return the first failure, or None.
+    columns of the action, where ``ranks`` holds each basis word's rank in
+    the order of ``basis``, ``at`` each rank's position, and the rest is
+    ``_left_action``'s, keyed by letter; return the first failure, or None.
     The counts of the checks that pass go into ``report``."""
     gp = hp.group_params()
+    width = len(vecs)
     # each letter's fold and columns, with each coefficient as the id of its
     # ints (``_read``); positions are the ints of one list, shared by all
     # columns
@@ -309,17 +317,19 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, a
     # at a, b_i -> 0 each column must be the left translate of its index:
     # each int's lowest balanced digit is its coefficient's value there
     half = 1 << (encode.bits - 1)
-    mats = {x: generator(gp, x) for x in columns}
 
     def translation(x, j: int):
         col = _at(columns[x], j)
         spec = [(q, v) for q, k in _pairs(col) if (v := ((k + half) & (2 * half - 1)) - half)]
-        if spec == [(at.get(mul(mats[x], elements[j])), 1)]:
+        (ptab, etab), (p, e) = tables[x], divmod(ranks[j], width)
+        if spec == [(at[ptab[p] * width + etab[e]], 1)]:
             return None
         return {
             "generator": str(x),
-            "basis": word_text(words[j]),
-            "specialization": {str(elements[q]): v for q, v in spec},
+            "basis": word_text(as_word(hp, basis[j])),
+            "specialization": {
+                str(GroupElement(gp, perms[ranks[q] // width], vecs[ranks[q] % width])): v for q, v in spec
+            },
         }
 
     found = _first_failure(hp, columns, checks, translation)
@@ -328,16 +338,16 @@ def _action_failure(hp: HeckeParams, basis: list, words: list, elements: list, a
         if r >= len(relations):  # every braid-type relation holds
             report["relations_checked"] = len(relations)
             report["relation_columns_checked"] = len(relations) * len(basis)
-        return checks[r][0].format(word_text(words[j]))
+        return checks[r][0].format(word_text(as_word(hp, basis[j])))
     report["relations_checked"] = len(relations)
     report["relation_columns_checked"] = len(relations) * len(basis)
     if found is not None:
         return found[2]
     report["action_entries_checked"] = len(columns) * len(basis)
-    unit = basis.index(identity_index(hp))
-    for j, w in enumerate(words):
-        if _unit_path(columns, w, unit) != j:
-            return f"basis word {word_text(w)} does not send 1 to its basis element"
+    unit = at[0]  # rank 0 is the identity
+    for j, lam in enumerate(basis):
+        if _unit_path(columns, _index_word(hp, lam), unit) != j:
+            return f"basis word {word_text(as_word(hp, lam))} does not send 1 to its basis element"
     return None
 
 
@@ -556,13 +566,13 @@ def _at(letter: tuple, p: int) -> tuple:
     return _moved(col, r) if r else col
 
 
-def _unit_path(columns: dict, word, at: int):
+def _unit_path(columns: dict, word: tuple, at: int):
     """Where the int columns of ``word``'s letters, from the right, send the
     basis vector at ``at``, if each column on the way is one entry of int
     1; else None.  One column is within the bounds that make the Kronecker
     map injective (each letter has a relation side of its own), so each
     step is exactly a basis vector; a whole word's side might not be."""
-    for x in reversed(word.syms):
+    for x in reversed(word):
         fold, cols = columns[x]
         col = cols[at // fold]  # ``_at``, unmoved
         if len(col) != 2 or col[1] != 1:

@@ -19,6 +19,7 @@ import pytest
 import gdeen
 import gdeen.hecke as hecke_mod
 from gdeen import (
+    EnumerationTooLarge,
     GdeenError,
     HeckeElement,
     HeckeParams,
@@ -288,6 +289,58 @@ def test_verify_hecke_builds_no_group_table(monkeypatch):
     holders = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "gdeen"]
     assert not any(hasattr(mod, "enumerate_group") for mod in holders)
     assert verify_mod.verify_hecke(een(3, 3), samples=2) == expected
+
+
+@pytest.mark.parametrize(
+    "hp, cap, text",
+    [(een(3, 4), 647, "|G(3,3,4)| = 648 exceeds cap 647"), (d1n(3, 3), 161, "|G(3,1,3)| = 162 exceeds cap 161")],
+    ids=["H(3,3,4)", "H(3,1,3)"],
+)
+def test_verify_hecke_refuses_a_group_past_its_cap_before_any_column(monkeypatch, hp, cap, text):
+    import gdeen.verify as verify_mod
+
+    def no_column(*args):
+        raise AssertionError("a column was read")
+
+    monkeypatch.setattr(verify_mod, "leftmul_generator", no_column)
+    with pytest.raises(EnumerationTooLarge) as raised:
+        verify_mod.verify_hecke(hp, cap=cap, samples=0)
+    assert str(raised.value) == text
+
+
+@pytest.mark.parametrize(
+    "hp", [een(3, 3), een(4, 3), een(2, 4), d1n(2, 3), d1n(3, 3), d1n(4, 2)], ids=str
+)
+def test_basis_words_spell_the_ranks_of_their_elements(hp):
+    # the certificate's ranks against eval_word, an evaluator of its own
+    import gdeen.verify as verify_mod
+    from gdeen.hecke import _index_word
+    from gdeen.normal_form import _rank_order
+
+    gp = hp.group_params()
+    tables = dict(zip(alphabet(gp), verify_mod._left_action(gp, 10**6)[2]))
+    perms, vecs = _rank_order(gp, 10**6)
+    rank = {pv: i for i, pv in enumerate((p, v) for p in perms for v in vecs)}
+    for lam in basis_enumerate(hp):
+        g = eval_word(as_word(hp, lam))
+        assert verify_mod._spell(tables, len(vecs), _index_word(hp, lam)) == rank[g.perm, g.exps]
+
+
+def test_a_passing_certificate_makes_no_basis_word(monkeypatch):
+    # the basis words are spelled from their letters; a Word is made only
+    # for a failure text
+    import gdeen.verify as verify_mod
+
+    calls = []
+    real = verify_mod.as_word
+
+    def counting(hp, lam):
+        calls.append(lam)
+        return real(hp, lam)
+
+    monkeypatch.setattr(verify_mod, "as_word", counting)
+    assert verify_mod.verify_hecke(een(3, 4), samples=0)["ok"]
+    assert calls == []
 
 
 def test_pow_s2zs2_k1_and_k2():
@@ -616,9 +669,9 @@ def test_a_column_walks_its_index_once(monkeypatch):
     # leftmul_generator positions its index by the walk that checks it, and
     # starts from the unit state at that position; the engine positions the
     # indices of the columns it builds with no check.  From a cold engine,
-    # the certificate of H(3,3,4) makes 3 888 checked walks: one for each of
-    # its 3 240 columns and one for each of the 648 basis words.  Walking
-    # each column's index twice would make it 7 128
+    # the certificate of H(3,3,4) makes 3 240 checked walks, one for each of
+    # its columns; it spells the basis words without the engine.  Walking
+    # each column's index twice would make it 6 480
     hecke_mod._engine.cache_clear()
     walks = []
     real = hecke_mod._Engine._position
@@ -629,7 +682,7 @@ def test_a_column_walks_its_index_once(monkeypatch):
 
     monkeypatch.setattr(hecke_mod._Engine, "_position", counting)
     assert verify_hecke(een(3, 4), samples=0)["ok"]
-    assert len(walks) == 3888
+    assert len(walks) == 3240
     hecke_mod._engine.cache_clear()
 
 
@@ -647,7 +700,7 @@ def test_a_column_walks_its_index_once(monkeypatch):
 )
 def test_ranks_5_and_6_certify_exhaustively(hp, size):
     # every column of every letter, so the folds of s_5 and s_6 run on
-    # every basis index; H(3,3,6) takes 3-4 minutes and about 0.9 GB
+    # every basis index; H(3,3,6) takes 3-4 minutes and about 0.75 GB
     report = verify_hecke(hp, samples=0)
     assert report["ok"], report.get("failure")
     assert report["basis_size"] == size
@@ -661,8 +714,8 @@ def test_ranks_6_and_7_certify_in_under_1_gib(e, n):
     # lower letter's rank-n columns are kept once per rank-(n-1) position,
     # in the engine and in the certificate.  The children's ru_maxrss is
     # the largest of any child so far, so it bounds this one's.  H(3,3,6)
-    # (174 960 columns) peaks at about 0.9 GB, H(2,2,7) (322 560) at about
-    # 0.6 GB, in 3 minutes each
+    # (174 960 columns) peaks at about 0.75 GB in 3 minutes, H(2,2,7)
+    # (322 560) at about 0.3 GB in 1.5 minutes
     code = f"import sys, gdeen; sys.exit(not gdeen.verify_hecke(gdeen.een({e}, {n}), samples=0)['ok'])"
     env = {**os.environ, "PYTHONPATH": str(Path(gdeen.__file__).resolve().parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

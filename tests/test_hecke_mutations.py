@@ -125,10 +125,10 @@ def test_missing_basis_element_fails_the_count(monkeypatch):
 
 
 def test_colliding_basis_words_fail_the_bijection(monkeypatch):
-    real = verify_mod.as_word
+    real = verify_mod._index_word
     first, second = hecke_mod.basis_enumerate(H333)[:2]
     monkeypatch.setattr(
-        verify_mod, "as_word", lambda hp, lam: real(hp, first if lam == second else lam)
+        verify_mod, "_index_word", lambda hp, lam: real(hp, first if lam == second else lam)
     )
     assert failure(H333) == f"as_word not injective: {second} and {first} collide"
 
