@@ -112,6 +112,7 @@ MOVE_BUDGET = 10**6
 # each state is made at width _BITS, which a call doubles as it must.  The
 # stored level-n columns have no width.
 _BITS = 64
+_CHUNK = 1024  # slots per list of a column table (``_Engine._table``)
 
 
 @dataclass(frozen=True)
@@ -418,8 +419,10 @@ class _Engine:
         self._rw: dict = {}
         self._pairs: dict = {}  # (m, a, b) -> the terms of _pair_terms
         # the level-n columns, with no width: letter -> its fold and its
-        # columns (``_table``, ``_column_form``); tables are only added to
-        self._packed: dict[Sym, tuple[int, list]] = {}
+        # columns (``_table``, ``_column_form``), whose entries are kept
+        # once each in _entries (``_fetch``); tables are only added to
+        self._packed: dict[Sym, tuple[int, dict[int, list]]] = {}
+        self._entries: dict[tuple, tuple] = {}
         self._lock = threading.RLock()
         self._tk0: dict[int, list] = {}
         self._zpow: dict[int, list] = {}
@@ -892,7 +895,10 @@ class _Engine:
         coefficient a^k, (key, k) for a coefficient -a^k, which are all but
         a few, and (key, k, c, |c|) for each monomial c * a^k of any other
         coefficient.  So most entries act by a shift rather than a product,
-        and add the input's bound to their key's."""
+        and add the input's bound to their key's.  A stored column gives its
+        positions relative to its own (``_fetch``), and a coefficient at
+        position 0, so a key plus the key of the int acted on is the key of
+        the result."""
         size, arity = self.size, self.hp.arity
         plus, minus, other = [], [], []
         for pos, c in polys.items():
@@ -905,33 +911,44 @@ class _Engine:
                     (plus if v == 1 else minus).append(entry)
         return tuple(plus), tuple(minus), tuple(other)
 
-    def _table(self, x: Sym) -> tuple[int, list]:
+    def _table(self, x: Sym) -> tuple[int, dict[int, list]]:
         """x's fold w, and its level-n columns at the positions that are
-        multiples of w, the one at p at p // w; None where a column has not
-        been fetched.  w is 1 for s_n, and for a letter of level below n the
-        number w of level-n shapes: such a letter acts on (lambda', lambda_n)
-        as on (lambda', 1), with lambda_n re-appended.  Positions are mixed
-        radix, top level fastest, so its column at p is the one at p - r,
-        r = p mod w, with every key moved by r.  A key is position +
-        bcode * |Lambda|, and w divides |Lambda|, so the move keeps the
-        b-code."""
+        multiples of w, the one at p in slot j = p // w: slot j % _CHUNK of
+        the list kept under j // _CHUNK, which is made when a column in it
+        is first fetched, so a table holds only the lists that calls read;
+        None where a column has not been fetched.  w is 1 for s_n, and for a
+        letter of level below n the number w of level-n shapes: such a
+        letter acts on (lambda', lambda_n) as on (lambda', 1), with
+        lambda_n re-appended.  Positions are mixed radix, top level fastest,
+        so its column at p is the one at p - r, r = p mod w, with every
+        position moved by r: the same column, since its keys are relative
+        to its position.  A key is position + bcode * |Lambda|, and w
+        divides |Lambda|, so the move keeps the b-code."""
         try:
             return self._packed[x]
         except KeyError:
             fold = len(self._shapes[-1]) if _letter_level(x) < self.n else 1
             with self._lock:
-                return self._packed.setdefault(x, (fold, [None] * (self.size // fold)))
+                return self._packed.setdefault(x, (fold, {}))
 
     def _fetch(self, x: Sym, pos: int) -> tuple:
         """x * e_pos at level n, for a position that x's table keeps, in the
-        form of ``_column_form``: computed once, under the lock, and stored
-        for every width."""
+        form of ``_column_form`` with positions relative to pos: computed
+        once, under the lock, and stored for every width.  Relative keys
+        repeat from column to column, and each entry is kept once, in
+        ``_entries``."""
         with self._lock:
             fold, table = self._table(x)
-            if table[pos // fold] is None:
+            i, r = divmod(pos // fold, _CHUNK)
+            chunk = table.get(i)
+            if chunk is None:
+                chunk = table[i] = [None] * _CHUNK
+            if chunk[r] is None:
                 column = self._column(self.n, x, self._unwalk(pos))  # read once
-                table[pos // fold] = self._column_form({self._walk(lam): c for c, lam in column})
-            return table[pos // fold]
+                form = self._column_form({self._walk(lam) - pos: c for c, lam in column})
+                share = self._entries.setdefault
+                chunk[r] = tuple(tuple(map(share, part, part)) for part in form)
+            return chunk[r]
 
     # -- the one entry point ---------------------------------------------------
 
@@ -1035,8 +1052,10 @@ class _TopLevel:
         act through monomials in the form of ``_Engine._column_form``: a
         letter through its column at each position of the state, read from
         its table (``_Engine._table``), a coefficient through its own, keyed
-        by b-monomial alone.  The width is at least that of every state, and
-        only grows."""
+        by b-monomial alone.  Both forms key their entries relative to the
+        position they act on, so each entry's key plus the int's key q is
+        the key it adds into.  The width is at least that of every state,
+        and only grows."""
         eng, arity = self.eng, self.eng.hp.arity
         size = eng.size
         self.bits = max([self.bits] + [st.bits for _, st in parts])
@@ -1053,26 +1072,24 @@ class _TopLevel:
                 else:
                     fold, table = eng._table(op)
                 for q, v in st.vec.items():
-                    base = q
                     if table is not None:
                         if not v:  # so no column is fetched for nothing
                             continue
-                        pos = q % size
-                        pos -= pos % fold  # the kept column, moved to q
-                        col = table[pos // fold] or eng._fetch(op, pos)
-                        base -= pos
+                        j = q % size // fold  # the kept column, moved to q
+                        chunk = table.get(j // _CHUNK)
+                        col = chunk and chunk[j % _CHUNK] or eng._fetch(op, j * fold)
                     u = norm[q]
                     plus, minus, other = col
                     for key, k in plus:
-                        key += base
+                        key += q
                         out[key] = get(key, 0) + (v << k * bits)
                         bound[key] = bget(key, 0) + u
                     for key, k in minus:
-                        key += base
+                        key += q
                         out[key] = get(key, 0) - (v << k * bits)
                         bound[key] = bget(key, 0) + u
                     for key, k, c, l1 in other:
-                        key += base
+                        key += q
                         out[key] = get(key, 0) + (c * v << k * bits)
                         bound[key] = bget(key, 0) + u * l1
             # b-codes add field by field: no field may carry into the next

@@ -95,7 +95,17 @@ _set = object.__setattr__
 
 
 def _make(arity: int, terms: dict[int, int]) -> Poly:
-    """A Poly on a code map already known to be valid and free of zeros."""
+    """A Poly on a code map already known to be valid and free of zeros;
+    for a +-monomial, ``_unit_monomial``'s shared one."""
+    if len(terms) == 1:
+        ((m, c),) = terms.items()
+        if c == 1 or c == -1:
+            return _unit_monomial(arity, m, c)
+    return _new(arity, terms)
+
+
+def _new(arity: int, terms: dict[int, int]) -> Poly:
+    """A new Poly on a code map, as ``_make`` and ``_unit_monomial`` build it."""
     p = object.__new__(Poly)
     _set(p, "arity", arity)
     _set(p, "terms", terms)
@@ -128,13 +138,13 @@ class Poly:
 
     @staticmethod
     def const(arity: int, c: int) -> Poly:
-        return Poly(arity, {(0,) * arity: c})
+        return _make(arity, Poly(arity, {(0,) * arity: c}).terms)
 
     @staticmethod
     def variable(arity: int, i: int) -> Poly:
         if not 0 <= i < arity:
             raise ArityMismatch(f"no variable {i} in arity {arity}")
-        return Poly(arity, {tuple(int(j == i) for j in range(arity)): 1})
+        return _make(arity, Poly(arity, {tuple(int(j == i) for j in range(arity)): 1}).terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -298,18 +308,15 @@ def _unpack(arity: int, packed: dict[int, int], bits: int) -> Poly:
     terms = {m: c for m, c in _packed_terms(arity, packed, bits) if c}
     if arity > 1 and terms and max(terms) >> (WIDTH * arity):
         raise InvariantViolation(f"product degree reaches 2^{WIDTH} in arity {arity}")
-    if len(terms) == 1:
-        ((m, c),) = terms.items()
-        if c in (1, -1):
-            return _unit_monomial(arity, m, c)
     return _make(arity, terms)
 
 
 @lru_cache(maxsize=4096)
 def _unit_monomial(arity: int, code: int, c: int) -> Poly:
-    """One shared Poly per +-monomial: most entries of a generator's
-    column are +-a^k, and the columns a caller holds need no copies."""
-    return _make(arity, {code: c})
+    """One shared Poly per +-monomial, which ``_make`` hands out: most
+    entries of a generator's column, and most products in the engine's
+    memos below level n, are +-a^k, and no one keeps copies of them."""
+    return _new(arity, {code: c})
 
 
 def _dot(pairs: list[tuple[Poly, Poly]]) -> Poly:

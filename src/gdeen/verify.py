@@ -19,7 +19,7 @@ import math
 import random
 from array import array
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 from operator import sub
 
 from .cayley import row_moves
@@ -214,17 +214,18 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
         raise ParamsMismatch(f"samples must be an int >= 0, got {samples!r}")
     gp = hp.group_params()
     perms, vecs, tables = _left_action(gp, cap)
-    basis = basis_enumerate(hp)
-    report: dict = {"ok": True, "algebra": str(hp), "basis_size": len(basis)}
+    basis = basis_enumerate(hp)  # counted and spelled here, and not kept
+    size = len(basis)
+    report: dict = {"ok": True, "algebra": str(hp), "basis_size": size}
 
-    if len(basis) != gp.order():
+    if size != gp.order():
         report["ok"] = False
-        report["failure"] = f"|Lambda| = {len(basis)} but |W| = {gp.order()}"
+        report["failure"] = f"|Lambda| = {size} but |W| = {gp.order()}"
         return report
 
     # each basis word's rank by position, and each rank's position
     tables = dict(zip(alphabet(gp), tables))
-    ranks, at = array("l"), array("l", [-1]) * len(basis)
+    ranks, at = array("l"), array("l", [-1]) * size
     for j, lam in enumerate(basis):
         r = _spell(tables, len(vecs), _index_word(hp, lam))
         if at[r] >= 0:
@@ -233,8 +234,9 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
             return report
         at[r] = j
         ranks.append(r)
+    del basis  # from here on an index is read from the shape table (``_index_at``)
 
-    failure = _action_failure(hp, basis, perms, vecs, tables, ranks, at, report)
+    failure = _action_failure(hp, size, perms, vecs, tables, ranks, at, report)
     if failure is not None:
         report["ok"] = False
         report["failure"] = failure
@@ -242,7 +244,8 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
 
     rng = random.Random(seed)
     for _ in range(samples):
-        x, y, zz = (basis_element(hp, rng.choice(basis)) for _ in range(3))
+        # randrange(n) draws as choice() does from a sequence of length n
+        x, y, zz = (basis_element(hp, _index_at(hp, rng.randrange(size))) for _ in range(3))
         if hecke_mul(hecke_mul(x, y), zz) != hecke_mul(x, hecke_mul(y, zz)):
             report["ok"] = False
             report["failure"] = "associativity sample failed"
@@ -251,22 +254,33 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     return report
 
 
-def _action_failure(hp: HeckeParams, basis: list, perms, vecs, tables, ranks, at, report):
+def _index_at(hp: HeckeParams, j: int) -> tuple:
+    """The basis index at position j of ``basis_enumerate``: j is the
+    mixed-radix number of its per-level ranks in the shape table, top level
+    fastest.  For failure texts and samples only."""
+    parts = []
+    for rank in reversed(_shape_table(hp)[0]):
+        j, r = divmod(j, len(rank))
+        parts.append(list(rank)[r])
+    return tuple(reversed(parts))
+
+
+def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, report):
     """Check the relations, then the specialization, then freeness, on the
-    columns of the action, where ``ranks`` holds each basis word's rank in
-    the order of ``basis``, ``at`` each rank's position, and the rest is
-    ``_left_action``'s, keyed by letter; return the first failure, or None.
-    The counts of the checks that pass go into ``report``."""
+    columns of the action, where ``size`` is |Lambda|, ``ranks`` holds each
+    basis word's rank by position, ``at`` each rank's position, and the
+    rest is ``_left_action``'s, keyed by letter; return the first failure,
+    or None.  The counts of the checks that pass go into ``report``."""
     gp = hp.group_params()
     width = len(vecs)
     # each letter's fold and columns, with each coefficient as the id of its
     # ints (``_read``); positions are the ints of one list, shared by all
     # columns
     coeffs: dict = {}
-    positions = list(range(len(basis)))
+    positions = list(range(size))
     packed, sizes = {}, {}
     for x in alphabet(gp):
-        packed[x], sizes[x] = _read(hp, x, basis, positions, coeffs)
+        packed[x], sizes[x] = _read(hp, x, positions, coeffs)
 
     # every defining relation holds on every basis column, not just against
     # the identity: this certifies the generator action matrices as a
@@ -326,7 +340,7 @@ def _action_failure(hp: HeckeParams, basis: list, perms, vecs, tables, ranks, at
             return None
         return {
             "generator": str(x),
-            "basis": word_text(as_word(hp, basis[j])),
+            "basis": word_text(as_word(hp, _index_at(hp, j))),
             "specialization": {
                 str(GroupElement(gp, perms[ranks[q] // width], vecs[ranks[q] % width])): v for q, v in spec
             },
@@ -337,22 +351,23 @@ def _action_failure(hp: HeckeParams, basis: list, perms, vecs, tables, ranks, at
         _, r, j = found
         if r >= len(relations):  # every braid-type relation holds
             report["relations_checked"] = len(relations)
-            report["relation_columns_checked"] = len(relations) * len(basis)
-        return checks[r][0].format(word_text(as_word(hp, basis[j])))
+            report["relation_columns_checked"] = len(relations) * size
+        return checks[r][0].format(word_text(as_word(hp, _index_at(hp, j))))
     report["relations_checked"] = len(relations)
-    report["relation_columns_checked"] = len(relations) * len(basis)
+    report["relation_columns_checked"] = len(relations) * size
     if found is not None:
         return found[2]
-    report["action_entries_checked"] = len(columns) * len(basis)
+    report["action_entries_checked"] = len(columns) * size
     unit = at[0]  # rank 0 is the identity
-    for j, lam in enumerate(basis):
+    for j, lam in enumerate(product(*_shape_table(hp)[0])):
         if _unit_path(columns, _index_word(hp, lam), unit) != j:
             return f"basis word {word_text(as_word(hp, lam))} does not send 1 to its basis element"
     return None
 
 
-def _read(hp: HeckeParams, x, basis: list, positions: list, coeffs: dict) -> tuple[tuple, tuple]:
-    """x * e_lambda for every basis index, read from the packed state that
+def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tuple]:
+    """x * e_lambda for every basis index, in the order of
+    ``basis_enumerate``, read from the packed state that
     ``leftmul_generator`` returns: x's fold w and its columns, each as one
     flat tuple of (position, coefficient id) pairs (``_pairs``), positions
     in the order in which they first appear in the state and taken from
@@ -372,11 +387,12 @@ def _read(hp: HeckeParams, x, basis: list, positions: list, coeffs: dict) -> tup
     (bcode, int) pairs of its position, to its id, its L1 norm, its degrees
     and its (monomial code, coefficient) pairs, read from the ints' digits
     (``_digits``)."""
-    size, arity, step = len(basis), hp.arity, _a_step(hp.arity)
+    size, arity, step = len(positions), hp.arity, _a_step(hp.arity)
     top, seen = 0, set()
-    fold = len(_shape_table(hp)[0][-1]) if _letter_level(x) < hp.n else 1
+    shapes = _shape_table(hp)[0]
+    fold = len(shapes[-1]) if _letter_level(x) < hp.n else 1
     cols = []
-    for j, lam in enumerate(basis):
+    for j, lam in enumerate(product(*shapes)):
         h = leftmul_generator(hp, x, lam)
         if not (isinstance(h, HeckeElement) and h.params == hp):
             raise ParamsMismatch(f"{x} * {lam} is not in Lambda's span: {h!r} is no element of {hp}")

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from gdeen import cli
+import gdeen.hecke as hecke_mod
+from gdeen import cli, een
 from gdeen.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -118,6 +119,19 @@ def test_hecke_reduce_d1n(capsys):
         {"basis": "s2 z", "coeff": "1"},
         {"basis": "s2 z s2", "coeff": "a"},
     ]
+
+
+def test_hecke_reduce_at_rank_21(capsys):
+    # |Lambda| = 2^20 * 21!, so a column table holds only the lists of the
+    # columns that the call reads, not one slot per basis position
+    code, out, _ = run(
+        capsys, "hecke-reduce", "--family", "een", "--e", "2", "--n", "21", "--word", "s21 t1 s3"
+    )
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"basis": "t1 s3 s21", "coeff": "1"}]
+    tables = hecke_mod._engine(een(2, 21))._packed
+    assert tables and all(len(table) == 1 for _, table in tables.values())
+    hecke_mod._engine.cache_clear()
 
 
 def test_hecke_reduce_empty(capsys):

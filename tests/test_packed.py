@@ -19,8 +19,8 @@ import threading
 import pytest
 
 import gdeen.hecke as hecke_mod
-from gdeen import HeckeElement, Poly, apply_word, basis_enumerate, d1n, een, hecke_mul, reduce_word
-from gdeen.polyring import _a_split, _decode, _digits, _packed_terms, _render, _rewiden, _unpack
+from gdeen import HeckeElement, Poly, apply_word, basis_enumerate, d1n, een, hecke_mul, reduce_word, verify_hecke
+from gdeen.polyring import _a_split, _decode, _digits, _packed_terms, _render, _rewiden, _unit_monomial, _unpack
 from gdeen.polyring import var_names
 from gdeen.words import S, alphabet, make_word, parse_word
 
@@ -282,11 +282,46 @@ def test_the_top_level_keeps_its_columns_packed_only():
     eng = hecke_mod._engine(hp)
     assert eng._lm and all(m < hp.n for m, _, _ in eng._lm)
     assert eng._packed and set(eng._packed) <= set(alphabet(hp.group_params()))
-    # s4 keeps every column; a lower letter, one per rank-3 position
+    # s4 keeps every column; a lower letter, one per rank-3 position.  Slot
+    # j holds the column at j * fold, in lists of _CHUNK slots, each made
+    # when the first of its columns is read
     top = len(hecke_mod._shape_table(hp)[0][-1])
     for x, (fold, table) in eng._packed.items():
         assert fold == (1 if x == S(hp.n) else top)
-        assert len(table) == eng.size // fold
+        assert all(len(chunk) == hecke_mod._CHUNK and any(chunk) for chunk in table.values())
+        slots = [i * hecke_mod._CHUNK + r for i, chunk in table.items() for r, col in enumerate(chunk) if col]
+        assert slots and max(slots) < eng.size // fold
+
+
+@pytest.mark.parametrize("hp", [een(3, 4), d1n(3, 4)], ids=str)
+def test_stored_entries_and_unit_monomials_are_shared(hp):
+    # a stored column keys its entries relative to its own position, so
+    # they repeat from column to column, and each value is one object, kept
+    # in the engine's _entries; each +-monomial coefficient in the memos
+    # below level n is _unit_monomial's Poly
+    assert verify_hecke(hp, samples=0)["ok"]
+    eng = hecke_mod._engine(hp)
+    entries = [
+        entry
+        for _, table in eng._packed.values()
+        for chunk in table.values()
+        for col in chunk
+        if col
+        for part in col
+        for entry in part
+    ]
+    objects = {id(entry) for entry in entries}
+    assert len(objects) == len(set(entries)) and 4 * len(objects) < len(entries)
+    assert all(eng._entries[entry] is entry for entry in entries)
+    coeffs = [t[0] for memo in (eng._lm, eng._rw, eng._pairs) for terms in memo.values() for t in terms]
+    units = [c for c in coeffs if len(c.terms) == 1 and abs(*c.terms.values()) == 1]
+    assert units and all(c is _unit_monomial(hp.arity, *next(iter(c.terms.items()))) for c in units)
+    # a coefficient's form is made on every call, and is not kept
+    kept = len(eng._entries)
+    h = reduce_word(hp, "s4 s3 s4")
+    for k in range(100):
+        h.scaled(Poly.const(hp.arity, 10**30 + k))
+    assert len(eng._entries) == kept
 
 
 def test_a_widening_call_stores_each_column_once(monkeypatch):

@@ -118,9 +118,12 @@ def test_a_lower_letter_is_kept_once_per_rank_n_minus_1_position(monkeypatch):
     w = len(hecke_mod._shape_table(hp)[0][-1])
     assert w == 12
     eng = hecke_mod._engine(hp)
-    for x, (fold, table) in eng._packed.items():
+    for x, (fold, chunks) in eng._packed.items():
+        # the slots in order, the one of the column at p at p // fold
+        slots = [col for i in sorted(chunks) for col in chunks[i]]
+        table, rest = slots[: 648 // fold], slots[648 // fold :]
         assert (fold, len(table)) == ((1, 648) if x == S(4) else (w, 648 // w))
-        assert None not in table
+        assert None not in table and set(rest) <= {None}
         assert reads[x][0] == fold and len(reads[x][1]) == len(table)
 
 
