@@ -21,20 +21,23 @@ import pytest
 
 from gdeen import (
     HeckeElement,
+    Params,
     Poly,
+    all_elements,
     basis_enumerate,
     d1n,
     een,
     hecke_mul,
     leftmul_generator,
     pow_s2zs2,
+    normal_form,
     reduce_word,
     s2_zk_s2,
     verify_hecke,
 )
 from gdeen.cli import main
 from gdeen.hecke import _letter_level
-from gdeen.words import S, alphabet
+from gdeen.words import S, alphabet, word_text
 
 
 def _reduce(family, p, n, word):
@@ -64,6 +67,8 @@ CLI_CASES = {
     "normal-form-g623": ["normal-form", "--d", "3", "--e", "2", "--n", "3", "--word", "z t3 s3 t1 z t0 s3 t5"],
     "normal-form-g313": ["normal-form", "--d", "3", "--e", "1", "--n", "3", "--word", "z s2 z z s2 s3 s2 z z"],
     "census-g623": ["census", "--d", "3", "--e", "2", "--n", "3"],
+    # 512 witnesses, in rank order
+    "census-g934": ["census", "--d", "3", "--e", "3", "--n", "4"],
     "enumerate-g934": ["enumerate", "--d", "3", "--e", "3", "--n", "4"],
     "enumerate-g633": ["enumerate", "--d", "2", "--e", "3", "--n", "3"],
     "enumerate-g423-pretty": ["--pretty", "enumerate", "--d", "2", "--e", "2", "--n", "3"],
@@ -131,6 +136,16 @@ VERIFIED = [
 ]
 
 
+def _normal_forms(params):
+    # every element's normal form: its word and each level's part
+    lines = []
+    for g in all_elements(params):
+        nf = normal_form(g)
+        parts = " | ".join(f"RE{lvl}: {word_text(w)}" for lvl, w in zip(nf.levels, nf.parts))
+        lines.append(f"{g.perm} {g.exps} {word_text(nf.word)} || {parts}")
+    return "\n".join(lines)
+
+
 def _verify_reports():
     return "\n".join(json.dumps(verify_hecke(hp, samples=2), sort_keys=True) for hp in VERIFIED)
 
@@ -157,6 +172,10 @@ LIB_CASES = {
     "str-engine-h313": lambda: str(reduce_word(d1n(3, 3), "z z s2 z s3 s2 z z s2 s3 s2 z")),
     "str-built-h313": lambda: str(_built_element()),
     "verify-reports": _verify_reports,
+    # G(6,3,3), G(3,1,3), G(4,2,3) and G(1,1,4)
+    "normal-forms": lambda: "\n".join(
+        _normal_forms(p) for p in (Params(2, 3, 3), Params(3, 1, 3), Params(2, 2, 3), Params(1, 1, 4))
+    ),
 }
 
 
@@ -176,6 +195,7 @@ def run_lib(name):
 
 
 GOLDEN = {
+    'census-g934': (0, 'e78dbeaa2797423ea720b1f4b554ca261e36f8b0b6aa9b46bad8594aa5848f72'),
     'census-g623': (0, '01cd4d4079cde3e251d6820e50e55b4f4379425a6e1a11155a61be42d8d85d3a'),
     'enumerate-cap-g934': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'enumerate-g423-pretty': (0, 'c9ac112f243381318ee42702603d45aca37846cd6a2db0543a85dcb34f54ef9e'),
@@ -207,6 +227,7 @@ GOLDEN = {
     'leftmul-s3-h553': '403c34c260fda1cecd1e02796c3f5e7151a8f11d5d42302f41dc84018fac1137',
     'leftmul-s4-h314': 'd9543064414e36d57645e152dd04fe28cbceb95a79dfc148b56ea222d68584b9',
     'leftmul-s4-h334': '1ee9c8e2d5c10a4511e1aef1d577f765745f68a0fa037f93485dcbde61ad441a',
+    'normal-forms': '56a526b3224257ff820605e56df0f114457e193cd9c4143b783de697e08f7ba5',
     'mul-h313': '68bb8f07887b65e9ef13539807ff37764f2611035f324ebd030de05425528144',
     'mul-h333': '638cafc3cdeae0a9c8978e51c0cf642ab61c823b052359a51007027d4c2ab0ee',
     'mul-h443': 'ac62d4f0ef37871f3f2f98dd06cd7fc86db0b4aa71c68040c65318a8c6e75c6f',
