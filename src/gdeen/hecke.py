@@ -419,8 +419,8 @@ class _Engine:
         self._rw: dict = {}
         self._pairs: dict = {}  # (m, a, b) -> the terms of _pair_terms
         # the level-n columns, with no width: letter -> its fold and its
-        # columns (``_table``, ``_column_form``), whose entries are kept
-        # once each in _entries (``_fetch``); tables are only added to
+        # columns (``_table``, ``_column_form``), whose values and entries
+        # are kept once each in _entries (``_fetch``); tables are only added to
         self._packed: dict[Sym, tuple[int, dict[int, list]]] = {}
         self._entries: dict[tuple, tuple] = {}
         self._lock = threading.RLock()
@@ -935,8 +935,8 @@ class _Engine:
         """x * e_pos at level n, for a position that x's table keeps, in the
         form of ``_column_form`` with positions relative to pos: computed
         once, under the lock, and stored for every width.  Relative keys
-        repeat from column to column, and each entry is kept once, in
-        ``_entries``."""
+        repeat from column to column, and each entry and each column value
+        is kept once, in ``_entries``."""
         with self._lock:
             fold, table = self._table(x)
             i, r = divmod(pos // fold, _CHUNK)
@@ -947,7 +947,8 @@ class _Engine:
                 column = self._column(self.n, x, self._unwalk(pos))  # read once
                 form = self._column_form({self._walk(lam) - pos: c for c, lam in column})
                 share = self._entries.setdefault
-                chunk[r] = tuple(tuple(map(share, part, part)) for part in form)
+                col = tuple(tuple(map(share, part, part)) for part in form)
+                chunk[r] = share(col, col)
             return chunk[r]
 
     # -- the one entry point ---------------------------------------------------

@@ -29,9 +29,18 @@ row i, the level-i part is
 
 where s_2 is spelled t_0 in the t-letter presentations, a decreasing run
 s_i .. s_{i'} with i < i' is empty, likewise an increasing run, and z^0 is
-empty.  The sweep emits alphabet positions; :func:`normal_form` turns them
-into words, and the census and the geodesic certificate read them as they
-are.
+empty.  Each part is one shared tuple of alphabet positions, from a table
+keyed by (i, c) and k (``_plan``).
+
+So the normal forms of one permutation form a tree by levels: elements
+that agree on the exponents that rows n..i see share their parts of
+levels n..i.  One walk (``_walk``) serves every caller.  It descends the
+rows from n to 2, then the level-1 z-power, branching on each row's
+exponent, or following one element's; each kill's carry into the row
+holding column 1 is added once per node of the tree, not once per
+element.  It hands each part to a callback and each element's rank to
+another.  :func:`normal_form` and :func:`length` follow one element, the
+census and the geodesic certificate walk every element.
 """
 
 from __future__ import annotations
@@ -79,86 +88,111 @@ def _asc(bottom: int, top: int) -> list[Sym]:
 
 
 class _Powers:
-    """z^k, as a list of k copies of [z]'s one letter, built on each lookup,
-    so that a plan stays linear in d."""
+    """The parts ``pre`` z^k ``post``, and ``still`` for k = 0, built on each
+    lookup, so that a plan stays linear in d."""
 
-    __slots__ = ("z",)
+    __slots__ = ("still", "pre", "z", "post")
 
-    def __init__(self, z: list[int]):
-        self.z = z
+    def __init__(self, still: tuple, pre: tuple, z: tuple, post: tuple):
+        self.still, self.pre, self.z, self.post = still, pre, z, post
 
-    def __getitem__(self, k: int) -> list[int]:
-        return self.z * k
+    def __getitem__(self, k: int) -> tuple:
+        return self.pre + self.z * k + self.post if k else self.still
 
 
 class _Plan(NamedTuple):
-    """The letters of one group's sweep, as alphabet positions."""
+    """The parts of one group's normal forms, as tuples of alphabet positions."""
 
     letters: list[Sym]  # the alphabet: position -> letter
     levels: tuple[int, ...]
     de: int
     e: int
     t_kill: bool
-    kills: list[list[int]] | _Powers  # kills[k]: the letters that kill exponent k
-    z: list[int] | None  # [z]: the level-1 part is z^q, z * q; None when d = 1
-    down: list[list[int]]  # down[i] = s_i .. s_2
-    up: list[int]  # s_2 .. s_n
+    parts: list  # parts[i][c][k]: the level-i part, row i in column c, exponent k
+    z: tuple | None  # (z,): the level-1 part z^q is z * q; None when d = 1
+    weights: list[list[int]]  # weights[row][k]: what exponent k of a row adds to E
 
 
 @lru_cache(maxsize=64)
 def _plan(params: Params) -> _Plan:
-    d, e, n = params.d, params.e, params.n
+    d, e, n, de = params.d, params.e, params.n, params.de
     letters = alphabet(params)
     at = {sym: i for i, sym in enumerate(letters)}
     t_kill = e > 1 or d == 1
     # s[j] is the position of s_j for j >= 2; s_2 is t_0 in the t-letter presentations
-    s = [0, 0, at[T(0) if t_kill else S(2)]] + [at[S(j)] for j in range(3, n + 1)]
-    kills = [[at[T(k)]] for k in range(params.de)] if t_kill else _Powers([at[Z]])
-    z = [at[Z]] if d > 1 else None
+    s = (0, 0, at[T(0) if t_kill else S(2)], *(at[S(j)] for j in range(3, n + 1)))
+    z = (at[Z],) if d > 1 else None
+    parts: list = [None, None]
+    for i in range(2, n + 1):
+        down = s[i:1:-1]  # s_i .. s_2
+        by_column: list = [None]
+        for c in range(1, i + 1):
+            still, post = down[: i - c], s[2 : c + 1]
+            if t_kill:
+                pre = down[: i - 2]
+                by_column.append([pre + (at[T(k)],) + post if k else still for k in range(de)])
+            else:
+                by_column.append(_Powers(still, down, z, post))
+        parts.append(by_column)
+    # E: exps[0..n-2] in base de, then exps[n-1] // e (``_rank_order``)
+    weights = [[k * d * de ** (n - 2 - row) for k in range(de)] for row in range(n - 1)]
+    weights.append([k // e for k in range(de)])
     levels = tuple(range(1 if d > 1 else 2, n + 1))
-    down = [s[i:1:-1] for i in range(n + 1)]
-    return _Plan(letters, levels, params.de, e, t_kill, kills, z, down, s[2:])
+    return _Plan(letters, levels, de, e, t_kill, parts, z, weights)
 
 
-def _shape(plan: _Plan, perm) -> list[tuple]:
-    """What the sweep needs of sigma, for the rows n-1 .. 1 (0-based): the
-    row, the row then holding column 1 (None for the z-kill), the part when
-    the row's exponent is 0, and the letters before and after the kill."""
-    down, up = plan.down, plan.up
-    shape = []
+def _walk(plan: _Plan, perm, exps, state, step, leaf, rank: int = 0) -> None:
+    """Walk the normal forms of the elements with permutation ``perm``, by
+    levels from n down to 1: every element's, or only that of ``exps`` when
+    it is given.
+
+    Each level's part goes to ``step(state, part)``, which returns the state
+    below it; each element's state then goes to ``leaf(state, rank + E)``,
+    E its exponent rank (``_rank_order``).  Elements that share their upper
+    parts share their states up to there.  Parts are shared tuples: do not
+    mutate them."""
+    rows = []
     for row in range(len(perm) - 1, 0, -1):
-        i, v, head = row + 1, perm[row], perm[:row]
+        v, head = perm[row], perm[:row]
         c = 1 + sum(u < v for u in head)
-        m = head.index(min(head)) if plan.t_kill else None
-        pre = down[i][: i - 2] if plan.t_kill else down[i][: i - 1]
-        shape.append((row, m, down[i][: i - c], pre, up[: c - 1]))
-    return shape
+        # the row then holding column 1; the z-kill adds to the spare slot
+        m = head.index(min(head)) if plan.t_kill else len(perm)
+        rows.append((row, m, plan.parts[row + 1][c], plan.weights[row]))
+    _descend(plan, rows, 0, exps, [0] * (len(perm) + 1), state, rank, step, leaf)
 
 
-def _sweep(plan: _Plan, shape: list[tuple], exps) -> list[list[int]]:
-    """The parts of the normal form as alphabet positions, lowest level
-    first.  Parts may share their lists with the plan: do not mutate them."""
-    de, kills = plan.de, plan.kills
-    ks = list(exps)
-    parts = []
-    for row, m, still, pre, post in shape:
-        k = ks[row] % de
-        if k:
-            parts.append(pre + kills[k] + post)
-            if m is not None:
-                ks[m] += k
-        else:
-            parts.append(still)
-    k1 = ks[0] % de
-    assert k1 % plan.e == 0, "exponent sum invariant violated during sweep"
-    if plan.z is not None:
-        parts.append(plan.z * (k1 // plan.e))
-    parts.reverse()
-    return parts
+def _descend(plan: _Plan, rows: list, j: int, exps, carry: list[int], state, rank: int, step, leaf) -> None:
+    """``_walk`` from ``rows[j]`` down; ``carry`` holds what the kills above
+    added to each row's exponent."""
+    de = plan.de
+    if j < len(rows):
+        row, m, parts, weights = rows[j]
+        for k in range(de) if exps is None else (exps[row],):
+            eff = (k + carry[row]) % de
+            carry[m] += eff  # t_eff also adds eff to the row holding column 1
+            _descend(plan, rows, j + 1, exps, carry, step(state, parts[eff]), rank + weights[k], step, leaf)
+            carry[m] -= eff
+        return
+    e, z, weights, below = plan.e, plan.z, plan.weights[0], carry[0]
+    for k in range((-below) % e, de, e) if exps is None else (exps[0],):
+        q, r = divmod((k + below) % de, e)
+        assert not r, "exponent sum invariant violated during sweep"
+        leaf(state if z is None else step(state, z * q), rank + weights[k])
 
 
-def _wrap(params: Params, plan: _Plan, parts: list[list[int]]) -> NormalForm:
-    # the sweep emits only alphabet letters, so the words skip make_word's check
+def _grow(parts: tuple, part: tuple) -> tuple:
+    return parts + (part,)
+
+
+def _parts(g: GroupElement) -> tuple[_Plan, tuple]:
+    """g's plan and the parts of its normal form, lowest level first."""
+    plan, found = _plan(g.params), []
+    _walk(plan, g.perm, g.exps, (), _grow, lambda parts, _: found.append(parts))
+    return plan, found[0][::-1]
+
+
+def _wrap(params: Params, plan: _Plan, parts) -> NormalForm:
+    # the walk emits only alphabet letters, so the words skip make_word's check
     letters = plan.letters
     words = tuple(Word(params, tuple(letters[x] for x in part)) for part in parts)
     flat = tuple(sym for w in words for sym in w.syms)
@@ -166,14 +200,12 @@ def _wrap(params: Params, plan: _Plan, parts: list[list[int]]) -> NormalForm:
 
 
 def normal_form(g: GroupElement) -> NormalForm:
-    plan = _plan(g.params)
-    return _wrap(g.params, plan, _sweep(plan, _shape(plan, g.perm), g.exps))
+    return _wrap(g.params, *_parts(g))
 
 
 def length(g: GroupElement) -> int:
     """Geodesic length of g over the generating set."""
-    plan = _plan(g.params)
-    return sum(map(len, _sweep(plan, _shape(plan, g.perm), g.exps)))
+    return sum(map(len, _parts(g)[1]))
 
 
 def _rank_order(params: Params, cap: int):
@@ -195,15 +227,6 @@ def _rank_order(params: Params, cap: int):
     return itertools.permutations(range(1, n + 1)), vecs
 
 
-def _sweeps(params: Params, perms, vecs):
-    """Yield (perm, exps, parts) for every element, in rank order."""
-    plan = _plan(params)
-    for perm in perms:
-        shape = _shape(plan, perm)
-        for ks in vecs:
-            yield perm, ks, _sweep(plan, shape, ks)
-
-
 def all_elements(params: Params, cap: int = DEFAULT_CAP):
     """Yield every group element in rank order (direct product enumeration, not BFS)."""
     perms, vecs = _rank_order(params, cap)
@@ -220,16 +243,22 @@ def max_length_census(
     Witnesses come in rank order, which is the (perm, exps) order; the
     closed-form predictions live in :func:`census_expected`.
     """
-    best = -1
-    witnesses: list[list[list[int]]] = []
-    for _, _, parts in _sweeps(params, *_rank_order(params, cap)):
+    perms, vecs = _rank_order(params, cap)
+    plan, width = _plan(params), len(vecs)
+    best, witnesses = -1, []
+
+    def leaf(parts: tuple, rank: int) -> None:
+        nonlocal best, witnesses
         ln = sum(map(len, parts))
         if ln > best:
-            best, witnesses = ln, [parts]
+            best, witnesses = ln, [(rank, parts)]
         elif ln == best:
-            witnesses.append(parts)
-    plan = _plan(params)
-    return best, len(witnesses), [_wrap(params, plan, parts) for parts in witnesses]
+            witnesses.append((rank, parts))
+
+    for p_rank, perm in enumerate(perms):
+        _walk(plan, perm, None, (), _grow, leaf, p_rank * width)
+    witnesses.sort()  # the walk meets them out of rank order
+    return best, len(witnesses), [_wrap(params, plan, parts[::-1]) for _, parts in witnesses]
 
 
 def census_expected(params: Params) -> tuple[int, int] | None:

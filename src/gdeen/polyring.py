@@ -260,17 +260,18 @@ def _digits(v: int, bits: int) -> list[int]:
     """v in balanced base 2^bits, lowest digit first: each digit is in
     [-2^(bits-1), 2^(bits-1)), and there may be zeros on top.  Adding
     2^(bits-1) to every digit makes them the plain digits of one int >= 0;
-    when bits is a multiple of 64 they are read off its 64-bit words."""
+    when bits is a multiple of 64 they are read off its 64-bit words.  At
+    width 64, flipping each word's top bit makes its signed reading the
+    digit: w ^ 2^63 read signed is w - 2^63."""
     n = (v.bit_length() + 1) // bits + 1  # at least as many as v has
-    half = 1 << (bits - 1)
-    u = v + _offset(bits, n)
+    half, off = 1 << (bits - 1), _offset(bits, n)
+    u = v + off
     if bits % 64:
         return [(u >> bits * k & (2 * half - 1)) - half for k in range(n)]
-    words = memoryview(u.to_bytes(n * bits // 8, "little")).cast("Q")
     if bits == 64:
-        return [w - half for w in words]
+        return memoryview((u ^ off).to_bytes(8 * n, "little")).cast("q").tolist()
     j = bits // 64  # words per digit, the top one offset by 2^63
-    words = words.tolist()
+    words = memoryview(u.to_bytes(n * bits // 8, "little")).cast("Q").tolist()
     digits = [w - (1 << 63) for w in words[j - 1 :: j]]
     for t in range(j - 2, -1, -1):
         digits = [d << 64 | w for d, w in zip(digits, words[t::j])]

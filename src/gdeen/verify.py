@@ -39,7 +39,7 @@ from .hecke import (
     hecke_relations,
     leftmul_generator,
 )
-from .normal_form import _rank_order, _sweeps, census_expected, normal_form
+from .normal_form import _plan, _rank_order, _walk, census_expected, length, normal_form
 from .polyring import Poly, _a_step, _decode, _digits
 from .words import Z, alphabet, make_word, word_text
 
@@ -61,23 +61,51 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     Spelling gives d <= f.  The other two give f <= d, by induction along
     a geodesic.  No BFS table is built; a group whose order exceeds ``cap``
     is refused.  ``gdeen enumerate`` reports this order and histogram.
+
+    The normal forms come from one level walk per permutation
+    (``normal_form._walk``), from level n down.  Elements that share their
+    upper parts share their spelling: each part's letters are spelled once,
+    from the ranks that the parts above it reach, with the same row-move
+    tables.  The walk, not a count, names each element's rank, so every
+    entry of f starts at a value that no length takes, and a rank that the
+    walk reaches twice, or never, is refused.
     """
     perms, vecs, tables = _left_action(params, cap)
-    width = len(vecs)
+    width, plan = len(vecs), _plan(params)
     n, d = params.n, params.d
-    # a level-i part has at most 2i + d letters; wider lengths still raise
-    f = array("B" if n * (n + 1 + d) < 256 else "H", [0]) * params.order()
-    for rank, (perm, ks, parts) in enumerate(_sweeps(params, perms, vecs)):
-        word = list(chain.from_iterable(parts))
-        if _spell(tables, width, word) != rank:
-            why = "normal form does not evaluate back to the element"
-            return _geodesic_failure(params, perm, ks, len(word), reason=why)
-        try:
-            f[rank] = len(word)
-        except OverflowError:
-            raise InvariantViolation(
-                f"normal form of length {len(word)} does not fit the length array"
-            ) from None
+    # a level-i part has at most 2i + d letters, so no length takes the
+    # array's largest value, which marks a rank that the walk has not reached
+    code, unset = ("B", 255) if n * (n + 1 + d) < 255 else ("H", 65535)
+    f = array(code, [unset]) * params.order()
+
+    def step(state: tuple, part: tuple) -> tuple:
+        # the part's letters, from the right, on the ranks of the parts above
+        at, ke, ln = state
+        for x in reversed(part):
+            ptab, etab = tables[x]
+            at, ke = ptab[at], etab[ke]
+        return at, ke, ln + len(part)
+
+    def leaf(state: tuple, rank: int) -> None:
+        at, ke, ln = state
+        if at * width + ke != rank:
+            raise _Refused(rank, ln, "normal form does not evaluate back to the element")
+        if ln >= unset:
+            raise InvariantViolation(f"normal form of length {ln} does not fit the length array")
+        if f[rank] != unset:
+            raise _Refused(rank, ln, "the walk reaches the element twice")
+        f[rank] = ln
+
+    try:
+        for p_rank, perm in enumerate(perms):
+            _walk(plan, perm, None, (0, 0, 0), step, leaf, p_rank * width)
+    except _Refused as refused:
+        rank, ln, why = refused.args
+        return _geodesic_failure(params, perms[rank // width], vecs[rank % width], ln, reason=why)
+    if unset in f:
+        rank = f.index(unset)
+        g = GroupElement(params, perms[rank // width], vecs[rank % width])
+        return _geodesic_failure(params, g.perm, g.exps, length(g), reason="the walk does not reach the element")
     if f[0]:
         why = "the identity has a non-empty normal form"
         return _geodesic_failure(params, perms[0], vecs[0], f[0], reason=why)
@@ -116,6 +144,11 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
         if expected != (max_len, max_count):
             report["ok"] = False
     return report
+
+
+class _Refused(Exception):
+    """A normal form that the geodesic certificate refuses: its rank, its
+    length and why."""
 
 
 def _left_action(params: Params, cap: int) -> tuple[list, list, list[tuple[list[int], list[int]]]]:

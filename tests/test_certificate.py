@@ -1,7 +1,8 @@
 """The local geodesic certificate behind ``verify_geodesic``.
 
 The certificate must give the same report as one built from BFS distances,
-and each way of breaking the sweep must give a counterexample.
+and each way of breaking the walk of the normal forms must give a
+counterexample.
 """
 
 import contextlib
@@ -15,12 +16,14 @@ import gdeen.verify as verify_mod
 from gdeen import (
     EnumerationTooLarge,
     GdeenError,
+    GroupElement,
     Params,
     ParamsMismatch,
     census_expected,
     verify_geodesic,
 )
 from gdeen.cli import main
+from gdeen.normal_form import _grow, _parts, _plan, _rank_order, _walk
 
 # G(1,1,4), G(2,2,3), G(3,3,3), G(6,3,3), G(3,1,3), G(4,2,3), G(4,1,2), G(9,3,4)
 REFERENCE_GRID = [
@@ -97,7 +100,23 @@ def test_cap_that_is_not_an_int_is_refused(cap):
         verify_geodesic(Params(1, 3, 3), cap=cap)
 
 
-# Mutations of the sweep in G(3,3,3), whose alphabet is t0 t1 t2 s3
+@pytest.mark.parametrize("params", REFERENCE_GRID, ids=str)
+def test_walk_reaches_every_rank_once(params):
+    # and hands over the parts that the walk along one element's exponents does
+    perms, vecs = _rank_order(params, 10**6)
+    perms, plan, width, seen = list(perms), _plan(params), len(vecs), []
+
+    def leaf(parts, rank):
+        g = GroupElement(params, perms[rank // width], vecs[rank % width])
+        assert _parts(g)[1] == parts[::-1]
+        seen.append(rank)
+
+    for p_rank, perm in enumerate(perms):
+        _walk(plan, perm, None, (), _grow, leaf, p_rank * width)
+    assert sorted(seen) == list(range(params.order()))
+
+
+# Mutations of the walk in G(3,3,3), whose alphabet is t0 t1 t2 s3
 # (positions 0 to 3).  Each replaces the parts of one element.
 G333 = Params(1, 3, 3)
 ARGV_333 = ["verify-geodesic", "--d", "1", "--e", "3", "--n", "3"]
@@ -106,14 +125,39 @@ S3 = ((1, 3, 2), (0, 0, 0))
 T1 = ((2, 1, 3), (2, 1, 0))
 
 
+def rank_of(target):
+    perms, vecs = _rank_order(G333, 10**6)
+    return list(perms).index(target[0]) * len(vecs) + vecs.index(target[1])
+
+
+def rewalk(monkeypatch, edit_leaf):
+    """Run the certificate on a walk whose leaves go through
+    ``edit_leaf(leaf, state, rank)``."""
+    real = verify_mod._walk
+
+    def walk(plan, perm, exps, state, step, leaf, rank=0):
+        real(plan, perm, exps, state, step, lambda st, at: edit_leaf(leaf, st, at), rank)
+
+    monkeypatch.setattr(verify_mod, "_walk", walk)
+
+
 def mutate(monkeypatch, target, edit):
-    real = verify_mod._sweeps
+    """Hand the certificate edit(parts) for the target's parts, lowest level
+    first, each part a list of alphabet positions."""
+    real, goal = verify_mod._walk, rank_of(target)
 
-    def sweeps(params, perms, vecs):
-        for perm, ks, parts in real(params, perms, vecs):
-            yield perm, ks, edit(parts) if (perm, ks) == target else parts
+    def walk(plan, perm, exps, state, step, leaf, rank=0):
+        def replay(parts, at):
+            if at == goal:
+                parts = edit([list(p) for p in reversed(parts)])[::-1]
+            out = state
+            for part in parts:
+                out = step(out, part)
+            leaf(out, at)
 
-    monkeypatch.setattr(verify_mod, "_sweeps", sweeps)
+        real(plan, perm, exps, (), _grow, replay, rank)
+
+    monkeypatch.setattr(verify_mod, "_walk", walk)
 
 
 def counterexample(target, length):
@@ -160,10 +204,32 @@ def test_nonempty_identity_word_is_refused(monkeypatch):
 
 
 def test_word_of_another_element_is_refused(monkeypatch):
-    assert next(verify_mod._sweeps(G333, [T1[0]], [T1[1]]))[2] == [[1], []]
+    assert [list(p) for p in _parts(GroupElement(G333, *T1))[1]] == [[1], []]
     mutate(monkeypatch, T1, lambda parts: [[2], []])  # t2 instead of t1
     cx = counterexample(T1, 1)
     assert "evaluate" in cx["reason"]
+
+
+def test_walk_that_reaches_an_element_twice_is_refused(monkeypatch):
+    # the walk hands the identity's state over again in place of T1's, so
+    # it skips T1; every normal form it hands over still spells its element
+    goal, first = rank_of(T1), []
+
+    def twice(leaf, state, rank):
+        if rank == 0:
+            first.append(state)
+        leaf(*((first[0], 0) if rank == goal else (state, rank)))
+
+    rewalk(monkeypatch, twice)
+    cx = counterexample(IDENTITY, 0)
+    assert "twice" in cx["reason"]
+
+
+def test_walk_that_skips_an_element_is_refused(monkeypatch):
+    goal = rank_of(T1)
+    rewalk(monkeypatch, lambda leaf, state, rank: rank == goal or leaf(state, rank))
+    cx = counterexample(T1, 1)
+    assert "does not reach" in cx["reason"]
 
 
 def test_census_mismatch_is_refused(monkeypatch):

@@ -129,6 +129,19 @@ def test_the_bound_is_sharp(bits):
     assert _unpack(1, _pack(over, bits), bits) == Poly(1, {(0,): -half, (1,): 1})
 
 
+@pytest.mark.parametrize("bits", [64, 128])
+def test_digits_read_off_words_are_the_balanced_digits(bits):
+    # every place holds -2^(B-1), 2^(B-1) - 1, 0, +-1 or a random digit
+    half = 2 ** (bits - 1)
+    edges = [-half, half - 1, 0, 1, -1]
+    rng = random.Random(bits)
+    for _ in range(2000):
+        draw = lambda: rng.choice(edges) if rng.random() < 0.5 else rng.randrange(-half, half)
+        digits = [draw() for _ in range(rng.randrange(1, 7))]
+        got = _digits(sum(d << bits * k for k, d in enumerate(digits)), bits)
+        assert got == (digits + [0] * len(got))[: len(got)] and not any(digits[len(got) :])
+
+
 def parent_str(p):
     """``Poly.__str__`` as it was before the rendering was shared with the
     Hecke elements, kept verbatim (with its monomial helper) as the oracle
@@ -296,23 +309,18 @@ def test_the_top_level_keeps_its_columns_packed_only():
 @pytest.mark.parametrize("hp", [een(3, 4), d1n(3, 4)], ids=str)
 def test_stored_entries_and_unit_monomials_are_shared(hp):
     # a stored column keys its entries relative to its own position, so
-    # they repeat from column to column, and each value is one object, kept
-    # in the engine's _entries; each +-monomial coefficient in the memos
-    # below level n is _unit_monomial's Poly
+    # they repeat from column to column, and each entry value and each
+    # column value is one object, kept in the engine's _entries; each
+    # +-monomial coefficient in the memos below level n is _unit_monomial's
+    # Poly
     assert verify_hecke(hp, samples=0)["ok"]
     eng = hecke_mod._engine(hp)
-    entries = [
-        entry
-        for _, table in eng._packed.values()
-        for chunk in table.values()
-        for col in chunk
-        if col
-        for part in col
-        for entry in part
-    ]
-    objects = {id(entry) for entry in entries}
-    assert len(objects) == len(set(entries)) and 4 * len(objects) < len(entries)
-    assert all(eng._entries[entry] is entry for entry in entries)
+    cols = [col for _, table in eng._packed.values() for chunk in table.values() for col in chunk if col]
+    entries = [entry for col in cols for part in col for entry in part]
+    for values, repeats in ((entries, 4), (cols, 2)):
+        objects = {id(value) for value in values}
+        assert len(objects) == len(set(values)) and repeats * len(objects) < len(values)
+        assert all(eng._entries[value] is value for value in values)
     coeffs = [t[0] for memo in (eng._lm, eng._rw, eng._pairs) for terms in memo.values() for t in terms]
     units = [c for c in coeffs if len(c.terms) == 1 and abs(*c.terms.values()) == 1]
     assert units and all(c is _unit_monomial(hp.arity, *next(iter(c.terms.items()))) for c in units)
