@@ -163,21 +163,25 @@ def _walk(plan: _Plan, perm, exps, state, step, leaf, rank: int = 0) -> None:
 
 def _descend(plan: _Plan, rows: list, j: int, exps, carry: list[int], state, rank: int, step, leaf) -> None:
     """``_walk`` from ``rows[j]`` down; ``carry`` holds what the kills above
-    added to each row's exponent."""
-    de = plan.de
-    if j < len(rows):
-        row, m, parts, weights = rows[j]
-        for k in range(de) if exps is None else (exps[row],):
-            eff = (k + carry[row]) % de
-            carry[m] += eff  # t_eff also adds eff to the row holding column 1
-            _descend(plan, rows, j + 1, exps, carry, step(state, parts[eff]), rank + weights[k], step, leaf)
-            carry[m] -= eff
-        return
-    e, z, weights, below = plan.e, plan.z, plan.weights[0], carry[0]
-    for k in range((-below) % e, de, e) if exps is None else (exps[0],):
-        q, r = divmod((k + below) % de, e)
-        assert not r, "exponent sum invariant violated during sweep"
-        leaf(state if z is None else step(state, z * q), rank + weights[k])
+    added to each row's exponent.  Below the last row, the level-1 z-powers
+    are walked in place, not by a call per node."""
+    de, e, z, ones = plan.de, plan.e, plan.z, plan.weights[0]
+    row, m, parts, weights = rows[j]
+    for k in range(de) if exps is None else (exps[row],):
+        eff = (k + carry[row]) % de
+        carry[m] += eff  # t_eff also adds eff to the row holding column 1
+        here, at = step(state, parts[eff]), rank + weights[k]
+        if j + 1 < len(rows):
+            _descend(plan, rows, j + 1, exps, carry, here, at, step, leaf)
+        elif exps is None:
+            # the d exponents k1 of row 1 that leave k1 + carry = q e
+            for q in range(de // e):
+                leaf(here if z is None else step(here, z * q), at + ones[(q * e - carry[0]) % de])
+        else:
+            q, r = divmod((exps[0] + carry[0]) % de, e)
+            assert not r, "exponent sum invariant violated during sweep"
+            leaf(here if z is None else step(here, z * q), at + ones[exps[0]])
+        carry[m] -= eff
 
 
 def _grow(parts: tuple, part: tuple) -> tuple:
