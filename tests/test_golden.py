@@ -29,8 +29,8 @@ from gdeen import (
     een,
     hecke_mul,
     leftmul_generator,
-    pow_s2zs2,
     normal_form,
+    pow_s2zs2,
     reduce_word,
     s2_zk_s2,
     verify_hecke,
@@ -195,8 +195,8 @@ def run_lib(name):
 
 
 GOLDEN = {
-    'census-g934': (0, 'e78dbeaa2797423ea720b1f4b554ca261e36f8b0b6aa9b46bad8594aa5848f72'),
     'census-g623': (0, '01cd4d4079cde3e251d6820e50e55b4f4379425a6e1a11155a61be42d8d85d3a'),
+    'census-g934': (0, 'e78dbeaa2797423ea720b1f4b554ca261e36f8b0b6aa9b46bad8594aa5848f72'),
     'enumerate-cap-g934': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'enumerate-g423-pretty': (0, 'c9ac112f243381318ee42702603d45aca37846cd6a2db0543a85dcb34f54ef9e'),
     'enumerate-g633': (0, '2af11fb81c9ab0d7b527bd5b72f49ccd2cc7f5c42117164bd538dc7c3abe6c75'),
@@ -227,10 +227,10 @@ GOLDEN = {
     'leftmul-s3-h553': '403c34c260fda1cecd1e02796c3f5e7151a8f11d5d42302f41dc84018fac1137',
     'leftmul-s4-h314': 'd9543064414e36d57645e152dd04fe28cbceb95a79dfc148b56ea222d68584b9',
     'leftmul-s4-h334': '1ee9c8e2d5c10a4511e1aef1d577f765745f68a0fa037f93485dcbde61ad441a',
-    'normal-forms': '56a526b3224257ff820605e56df0f114457e193cd9c4143b783de697e08f7ba5',
     'mul-h313': '68bb8f07887b65e9ef13539807ff37764f2611035f324ebd030de05425528144',
     'mul-h333': '638cafc3cdeae0a9c8978e51c0cf642ab61c823b052359a51007027d4c2ab0ee',
     'mul-h443': 'ac62d4f0ef37871f3f2f98dd06cd7fc86db0b4aa71c68040c65318a8c6e75c6f',
+    'normal-forms': '56a526b3224257ff820605e56df0f114457e193cd9c4143b783de697e08f7ba5',
     'pow-s2zs2-h313': '925c076d145777158b5670bfb151d339f1dd8e74a284e7a2b025a7500031581b',
     'pow-s2zs2-h412': '0ea57fbe70c46656fc522573798595da549fb81c54e9536779e5b8568e890991',
     'reduce-35-h314': '33aeeb20ca749ecdfd7c0d5377b093876f16b3e11a3e23588637287d2830d65a',
