@@ -47,10 +47,11 @@ a ``HeckeElement``, which the engine takes and returns as it is; the
 ``Poly`` coefficients are decoded only when they are read.  A width belongs
 to a state, not to what the engine stores: each level-n column is kept
 once, as the monomials c * a^k of its coefficients, and a call shifts them
-by k * bits at its own width.  A letter of level below n acts on
-(lambda', lambda_n) as on (lambda', 1), with lambda_n re-appended, so it
-keeps only its columns at the indices whose top shape is empty, and a call
-reads the others from those, moved (``_Engine._table``).  A state holds
+by k * bits at its own width.  A letter of level l acts on
+(lambda', lambda'') as on (lambda', 1, .., 1), lambda'' the shapes above
+level l, with lambda'' re-appended, so it keeps only its columns at the
+indices where lambda'' is empty, and a call reads the others from those,
+moved (``_letter_fold``).  A state holds
 coefficients by basis position, and the position map is arithmetic
 (``_Engine._position``): the mixed-radix number of an index's per-level
 shape ranks, top level fastest, which is the order of
@@ -192,6 +193,14 @@ def _levels(hp: HeckeParams) -> range:
 def _letter_level(sym: Sym) -> int:
     """The level of a letter: i for s_i, 2 for a t, 1 for z."""
     return sym.i if sym.kind == "s" else 2 if sym.kind == "t" else 1
+
+
+def _letter_fold(hp: HeckeParams, sym: Sym) -> int:
+    """A letter's fold: the product of the sizes of the levels above its
+    own, 1 for s_n.  Positions are mixed radix, top level fastest, so the
+    shapes above the letter's level are the position mod its fold."""
+    level = _letter_level(sym)
+    return math.prod(len(rank) for i, rank in zip(_levels(hp), _shape_table(hp)[0]) if i > level)
 
 
 @lru_cache(maxsize=None)
@@ -912,22 +921,19 @@ class _Engine:
         return tuple(plus), tuple(minus), tuple(other)
 
     def _table(self, x: Sym) -> tuple[int, dict[int, list]]:
-        """x's fold w, and its level-n columns at the positions that are
-        multiples of w, the one at p in slot j = p // w: slot j % _CHUNK of
-        the list kept under j // _CHUNK, which is made when a column in it
-        is first fetched, so a table holds only the lists that calls read;
-        None where a column has not been fetched.  w is 1 for s_n, and for a
-        letter of level below n the number w of level-n shapes: such a
-        letter acts on (lambda', lambda_n) as on (lambda', 1), with
-        lambda_n re-appended.  Positions are mixed radix, top level fastest,
-        so its column at p is the one at p - r, r = p mod w, with every
+        """x's fold w (``_letter_fold``), and its level-n columns at the
+        positions that are multiples of w, the one at p in slot j = p // w:
+        slot j % _CHUNK of the list kept under j // _CHUNK, which is made
+        when a column in it is first fetched, so a table holds only the
+        lists that calls read; None where a column has not been fetched.
+        x's column at p is the one at p - r, r = p mod w, with every
         position moved by r: the same column, since its keys are relative
         to its position.  A key is position + bcode * |Lambda|, and w
         divides |Lambda|, so the move keeps the b-code."""
         try:
             return self._packed[x]
         except KeyError:
-            fold = len(self._shapes[-1]) if _letter_level(x) < self.n else 1
+            fold = _letter_fold(self.hp, x)
             with self._lock:
                 return self._packed.setdefault(x, (fold, {}))
 

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from .errors import InvariantViolation
 from .group import DEFAULT_CAP, GroupElement, Params, _checked_order
 from .words import S, Sym, T, Word, Z, alphabet, make_word
 
@@ -173,14 +174,13 @@ def _descend(plan: _Plan, rows: list, j: int, exps, carry: list[int], state, ran
         here, at = step(state, parts[eff]), rank + weights[k]
         if j + 1 < len(rows):
             _descend(plan, rows, j + 1, exps, carry, here, at, step, leaf)
-        elif exps is None:
-            # the d exponents k1 of row 1 that leave k1 + carry = q e
-            for q in range(de // e):
-                leaf(here if z is None else step(here, z * q), at + ones[(q * e - carry[0]) % de])
         else:
-            q, r = divmod((exps[0] + carry[0]) % de, e)
-            assert not r, "exponent sum invariant violated during sweep"
-            leaf(here if z is None else step(here, z * q), at + ones[exps[0]])
+            # the d exponents k1 of row 1 that leave k1 + carry = q e: every
+            # one, or only that of ``exps``
+            for q in range(de // e):
+                k1 = (q * e - carry[0]) % de
+                if exps is None or k1 == exps[0]:
+                    leaf(here if z is None else step(here, z * q), at + ones[k1])
         carry[m] -= eff
 
 
@@ -192,6 +192,8 @@ def _parts(g: GroupElement) -> tuple[_Plan, tuple]:
     """g's plan and the parts of its normal form, lowest level first."""
     plan, found = _plan(g.params), []
     _walk(plan, g.perm, g.exps, (), _grow, lambda parts, _: found.append(parts))
+    if not found:  # no k1 leaves k1 + carry a multiple of e
+        raise InvariantViolation(f"the walk reaches no normal form of {g}")
     return plan, found[0][::-1]
 
 

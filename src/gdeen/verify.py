@@ -6,16 +6,15 @@ for the geodesic and freeness theorems: exhaustive, exact, and checked
 against the generator matrices rather than against the code under test.
 Neither suite builds a BFS table: both evaluate words on the ranks of
 group elements with the generators' row moves (``cayley.row_moves``,
-``_left_action``).  The Hecke suite checks, by induction on the rank,
-that the defining relations hold on every column of the action, in exact
-integer arithmetic, compares the action with left multiplication of group
-elements through the a -> 0 specialization, and checks that each basis
-word sends 1 to its basis element.
+``_left_action``).  The Hecke suite checks that the defining relations
+hold on every column of the action, in exact integer arithmetic, compares
+the action with left multiplication of group elements through the a -> 0
+specialization, and checks that each basis word sends 1 to its basis
+element.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from array import array
 from collections import Counter
@@ -30,7 +29,7 @@ from .hecke import (
     HeckeParams,
     _check_params,
     _index_word,
-    _letter_level,
+    _letter_fold,
     _shape_table,
     as_word,
     basis_element,
@@ -223,24 +222,27 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     * associativity: ``samples`` seeded triples (xy)z = x(yz) of basis
       elements, a cross-check of ``hecke_mul`` only.
 
-    The relations and the specialization are certified by induction on the
-    rank (``_first_failure``): each check runs on every column of the
-    lowest rank that has all its letters, and above that rank it follows
-    from the block check (``_blocks``) where that holds.  So at rank n only
-    the relations that contain s_n, and the translations of s_n, run on all
-    |Lambda| columns.  The report names the failure that running every
-    check on every column would name, and its counts are that coverage.
+    A letter of level l lies in the parabolic subalgebra of rank l, so it
+    acts on (lambda', lambda'') as on (lambda', 1, .., 1), lambda'' the
+    shapes above level l, with lambda'' re-appended.  Each letter's columns
+    x * e_lambda are read once, as the packed states that
+    ``leftmul_generator`` returns, and checked against that law as they
+    come back (``_read``).  Where it holds, a letter keeps only the columns
+    at the multiples of its fold, the indices whose shapes above its level
+    are empty (``_letter_fold``); where it fails, it keeps every column,
+    with fold 1.  So each relation and the specialization are certified
+    on the multiples of the least fold among their letters
+    (``_first_failure``): at H(3,3,4) only the relations that contain s_4,
+    and the translations of s_4, run on all |Lambda| columns.  The report
+    names the failure that running every check on every column would name,
+    and its counts are that coverage.
 
-    Each letter's columns x * e_lambda are read once, as the packed states
-    that ``leftmul_generator`` returns; a letter of level below n keeps
-    only those at the indices whose top shape is empty where it passes the
-    block check at rank n (``_read``).  Each coefficient's digits
-    (``polyring._digits``) are read into one Kronecker int: a -> 2^B,
-    b_i -> 2^(B*s_i) is a ring map, and B and the strides s_i are derived
-    from the columns on every run so that it is injective on every side
-    (``_relation_width``, ``_kronecker``).  So two sides are equal exactly
-    when their ints are, and a coefficient's value at a, b_i -> 0 is its
-    int's lowest balanced digit.
+    Each coefficient's digits (``polyring._digits``) are read into one
+    Kronecker int: a -> 2^B, b_i -> 2^(B*s_i) is a ring map, and B and the
+    strides s_i are derived from the columns on every run so that it is
+    injective on every side (``_relation_width``, ``_kronecker``).  So two
+    sides are equal exactly when their ints are, and a coefficient's value
+    at a, b_i -> 0 is its int's lowest balanced digit.
     """
     _check_params(hp)
     if not _is_int(samples) or samples < 0:
@@ -349,15 +351,10 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
     for _, cols in columns.values():
         for j, col in enumerate(cols):
             cols[j] = tuple(chain.from_iterable((q, k) for q, c in _pairs(col) if (k := ints[c])))
-    # each check as its failure text, its level (that of its highest letter),
-    # and its sides, each term as its scalar's int and its letters' columns,
-    # rightmost first
+    # each check as its failure text and its sides, each term as its
+    # scalar's int and its letters' columns, rightmost first
     checks = [
-        (
-            failure,
-            max(_letter_level(x) for _, w in chain(*sides) for x in w.syms),
-            *([(encode(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides),
-        )
+        (failure, *([(encode(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides))
         for failure, *sides in checks
     ]
 
@@ -379,17 +376,15 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
             },
         }
 
-    found = _first_failure(hp, columns, checks, translation)
+    found = _first_failure(size, columns, checks, translation)
+    if found is None or found[0] == "translation" or found[1] >= len(relations):
+        # every braid-type relation holds
+        report["relations_checked"] = len(relations)
+        report["relation_columns_checked"] = len(relations) * size
     if found is not None and found[0] == "relation":
-        _, r, j = found
-        if r >= len(relations):  # every braid-type relation holds
-            report["relations_checked"] = len(relations)
-            report["relation_columns_checked"] = len(relations) * size
-        return checks[r][0].format(word_text(as_word(hp, _index_at(hp, j))))
-    report["relations_checked"] = len(relations)
-    report["relation_columns_checked"] = len(relations) * size
+        return checks[found[1]][0].format(word_text(as_word(hp, _index_at(hp, found[2]))))
     if found is not None:
-        return found[2]
+        return found[2]  # the translation's report
     report["action_entries_checked"] = len(columns) * size
     unit = at[0]  # rank 0 is the identity
     for j, lam in enumerate(product(*_shape_table(hp)[0])):
@@ -408,13 +403,12 @@ def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tup
     |coefficient| over its entries and monomials) and the largest degree of
     each variable in any.
 
-    A letter of level below n is checked as its columns come back against
-    the block check at rank n (``_blocks``): its column at each position p
-    is the one at p - r, r = p mod w, with every entry moved by r, where w
-    is the number of level-n shapes, and the one at p - r has its entries
-    at multiples of w.  While that holds, only the columns at multiples of
-    w are kept, and ``_at`` reads the others; from where it fails, the
-    letter keeps every column, with fold 1.  s_n has fold 1.
+    x is checked against its parabolic law as its columns come back: its
+    column at each position p is the one at p - r, r = p mod w, with every
+    entry moved by r, where w is its fold (``_letter_fold``), and the one at
+    p - r has its entries at multiples of w.  While that holds, only the
+    columns at multiples of w are kept, and ``_at`` reads the others; from
+    where it fails, the letter keeps every column, with fold 1.
 
     ``coeffs`` maps each coefficient read so far, as the width and the
     (bcode, int) pairs of its position, to its id, its L1 norm, its degrees
@@ -422,10 +416,8 @@ def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tup
     (``_digits``)."""
     size, arity, step = len(positions), hp.arity, _a_step(hp.arity)
     top, seen = 0, set()
-    shapes = _shape_table(hp)[0]
-    fold = len(shapes[-1]) if _letter_level(x) < hp.n else 1
-    cols = []
-    for j, lam in enumerate(product(*shapes)):
+    fold, cols = _letter_fold(hp, x), []
+    for j, lam in enumerate(product(*_shape_table(hp)[0])):
         h = leftmul_generator(hp, x, lam)
         if not (isinstance(h, HeckeElement) and h.params == hp):
             raise ParamsMismatch(f"{x} * {lam} is not in Lambda's span: {h!r} is no element of {hp}")
@@ -458,81 +450,40 @@ def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tup
             if not (r or any(q % fold for q in col[::2])):
                 cols.append(col)
                 continue
-            # the block check fails at j: keep every column from here on
+            # the parabolic law fails at j: keep every column from here on
             cols, fold = [_at((fold, cols), i) for i in range(j)], 1
         cols.append(col)
     degs = [c[2] for c in coeffs.values() if c[0] in seen]
     return (fold, cols), (top, [max(d) for d in zip([0] * arity, *degs)])
 
 
-def _first_failure(hp: HeckeParams, columns: dict, checks: list, translation):
+def _first_failure(size: int, columns: dict, checks: list, translation):
     """The first failure of the relations, then of the translations, in the
     order of ``_action_failure``: ("relation", check index, position),
     ("translation", letter, its report), or None.
 
-    By induction on the rank k, from the lowest level up.  The rank-k module
-    is spanned by the positions whose levels above k all hold the empty
-    shape, rank 0: the multiples of ``stride``, the product of the sizes of
-    those levels.  When the block check holds at rank k, each letter of
-    level below k acts there as on the rank-(k-1) module tensored with the
-    identity on the level-k shapes.  A check or a translation among those
-    letters then holds at rank k exactly when it does at rank k-1, and it
-    first fails on the same position, whose level-k shape is empty."""
-    radix = [len(ranks) for ranks in _shape_table(hp)[0]]  # shapes per level
-    size = stride = math.prod(radix)
-    found = ()
-    for k, width in zip(range(hp.n - len(radix) + 1, hp.n + 1), radix):
-        stride //= width
-        lower = [letter for x, letter in columns.items() if _letter_level(x) < k]
-        below = found if _blocks(lower, size, stride, width) else None
-        found = _rank_failure(k, range(0, size, stride), below, columns, checks, translation)
-    return found or None
-
-
-def _rank_failure(k: int, span: range, below, columns: dict, checks: list, translation):
-    """The first failure at rank k, on the positions of ``span``, or () if
-    there is none.  The checks and letters of level k run on every position.
-    Those of lower level run too when ``below`` is None; else ``below`` is
-    the first failure at rank k-1, or (), and each of them holds up to it."""
-    for r, (_, level, lhs, rhs) in enumerate(checks):
-        if level < k and below is not None:
-            if below[:2] == ("relation", r):
-                return below
-        elif level <= k:
-            for j in span:
-                if _int_side(lhs, j) != _int_side(rhs, j):
-                    return "relation", r, j
-    for x in columns:
-        if _letter_level(x) < k and below is not None:
-            if below[:2] == ("translation", x):
-                return below
-        elif _letter_level(x) <= k:
-            for j in span:
-                if (why := translation(x, j)) is not None:
-                    return "translation", x, why
-    return ()
-
-
-def _blocks(letters: list, size: int, stride: int, width: int) -> bool:
-    """The block check at rank k: whether the columns of each lower letter,
-    given as its fold and kept columns (``_read``), on the rank-k module are
-    those on the rank-(k-1) module with the level-k shape re-appended.  The
-    column at each position p of rank k-1 (a multiple of stride * width)
-    has its entries at such positions, and the column at p + r * stride is
-    the one at p with every entry moved by r * stride.  A letter kept once
-    per stride * width positions passed this check as it was read."""
-    outer = stride * width
-    for letter in letters:
-        if letter[0] == outer:
-            continue
-        for base in range(0, size, outer):
-            below = _at(letter, base)
-            if any(q % outer for q in below[::2]):
-                return False
-            for shift in range(stride, outer, stride):
-                if _at(letter, base + shift) != _moved(below, shift):
-                    return False
-    return True
+    Each check runs on the multiples of the least fold f among its letters,
+    and each translation on the multiples of its letter's fold f.  The
+    folds divide one another, so each of those letters has its column at p
+    equal to the one at p - r, r = p mod f, moved by r, and that one has its
+    entries at multiples of f (``_read``).  A side at p is then the side at
+    p - r, moved, and a check first fails at a multiple of f.  So does a
+    translation: where it holds at p - r, x sends that index to one whose
+    shapes above x's level are empty, and since a basis word spells the
+    product of its parts and distinct words spell distinct elements, x
+    sends the index at p to that one moved by r, as its column is moved.
+    So the failure named is the one that running every check on every
+    position would name."""
+    for r, (_, lhs, rhs) in enumerate(checks):
+        fold = min(f for _, letters in chain(lhs, rhs) for f, _ in letters)
+        for j in range(0, size, fold):
+            if _int_side(lhs, j) != _int_side(rhs, j):
+                return "relation", r, j
+    for x, (fold, _) in columns.items():
+        for j in range(0, size, fold):
+            if (why := translation(x, j)) is not None:
+                return "translation", x, why
+    return None
 
 
 def _relation_width(arity: int, letters: dict, checks: list) -> tuple[int, list[int]]:
@@ -599,20 +550,17 @@ def _pairs(col: tuple):
     return zip(it, it)
 
 
-def _moved(col: tuple, r: int) -> tuple:
-    """A column with every entry moved by r positions."""
+def _at(letter: tuple, p: int) -> tuple:
+    """A letter's column at position p, from its fold w and the columns it
+    keeps (``_read``): the one kept at p - r, r = p mod w, with every entry
+    moved by r."""
+    fold, cols = letter
+    r, col = p % fold, cols[p // fold]
+    if not r:
+        return col
     out = list(col)
     out[::2] = [q + r for q in col[::2]]
     return tuple(out)
-
-
-def _at(letter: tuple, p: int) -> tuple:
-    """A letter's column at position p, from its fold w and the columns it
-    keeps (``_read``): the one kept at p - r, r = p mod w, moved by r."""
-    fold, cols = letter
-    r = p % fold
-    col = cols[p // fold]
-    return _moved(col, r) if r else col
 
 
 def _unit_path(columns: dict, word: tuple, at: int):

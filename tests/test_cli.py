@@ -321,6 +321,27 @@ def test_exit_2_on_unreadable_matrix_file(tmp_path, capsys, command, data):
     assert "BadFormat" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['["s3", "s4"', '["s3"] x', "[" * 100_000, "[" + "1" * 5000 + "]", '{"s3": 1}', '["s3", 3]'],
+    ids=["unclosed", "trailing", "too-deep", "int-too-long", "object", "not-a-token"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("normal-form", "--d", "3", "--e", "3", "--n", "4"),
+        ("length", "--d", "3", "--e", "3", "--n", "4"),
+        ("eval-word", "--d", "3", "--e", "3", "--n", "4"),
+        ("hecke-reduce", "--family", "een", "--e", "3", "--n", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_exit_2_on_unreadable_word_json(capsys, command, text):
+    code, out, err = run(capsys, *command, "--word", text)
+    assert code == 2 and out == ""
+    assert "BadFormat" in err
+
+
 # Property runs: every outcome is exit 0 or 2, never 1 (no input here is a
 # counterexample) and never an uncaught exception.  The parameters stay small
 # and every command that enumerates gets a --cap of at most 60, so each run

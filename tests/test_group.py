@@ -1,5 +1,6 @@
 """Monomial matrix arithmetic for G(de,e,n)."""
 
+import json
 import random
 
 import pytest
@@ -167,6 +168,21 @@ def test_json_identity_roundtrip():
 def test_bad_perm_rejected():
     with pytest.raises(InvariantViolation, match="bijection"):
         element(Params(1, 2, 2), [1, 1], [0, 0])
+
+
+def test_wrong_number_of_exponents_rejected():
+    with pytest.raises(InvariantViolation, match="need 3 exponents, got 2"):
+        element(Params(1, 2, 3), [1, 2, 3], [0, 0])
+
+
+def test_json_object_input():
+    # a dict is read as the parsed object, with the checks of the text path
+    obj = json.loads(EX34_JSON)
+    assert element_from_json(obj) == element_from_json(EX34_JSON)
+    with pytest.raises(BadFormat, match="rows"):
+        element_from_json({"d": 3, "e": 3, "n": 4})
+    with pytest.raises(BadFormat, match="must be an object"):
+        element_from_json(["d", 3])
 
 
 def test_exponent_normalization():

@@ -85,6 +85,18 @@ def test_params_validation():
     d1n(2, 2)
 
 
+def test_params_need_a_known_family():
+    with pytest.raises(ParamsMismatch, match="unknown family"):
+        HeckeParams("e1n", 3, 3)
+
+
+def test_elements_of_different_algebras_are_unequal():
+    h = reduce_word(een(3, 3), "s3")
+    assert h == reduce_word(een(3, 3), "s3")
+    assert h != reduce_word(een(2, 3), "s3") and not h == reduce_word(een(2, 3), "s3")
+    assert h != "s3"
+
+
 def test_basis_counts():
     assert len(basis_enumerate(een(3, 3))) == 54
     assert len(basis_enumerate(d1n(2, 2))) == 8
@@ -700,7 +712,7 @@ def test_a_column_walks_its_index_once(monkeypatch):
 )
 def test_ranks_5_and_6_certify_exhaustively(hp, size):
     # every column of every letter, so the folds of s_5 and s_6 run on
-    # every basis index; H(3,3,6) takes 3-4 minutes and about 0.4 GB
+    # every basis index; H(3,3,6) takes 2-3 minutes and about 0.33 GB
     report = verify_hecke(hp, samples=0)
     assert report["ok"], report.get("failure")
     assert report["basis_size"] == size
@@ -711,12 +723,12 @@ def test_ranks_5_and_6_certify_exhaustively(hp, size):
 @pytest.mark.parametrize("e, n", [(3, 6), (2, 7)], ids=["H(3,3,6)", "H(2,2,7)"])
 def test_ranks_6_and_7_certify_in_under_1_gib(e, n):
     # in a fresh interpreter, so that the peak is the certificate's: each
-    # lower letter's rank-n columns are kept once per rank-(n-1) position,
+    # letter's rank-n columns are kept once per w positions, w its fold,
     # in the engine and in the certificate, and the engine keeps each
     # column entry and each +-monomial coefficient once.  The children's
     # ru_maxrss is the largest of any child so far, so it bounds this
-    # one's.  H(3,3,6) (174 960 columns) peaks at about 0.4 GB in 3
-    # minutes, H(2,2,7) (322 560) at about 0.25 GB in 1.5 minutes
+    # one's.  H(3,3,6) (174 960 columns) peaks at about 0.33 GB in 2.5
+    # minutes, H(2,2,7) (322 560) at about 0.11 GB in 1.5 minutes
     code = f"import sys, gdeen; sys.exit(not gdeen.verify_hecke(gdeen.een({e}, {n}), samples=0)['ok'])"
     env = {**os.environ, "PYTHONPATH": str(Path(gdeen.__file__).resolve().parents[1])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

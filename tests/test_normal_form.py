@@ -13,6 +13,8 @@ from cayley_oracle import enumerate_group
 
 from gdeen import (
     EnumerationTooLarge,
+    GroupElement,
+    InvariantViolation,
     Params,
     alphabet,
     element,
@@ -222,6 +224,20 @@ def test_census_g213_is_n_squared():
 def test_census_cap():
     with pytest.raises(EnumerationTooLarge):
         max_length_census(Params(3, 3, 4), cap=100)
+
+
+@pytest.mark.parametrize(
+    "params, perm, exps",
+    [(Params(3, 3, 3), (2, 1, 3), (1, 0, 0)), (Params(2, 2, 4), (1, 2, 3, 4), (0, 0, 0, 1))],
+    ids=["G(9,3,3)", "G(4,2,4)"],
+)
+def test_an_element_off_the_group_reaches_no_normal_form(params, perm, exps):
+    # built past ``element``'s check, with an exponent sum that is not 0 mod
+    # e: no level-1 exponent closes the walk, so it reaches no leaf
+    g = GroupElement(params, perm, exps)
+    for f in (normal_form, length):
+        with pytest.raises(InvariantViolation, match="reaches no normal form"):
+            f(g)
 
 
 def test_word_input_matches_matrix_route():

@@ -22,7 +22,7 @@ import gdeen.hecke as hecke_mod
 from gdeen import HeckeElement, Poly, apply_word, basis_enumerate, d1n, een, hecke_mul, reduce_word, verify_hecke
 from gdeen.polyring import _a_split, _decode, _digits, _packed_terms, _render, _rewiden, _unit_monomial, _unpack
 from gdeen.polyring import var_names
-from gdeen.words import S, alphabet, make_word, parse_word
+from gdeen.words import alphabet, make_word, parse_word
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -295,12 +295,14 @@ def test_the_top_level_keeps_its_columns_packed_only():
     eng = hecke_mod._engine(hp)
     assert eng._lm and all(m < hp.n for m, _, _ in eng._lm)
     assert eng._packed and set(eng._packed) <= set(alphabet(hp.group_params()))
-    # s4 keeps every column; a lower letter, one per rank-3 position.  Slot
-    # j holds the column at j * fold, in lists of _CHUNK slots, each made
-    # when the first of its columns is read
-    top = len(hecke_mod._shape_table(hp)[0][-1])
+    # s4 keeps every column; a lower letter, one per position of its rank:
+    # its fold is the product of the sizes of the levels above its own,
+    # 12 level-4 shapes and 9 level-3 ones.  Slot j holds the column at
+    # j * fold, in lists of _CHUNK slots, each made when the first of its
+    # columns is read
+    folds = {"t0": 9 * 12, "t1": 9 * 12, "t2": 9 * 12, "s3": 12, "s4": 1}
     for x, (fold, table) in eng._packed.items():
-        assert fold == (1 if x == S(hp.n) else top)
+        assert fold == folds[str(x)]
         assert all(len(chunk) == hecke_mod._CHUNK and any(chunk) for chunk in table.values())
         slots = [i * hecke_mod._CHUNK + r for i, chunk in table.items() for r, col in enumerate(chunk) if col]
         assert slots and max(slots) < eng.size // fold
@@ -317,7 +319,7 @@ def test_stored_entries_and_unit_monomials_are_shared(hp):
     eng = hecke_mod._engine(hp)
     cols = [col for _, table in eng._packed.values() for chunk in table.values() for col in chunk if col]
     entries = [entry for col in cols for part in col for entry in part]
-    for values, repeats in ((entries, 4), (cols, 2)):
+    for values, repeats in ((entries, 3), (cols, 2)):
         objects = {id(value) for value in values}
         assert len(objects) == len(set(values)) and repeats * len(objects) < len(values)
         assert all(eng._entries[value] is value for value in values)

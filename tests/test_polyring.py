@@ -165,6 +165,31 @@ def test_degree_limit_raises_instead_of_carrying():
             r * q
 
 
+def test_fused_and_packed_reads_keep_the_guards_of_multiplication():
+    # _dot, the sum of products, refuses mixed arities and a total degree
+    # that reaches 2^WIDTH; so does _unpack, reading a packed polynomial back
+    from gdeen.polyring import WIDTH, _dot, _unpack
+
+    top, one = (1 << WIDTH) - 1, Poly.const(2, 1)
+    with pytest.raises(ArityMismatch):
+        _dot([(A(2), one), (A(1), A(1))])
+    high = Poly(2, {(0, top): 1})
+    assert _dot([(high, one), (one, one)]) == high + one
+    with pytest.raises(InvariantViolation):
+        _dot([(high, A(2)), (one, one)])
+    (code,) = high.terms
+    assert _unpack(2, {code: 1}, 8) == high
+    with pytest.raises(InvariantViolation):
+        _unpack(2, {code: 1 << 8}, 8)  # a * b_1^top
+
+
+def test_specialize_needs_one_value_per_variable():
+    with pytest.raises(ArityMismatch, match="need 2 values, got 1"):
+        A(2).specialize([1])
+    with pytest.raises(ArityMismatch):
+        A(1).specialize((0, 0))
+
+
 def test_arity_one_has_no_degree_limit():
     p = A()
     for _ in range(40):

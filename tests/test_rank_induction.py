@@ -1,11 +1,14 @@
-"""``verify_hecke`` certifies the action by induction on the rank.
+"""``verify_hecke`` certifies the action on the folds of its letters.
 
-At rank k, a letter of level below k acts on an index (lambda', lambda_k)
-as it does on (lambda', 1), with lambda_k re-appended: the block check.
-Where it holds, a relation among those letters holds on every rank-k column
-when it holds at rank k-1, so it is not checked again; where it fails, it
-is, and the report names the failure that checking every relation on every
-column would name.
+A letter of level l acts on an index (lambda', lambda'') as it does on
+(lambda', 1, .., 1), lambda'' the shapes above level l, with lambda''
+re-appended: its parabolic law, checked as its columns are read.  Where
+it holds, the letter's fold is the product of the sizes of the levels
+above l, and a relation among letters whose least fold is f first fails,
+if at all, on a multiple of f, so it runs only there; where it fails, the
+letter has fold 1, and the relations with it run on every column.  The
+report names the failure that checking every relation on every column
+would name.
 """
 
 import contextlib
@@ -33,7 +36,7 @@ from gdeen import (
 )
 from gdeen.cli import main
 from gdeen.hecke import ONE
-from gdeen.words import S, T, Z, alphabet, generator
+from gdeen.words import T, Z, alphabet, generator
 
 H333 = een(3, 3)
 
@@ -64,8 +67,9 @@ def break_top_copy(monkeypatch, letter):
 
 
 def test_a_broken_top_level_copy_fails_the_lower_relations_at_rank_n(monkeypatch):
-    # t0 t2 = t1 t0 holds at rank 2; the block check fails, so it runs on
-    # every rank-3 column and fails on t1 s3, whose top shape is s3
+    # t0 t2 = t1 t0 holds at rank 2; t0 fails its parabolic law as it is
+    # read, so the relation runs on every column and fails on t1 s3, whose
+    # top shape is s3
     break_top_copy(monkeypatch, T(0))
     report = verify_hecke(H333, samples=0)
     assert not report["ok"]
@@ -75,13 +79,19 @@ def test_a_broken_top_level_copy_fails_the_lower_relations_at_rank_n(monkeypatch
         assert main(argv) == 1
 
 
-def test_without_the_block_check_the_break_is_found_later(monkeypatch):
-    # with the block check forced to hold, the relations among the t's are
-    # taken from rank 2, and the first failure is a relation with s3
+def test_without_the_read_time_check_the_break_goes_unseen(monkeypatch):
+    # with t0 kept folded as if it passed its parabolic law, only its
+    # unbroken columns at (lambda', 1) are kept, and every check holds: the
+    # law checked as the columns are read is what finds the break
     break_top_copy(monkeypatch, T(0))
-    monkeypatch.setattr(verify_mod, "_blocks", lambda *args: True)
-    report = verify_hecke(H333, samples=0)
-    assert report["failure"] == "relation t0 s3 t0 = s3 t0 s3 failed on column s3"
+    real = verify_mod._read
+
+    def read(hp, x, *args):
+        (fold, cols), bounds = real(hp, x, *args)
+        return ((9, cols[::9]) if x == T(0) else (fold, cols)), bounds
+
+    monkeypatch.setattr(verify_mod, "_read", read)
+    assert verify_hecke(H333, samples=0)["ok"]
 
 
 def spy_reads(monkeypatch):
@@ -98,16 +108,18 @@ def spy_reads(monkeypatch):
     return reads
 
 
-def test_a_lower_letter_is_kept_once_per_rank_n_minus_1_position(monkeypatch):
-    # in the engine and in the certificate: no level-n column of a lower
-    # letter is computed where the top shape is not empty, and each keeps
-    # |Lambda| / w columns, where w = 12 is the number of level-4 shapes
+def test_a_letter_is_kept_once_per_position_of_its_rank(monkeypatch):
+    # in the engine and in the certificate: no level-n column of a letter
+    # is computed where a shape above its level is not empty, and each
+    # keeps |Lambda| / w columns, where its fold w is the product of the
+    # sizes of the levels above its own: 9 * 12 for the t's, 12 for s3
     hp = een(3, 4)
     calls = []
     real = hecke_mod._Engine._column
 
     def column(self, m, sym, shapes):
-        if m == self.n and sym != S(4) and shapes[-1] != ONE:
+        # shapes[0] is level 2
+        if m == self.n and set(shapes[hecke_mod._letter_level(sym) - 1 :]) - {ONE}:
             calls.append((sym, shapes))
         return real(self, m, sym, shapes)
 
@@ -115,21 +127,21 @@ def test_a_lower_letter_is_kept_once_per_rank_n_minus_1_position(monkeypatch):
     reads = spy_reads(monkeypatch)
     assert verify_hecke(hp, samples=0)["ok"]
     assert calls == []
-    w = len(hecke_mod._shape_table(hp)[0][-1])
-    assert w == 12
     eng = hecke_mod._engine(hp)
+    kept = {"t0": (108, 6), "t1": (108, 6), "t2": (108, 6), "s3": (12, 54), "s4": (1, 648)}
+    assert {str(x) for x in eng._packed} == set(kept)
     for x, (fold, chunks) in eng._packed.items():
         # the slots in order, the one of the column at p at p // fold
         slots = [col for i in sorted(chunks) for col in chunks[i]]
         table, rest = slots[: 648 // fold], slots[648 // fold :]
-        assert (fold, len(table)) == ((1, 648) if x == S(4) else (w, 648 // w))
+        assert (fold, len(table)) == kept[str(x)] and fold == hecke_mod._letter_fold(hp, x)
         assert None not in table and set(rest) <= {None}
         assert reads[x][0] == fold and len(reads[x][1]) == len(table)
 
 
 def test_a_broken_letter_keeps_every_column_in_the_certificate(monkeypatch):
-    # t0 fails the block check as it is read, so it keeps all 54 columns;
-    # the other lower letters keep one per rank-2 position
+    # t0 fails its parabolic law as it is read, so it keeps all 54 columns;
+    # the other t's keep one per rank-2 position
     break_top_copy(monkeypatch, T(0))
     reads = spy_reads(monkeypatch)
     verify_hecke(H333, samples=0)
@@ -258,16 +270,43 @@ def test_a_perturbed_action_gets_the_flat_report(monkeypatch, seed):
 
 
 @pytest.mark.parametrize(
+    "hp, letter",
+    [(een(3, 3), "t0"), (een(3, 4), "s3"), (d1n(2, 3), "s2"), (d1n(3, 3), "s2")],
+    ids=["H(3,3,3)", "H(3,3,4)", "H(2,1,3)", "H(3,1,3)"],
+)
+def test_a_sign_conjugated_action_gets_the_flat_report(monkeypatch, hp, letter):
+    # every column conjugated by the diagonal of signs s_lambda, -1 where
+    # the level-(n-1) shape is an x shape: each entry at mu of the column
+    # at lambda is multiplied by s_lambda s_mu.  The relations still hold,
+    # and the first failure is the translation of a letter below s_n, which
+    # runs only on the multiples of its fold
+    def sign(lam):
+        return -1 if lam[-2][0] == "x" else 1
+
+    real = verify_mod.leftmul_generator
+
+    def leftmul(hp, sym, lam):
+        col = real(hp, sym, lam).combo
+        return HeckeElement(hp, {mu: c if sign(lam) == sign(mu) else -c for mu, c in col.items()})
+
+    monkeypatch.setattr(verify_mod, "leftmul_generator", leftmul)
+    report = verify_hecke(hp, samples=0)
+    expected = flat_failure(hp)
+    assert expected["generator"] == letter and report["failure"] == expected
+
+
+@pytest.mark.parametrize(
     "hp, letter, index, target",
     [
         # t1's column at (t1, 1) gains an entry at (t1, s3), and the one at
         # (t1, mu) the entry moved by mu: each copy is still the moved
         # (t1, 1) column, but that column leaves the rank-2 module, which
-        # the block check at rank 3 finds as t1 is read
+        # t1's parabolic law finds as t1 is read
         (een(3, 3), T(1), (("x", 1), ONE), (("x", 1), ("d", 3))),
-        # z's column at (1, s2, mu) gains the entry at (1, 1, mu): the block
-        # check holds at rank 3, so z is kept once per rank-2 position, and
-        # fails at rank 2, where (1, s2, 1) is no copy of (1, 1, 1)
+        # z's column at (1, s2, mu) gains the entry at (1, 1, mu): each copy
+        # is still the moved (1, s2, 1) column, but z's fold spans levels 2
+        # and 3, and (1, s2, 1) is no copy of (1, 1, 1), which z's parabolic
+        # law finds as z is read
         (d1n(2, 3), Z, (("zp", 0), ("d", 2), ONE), (("zp", 0), ONE, ONE)),
     ],
     ids=["rank-3", "rank-2"],
@@ -289,13 +328,5 @@ def test_a_perturbation_moved_along_the_top_shape_gets_the_flat_report(monkeypat
     report = verify_hecke(hp, samples=0)
     expected = flat_failure(hp)
     assert expected is not None and report["failure"] == expected
-    assert reads[letter][0] == (1 if t % w else w)
+    assert reads[letter][0] == 1
 
-
-def test_a_letter_kept_once_per_rank_n_minus_1_position_takes_the_lower_block_checks():
-    # four positions, two shapes at each of two levels: a letter kept at
-    # positions 0 and 2 (fold 2) passed the check at rank 2 as it was read,
-    # and still takes it at rank 1, on its kept columns
-    assert verify_mod._blocks([(2, [(0, 5), (0, 5)])], 4, 1, 2)
-    assert not verify_mod._blocks([(2, [(0, 5), (0, 5)])], 4, 2, 2)
-    assert verify_mod._blocks([(2, [(0, 5), (2, 5)])], 4, 2, 2)
