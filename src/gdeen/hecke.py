@@ -39,7 +39,8 @@ rewriting bug into RecursionGuardExceeded instead of a hang.
 The engine has one entry point, ``_Engine.apply``: the sum of c * w * h
 over (coefficient, word) pairs, by Horner's rule over the trie of the
 words.  ``leftmul_generator``, ``reduce_word``, ``apply_word`` and
-``hecke_mul`` all go through it, and each call is one budget session.
+``hecke_mul`` all go through it.  The move budget bounds each level-n
+column that the engine computes (``_Engine._fetch``), not a call.
 Levels below n compute on ``Poly`` terms; the top level n computes on
 packed ints, each with a bound on its coefficients that the call proves as
 it computes the int (``_TopLevel``).  Its packed state is the one form of
@@ -437,8 +438,7 @@ class _Engine:
         self._zpow: dict[int, list] = {}
         self._ppform: dict[int, list] = {}
         self._powexp: dict[int, list] = {}
-        self._moves = 0
-        self._active = False
+        self._moves = 0  # in the column being computed (``_fetch``)
 
     # -- move accounting ---------------------------------------------------
 
@@ -446,7 +446,7 @@ class _Engine:
         self._moves += k
         if self._moves > MOVE_BUDGET:
             raise RecursionGuardExceeded(
-                f"exceeded {MOVE_BUDGET} primitive moves in one reduction"
+                f"exceeded {MOVE_BUDGET} primitive moves in one column"
             )
 
     # -- small polynomial helpers -------------------------------------------
@@ -950,6 +950,7 @@ class _Engine:
             if chunk is None:
                 chunk = table[i] = [None] * _CHUNK
             if chunk[r] is None:
+                self._moves = 0  # the budget is per column
                 column = self._column(self.n, x, self._unwalk(pos))  # read once
                 form = self._column_form({self._walk(lam) - pos: c for c, lam in column})
                 share = self._entries.setdefault
@@ -962,23 +963,16 @@ class _Engine:
     def apply(self, words, terms: _State) -> HeckeElement:
         """The sum of c * w * terms over the (c, w) in ``words``, by Horner's
         rule over the trie of the words, on the packed state ``terms``
-        (``_TopLevel``).  The call is one move-budget session: the count
-        starts from zero unless another call on this engine is still running."""
+        (``_TopLevel``).  Each level-n column that the call computes has
+        its own move budget, counted under the lock (``_fetch``), so
+        another call in another thread does not spend it."""
         root: dict = {}
         for c, syms in words:
             node = root
             for x in syms:
                 node = node.setdefault(x, {})
             node[None] = c
-        fresh = not self._active
-        if fresh:
-            self._active = True
-            self._moves = 0
-        try:
-            return HeckeElement._of(self.hp, _TopLevel(self, terms).horner(root))
-        finally:
-            if fresh:
-                self._active = False
+        return HeckeElement._of(self.hp, _TopLevel(self, terms).horner(root))
 
 
 class _State:
@@ -1153,13 +1147,12 @@ def hecke_mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
 
     The basis words of h1 go into a trie, letters left to right, and the
     product is evaluated by Horner's rule over it, so a prefix that several
-    words share acts on h2 once.  The whole product is one move-budget
-    session.  Only memo misses count as moves, so a cold engine is the worst
-    case.  Over the 80 products of 20 associativity samples (xy)z = x(yz)
-    of basis elements of H(3,3,5), drawn as ``verify_hecke`` draws them at
-    seed 1, on a fresh engine, the largest took 7 516 moves against the
-    budget of 10^6 (632 when the same engine had first run the 20 samples
-    of seed 0).
+    words share acts on h2 once.  The move budget bounds each level-n column
+    that the product computes, and only memo misses count as moves, so a
+    cold engine is the worst case.  Over the 80 products of 20
+    associativity samples (xy)z = x(yz) of basis elements of H(3,3,5),
+    drawn as ``verify_hecke`` draws them at seed 1, on a fresh engine, the
+    largest column took 204 moves against the budget of 10^6.
     """
     _check_element(h1)
     _check_element(h2, h1.params)

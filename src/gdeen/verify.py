@@ -39,7 +39,7 @@ from .hecke import (
     leftmul_generator,
 )
 from .normal_form import _plan, _rank_order, _walk, census_expected, length, normal_form
-from .polyring import Poly, _a_step, _decode, _digits
+from .polyring import WIDTH, Poly, _a_split, _decode, _digits, _rewiden
 from .words import Z, alphabet, make_word, word_text
 
 __all__ = ["verify_geodesic", "verify_hecke"]
@@ -237,12 +237,13 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     names the failure that running every check on every column would name,
     and its counts are that coverage.
 
-    Each coefficient's digits (``polyring._digits``) are read into one
-    Kronecker int: a -> 2^B, b_i -> 2^(B*s_i) is a ring map, and B and the
-    strides s_i are derived from the columns on every run so that it is
-    injective on every side (``_relation_width``, ``_kronecker``).  So two
-    sides are equal exactly when their ints are, and a coefficient's value
-    at a, b_i -> 0 is its int's lowest balanced digit.
+    A column is the state that ``leftmul_generator`` returns, key for key:
+    position + bcode * |Lambda|, bcode the code of a b-monomial (0 for
+    H(e,e,n)), to the polynomial in a at a = 2^B, re-packed where its
+    state's width is not B.  B makes a -> 2^B injective on every side, and
+    no key's b-code may carry (``_relation_width``), so two sides are equal
+    exactly when their ints are, and a coefficient's value at a, b_i -> 0
+    is the lowest balanced digit of its int at a key below |Lambda|.
     """
     _check_params(hp)
     if not _is_int(samples) or samples < 0:
@@ -308,9 +309,8 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
     or None.  The counts of the checks that pass go into ``report``."""
     gp = hp.group_params()
     width = len(vecs)
-    # each letter's fold and columns, with each coefficient as the id of its
-    # ints (``_read``); positions are the ints of one list, shared by all
-    # columns
+    # each letter's fold and columns, with each int as its id (``_read``);
+    # keys below |Lambda| are the ints of one list, shared by all columns
     coeffs: dict = {}
     positions = list(range(size))
     packed, sizes = {}, {}
@@ -343,36 +343,46 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
         powers = [(Poly.variable(hp.arity, i), make_word(gp, [Z] * (d - i))) for i in range(1, d)]
         cyclotomic = "cyclotomic relation z^d = sum b_i z^{{d-i}} + 1 failed"
         checks.append((cyclotomic, [(one, make_word(gp, [Z] * d))], [(one, empty)] + powers))
-    encode = _kronecker(hp.arity, *_relation_width(hp.arity, sizes, checks))
-    ints = [0] * len(coeffs)  # the Kronecker int of each coefficient, by id
-    for cid, _, _, terms in coeffs.values():
-        ints[cid] = encode(terms)
-    columns = packed  # each column in place, as flat (position, Kronecker int) pairs
+    bits = _relation_width(hp.arity, sizes, checks, max(w for w, _ in coeffs))
+    ints = [v if w == bits else _rewiden(v, w, bits) for w, v in coeffs]  # by id, in order
+    columns = packed  # each column in place, as flat (key, int) pairs
     for _, cols in columns.values():
         for j, col in enumerate(cols):
-            cols[j] = tuple(chain.from_iterable((q, k) for q, c in _pairs(col) if (k := ints[c])))
+            cols[j] = tuple(chain.from_iterable((q, ints[c]) for q, c in _pairs(col)))
+
+    def scalar(c: Poly) -> tuple:
+        # c as (bcode * |Lambda|, int) pairs, as a column keys it at position 0
+        out: dict = {}
+        for m, v in c.terms.items():
+            b, k = _a_split(hp.arity, m)
+            out[b * size] = out.get(b * size, 0) + (v << k * bits)
+        return tuple(out.items())
+
     # each check as its failure text and its sides, each term as its
-    # scalar's int and its letters' columns, rightmost first
+    # scalar's pairs and its letters' columns, rightmost first
     checks = [
-        (failure, *([(encode(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides))
+        (failure, *([(scalar(c), [columns[x] for x in reversed(w.syms)]) for c, w in side] for side in sides))
         for failure, *sides in checks
     ]
 
     # at a, b_i -> 0 each column must be the left translate of its index:
-    # each int's lowest balanced digit is its coefficient's value there
-    half = 1 << (encode.bits - 1)
+    # the b-monomial 1 is keyed below |Lambda|, and there each int's lowest
+    # balanced digit is its coefficient's value
+    half = 1 << (bits - 1)
 
     def translation(x, j: int):
         col = _at(columns[x], j)
-        spec = [(q, v) for q, k in _pairs(col) if (v := ((k + half) & (2 * half - 1)) - half)]
+        spec = {q: v for q, k in _pairs(col) if q < size and (v := ((k + half) & (2 * half - 1)) - half)}
         (ptab, etab), (p, e) = tables[x], divmod(ranks[j], width)
-        if spec == [(at[ptab[p] * width + etab[e]], 1)]:
+        if spec == {at[ptab[p] * width + etab[e]]: 1}:
             return None
         return {
             "generator": str(x),
             "basis": word_text(as_word(hp, _index_at(hp, j))),
+            # positions in the order of their first keys, over all b-monomials
             "specialization": {
-                str(GroupElement(gp, perms[ranks[q] // width], vecs[ranks[q] % width])): v for q, v in spec
+                str(GroupElement(gp, perms[ranks[q] // width], vecs[ranks[q] % width])): spec[q]
+                for q in dict.fromkeys(q % size for q in col[::2]) if q in spec
             },
         }
 
@@ -388,7 +398,7 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
     report["action_entries_checked"] = len(columns) * size
     unit = at[0]  # rank 0 is the identity
     for j, lam in enumerate(product(*_shape_table(hp)[0])):
-        if _unit_path(columns, _index_word(hp, lam), unit) != j:
+        if _unit_path(columns, size, _index_word(hp, lam), unit) != j:
             return f"basis word {word_text(as_word(hp, lam))} does not send 1 to its basis element"
     return None
 
@@ -397,11 +407,10 @@ def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tup
     """x * e_lambda for every basis index, in the order of
     ``basis_enumerate``, read from the packed state that
     ``leftmul_generator`` returns: x's fold w and its columns, each as one
-    flat tuple of (position, coefficient id) pairs (``_pairs``), positions
-    in the order in which they first appear in the state and taken from
-    ``positions``; and the largest L1 norm of a column (the sum of
-    |coefficient| over its entries and monomials) and the largest degree of
-    each variable in any.
+    flat tuple of (key, int id) pairs (``_pairs``), in the state's order,
+    keys below |Lambda| taken from ``positions``; and the largest L1 norm of
+    a column (the sum of |coefficient| over its entries and monomials) and
+    the largest total b-degree of a key in any.
 
     x is checked against its parabolic law as its columns come back: its
     column at each position p is the one at p - r, r = p mod w, with every
@@ -410,39 +419,26 @@ def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tup
     columns at multiples of w are kept, and ``_at`` reads the others; from
     where it fails, the letter keeps every column, with fold 1.
 
-    ``coeffs`` maps each coefficient read so far, as the width and the
-    (bcode, int) pairs of its position, to its id, its L1 norm, its degrees
-    and its (monomial code, coefficient) pairs, read from the ints' digits
-    (``_digits``)."""
-    size, arity, step = len(positions), hp.arity, _a_step(hp.arity)
-    top, seen = 0, set()
+    ``coeffs`` maps each (width, int) read so far to its id, in the order
+    of the ids, and the L1 norm of its polynomial in a (``_digits``)."""
+    size, top, last = len(positions), 0, 0
     fold, cols = _letter_fold(hp, x), []
     for j, lam in enumerate(product(*_shape_table(hp)[0])):
         h = leftmul_generator(hp, x, lam)
         if not (isinstance(h, HeckeElement) and h.params == hp):
             raise ParamsMismatch(f"{x} * {lam} is not in Lambda's span: {h!r} is no element of {hp}")
         st = h._state
-        ints: dict = {}
+        col, l1 = [], 0
         for q, v in st.vec.items():
             if v:
-                b, pos = divmod(q, size)
-                ints.setdefault(pos, []).append((b, v))
-        col, l1 = [], 0
-        for pos, bv in ints.items():
-            key = (st.bits, *bv)
-            c = coeffs.get(key)
-            if c is None:
-                terms, deg = [], [0] * arity
-                for b, v in bv:
-                    digits = [(k, d) for k, d in enumerate(_digits(v, st.bits)) if d]
-                    terms += ((b + k * step, d) for k, d in digits)
-                    deg = list(map(max, deg, [digits[-1][0]] + _decode(arity, b)[1:]))
-                c = coeffs[key] = (len(coeffs), sum(abs(d) for _, d in terms), deg, terms)
-            col += (positions[pos], c[0])
-            l1 += c[1]
-            seen.add(c[0])
+                c = coeffs.get((st.bits, v))
+                if c is None:
+                    c = coeffs[st.bits, v] = (len(coeffs), sum(map(abs, _digits(v, st.bits))))
+                col += (positions[q] if q < size else q, c[0])
+                l1 += c[1]
         top = max(top, l1)
         col = tuple(col)
+        last = max(last, max(col[::2], default=0))
         if fold > 1:
             r = j % fold
             if r and col == _at((fold, cols), j):
@@ -453,8 +449,8 @@ def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tup
             # the parabolic law fails at j: keep every column from here on
             cols, fold = [_at((fold, cols), i) for i in range(j)], 1
         cols.append(col)
-    degs = [c[2] for c in coeffs.values() if c[0] in seen]
-    return (fold, cols), (top, [max(d) for d in zip([0] * arity, *degs)])
+    # codes are in degree-lex order, so the largest key has the largest b-degree
+    return (fold, cols), (top, sum(_decode(hp.arity, last // size)))
 
 
 def _first_failure(size: int, columns: dict, checks: list, translation):
@@ -486,62 +482,32 @@ def _first_failure(size: int, columns: dict, checks: list, translation):
     return None
 
 
-def _relation_width(arity: int, letters: dict, checks: list) -> tuple[int, list[int]]:
-    """B and the per-variable degree bounds that make the Kronecker map
-    injective on every side of every check.
+def _relation_width(arity: int, letters: dict, checks: list, widest: int) -> int:
+    """B, the one width of the certificate's ints: ``widest``, the widest
+    state read, or more where a -> 2^B needs more to be injective on every
+    side of every check.
 
     ``letters`` gives M_x, the largest L1 norm of a column of letter x (the
-    sum of |coefficient| over its entries and their monomials), and D_x, its
-    largest degree in each variable.  L1 is sub-multiplicative, so every
+    sum of |coefficient| over its entries and their monomials), and D_x, the
+    largest total b-degree of its keys.  L1 is sub-multiplicative, so every
     coefficient of c * x_1 .. x_L * e_lambda is at most |c|_1 M_{x_1} ..
-    M_{x_L}, and its degrees are at most deg c + D_{x_1} + .. + D_{x_L}.
-    2^(B-1) exceeds the sum of these coefficient bounds over both sides of
-    every check, and the degree bounds are the largest of any side term.
-    """
-    bound, degrees = 0, [0] * arity
+    M_{x_L}, and 2^(B-1) exceeds the sum of these bounds over both sides of
+    every check.  Its b-degree is at most deg c + D_{x_1} + .. + D_{x_L};
+    below 2^WIDTH no field of a b-code carries as keys add, and past it
+    this raises."""
+    bound = 0
     for _, *sides in checks:
         total = 0
         for c, w in chain(*sides):
-            l1, deg = sum(map(abs, c.terms.values())), [0] * arity
-            for m in c.terms:
-                deg = list(map(max, deg, _decode(arity, m)))
+            l1, degree = sum(map(abs, c.terms.values())), max(sum(_decode(arity, m)[1:]) for m in c.terms)
             for x in w.syms:
                 l1 *= letters[x][0]
-                deg = [u + v for u, v in zip(deg, letters[x][1])]
+                degree += letters[x][1]
+            if degree >> WIDTH:
+                raise InvariantViolation(f"b-degree {degree} of a relation side reaches 2^{WIDTH}")
             total += l1
-            degrees = list(map(max, degrees, deg))
         bound = max(bound, total)
-    return bound.bit_length() + 1, degrees
-
-
-def _kronecker(arity: int, bits: int, degrees: list[int]):
-    """The ring map Z[a, b_1..] -> Z that sends a to 2^bits and b_i to
-    2^(bits*s_i), where s_i is the product of (degrees[j] + 1) over the
-    variables j before b_i, as a function on Polys or on the (monomial
-    code, coefficient) pairs of one; its ``bits`` is the width.
-
-    A polynomial whose degree in each variable is at most ``degrees`` goes
-    to the sum of c * 2^(bits*k) with one k per monomial, distinct for
-    distinct monomials.  When every |c| is below 2^(bits-1), those c are the
-    int's balanced base-2^bits digits, so the map is injective there.
-    """
-    strides = [1]
-    for deg in degrees[:-1]:
-        strides.append(strides[-1] * (deg + 1))
-    shifts: dict[int, int] = {}
-
-    def encode(p) -> int:
-        total = 0
-        for m, c in p.terms.items() if isinstance(p, Poly) else p:
-            shift = shifts.get(m)
-            if shift is None:
-                exps = _decode(arity, m)
-                shift = shifts[m] = bits * sum(e * s for e, s in zip(exps, strides))
-            total += c << shift
-        return total
-
-    encode.bits = bits
-    return encode
+    return max(bound.bit_length() + 1, widest)
 
 
 def _pairs(col: tuple):
@@ -563,33 +529,37 @@ def _at(letter: tuple, p: int) -> tuple:
     return tuple(out)
 
 
-def _unit_path(columns: dict, word: tuple, at: int):
+def _unit_path(columns: dict, size: int, word: tuple, at: int):
     """Where the int columns of ``word``'s letters, from the right, send the
-    basis vector at ``at``, if each column on the way is one entry of int
-    1; else None.  One column is within the bounds that make the Kronecker
-    map injective (each letter has a relation side of its own), so each
-    step is exactly a basis vector; a whole word's side might not be."""
+    basis vector at ``at``, if each column on the way is one entry of int 1
+    at a key below ``size``, |Lambda|, so exactly a basis vector; else
+    None."""
     for x in reversed(word):
         fold, cols = columns[x]
         col = cols[at // fold]  # ``_at``, unmoved
-        if len(col) != 2 or col[1] != 1:
+        if len(col) != 2 or col[1] != 1 or col[0] >= size:
             return None
         at = col[0] + at % fold
     return at
 
 
 def _int_side(terms: list, j: int) -> dict[int, int]:
-    """The sum of c * (x_1 .. x_L * e_j) over the terms, each given as c and
-    the fold and int columns of x_L .. x_1 (``_at``), composed in that
-    order; as a map from basis position to its nonzero int."""
+    """The sum of c * (x_1 .. x_L * e_j) over the terms, each given as c's
+    (bcode * |Lambda|, int) pairs and the fold and int columns of
+    x_L .. x_1, composed in that order; as a map from key to its nonzero
+    int.  At key p = pos + bcode * |Lambda| the column kept at
+    i = p // fold % len(cols), pos // fold, acts moved by p - i * fold: by
+    pos mod fold, as ``_at`` moves it, and by the b-code."""
     acc: dict[int, int] = {}
     for c, letters in terms:
-        items = [(j, c)]
+        items = [(j + b, k) for b, k in c]
         for fold, cols in letters:
             out: dict[int, int] = {}
+            n = len(cols)
             for p, k in items:
-                r = p % fold
-                it = iter(cols[p // fold])
+                i = p // fold % n
+                r = p - i * fold
+                it = iter(cols[i])
                 for q, kq in zip(it, it):  # ``_pairs``, inline
                     q += r
                     out[q] = out.get(q, 0) + k * kq

@@ -11,6 +11,7 @@ import random
 import resource
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -517,15 +518,54 @@ def test_the_engine_keeps_no_whole_word_result(hp):
     assert all(m < hp.n for m, _ in hecke_mod._engine(hp)._rw)
 
 
-def test_move_budget_guard():
-    budget = hecke_mod.MOVE_BUDGET
-    hecke_mod.MOVE_BUDGET = 3
+def test_repr_wraps_the_rendering():
+    h = reduce_word(een(3, 3), "t1 t0 t0")
+    assert repr(h) == f"HeckeElement({h})" == "HeckeElement((1)*[t1] + (a)*[t1 t0])"
+    assert repr(basis_element(een(3, 3), identity_index(een(3, 3))).scaled(Poly.const(1, 0))) == "HeckeElement(0)"
+
+
+def test_move_budget_guard(monkeypatch):
+    # each column of this word in H(5,5,2) takes one or two moves
+    monkeypatch.setattr(hecke_mod, "MOVE_BUDGET", 1)
+    hecke_mod._engine.cache_clear()
+    with pytest.raises(RecursionGuardExceeded):
+        reduce_word(een(5, 2), "t3 t2 t1 t0 t1 t2 t3")
+    hecke_mod._engine.cache_clear()
+
+
+def test_the_move_budget_bounds_one_column_cold_serially_and_in_threads(monkeypatch):
+    # the level-n columns of this word in H(3,3,3) take 2, 1, 2, 4, 3, 3, 12
+    # and 15 moves, 42 in all: a budget of 15 is enough for each column, so
+    # for the whole word, from four threads at once too, each on a cold engine
+    hp, word = een(3, 3), "s3 t1 t0 s3 t2 s3 t1"
+    monkeypatch.setattr(hecke_mod, "MOVE_BUDGET", 15)
+    hecke_mod._engine.cache_clear()
+    serial = reduce_word(hp, word).to_json()
+    hecke_mod._engine.cache_clear()
+    barrier = threading.Barrier(4)
+    results = []
+
+    def work():
+        barrier.wait()
+        results.append(reduce_word(hp, word).to_json())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        hp = een(5, 2)
-        with pytest.raises(RecursionGuardExceeded):
-            reduce_word(hp, "t3 t2 t1 t0 t1 t2 t3")
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
-        hecke_mod.MOVE_BUDGET = budget
+        sys.setswitchinterval(interval)
+    hecke_mod._engine.cache_clear()
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 4
+    monkeypatch.setattr(hecke_mod, "MOVE_BUDGET", 14)
+    with pytest.raises(RecursionGuardExceeded):
+        reduce_word(hp, word)
+    hecke_mod._engine.cache_clear()
 
 
 def test_h11n_matches_symmetric_group_hecke():

@@ -1,10 +1,12 @@
-"""The Kronecker encoding behind the relation checks of ``verify_hecke``.
+"""The one width at which ``verify_hecke`` reads the columns' ints.
 
-``verify._kronecker(arity, bits, degrees)`` sends a to 2^bits and b_i to
-2^(bits*s_i).  On polynomials with every |coefficient| below 2^(bits-1) and
-degrees within ``degrees`` it must be injective, and ``verify_hecke`` must
-derive bits and degrees from the columns it checks, so that an error in a
-column cannot hide in a digit that a narrower encoding would alias.
+Each column is the state that ``leftmul_generator`` returns, key for key,
+with each int re-packed at one width B where its state's width is not B.
+``verify._relation_width`` makes B the larger of the widest state read and
+a width that the L1 bound on every relation side shows to make a -> 2^B
+injective there, so that an error in a column cannot hide in a digit that
+a narrower width would alias.  That a -> 2^B is injective within the bound
+is tested in ``test_packed.py``.
 """
 
 from types import SimpleNamespace
@@ -13,76 +15,25 @@ import pytest
 
 import gdeen.hecke as hecke_mod
 import gdeen.verify as verify_mod
-from gdeen import ParamsMismatch, Poly, d1n, een, verify_hecke
+from gdeen import InvariantViolation, ParamsMismatch, Poly, d1n, een, verify_hecke
 from gdeen.hecke import ONE
 from gdeen.words import T, Z
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 H333, H312 = een(3, 3), d1n(3, 2)
 
 
-@st.composite
-def bounded_pairs(draw):
-    """(arity, bits, degrees, P, Q) with P and Q inside the bound; Q is P,
-    P with one coefficient changed, or unrelated to P."""
-    arity = draw(st.integers(1, 3))
-    bits = draw(st.integers(2, 10))
-    degrees = draw(st.lists(st.integers(0, 3), min_size=arity, max_size=arity))
-    top = 2 ** (bits - 1) - 1
-    coeff = st.sampled_from([top, -top, 1, -1, 0]) | st.integers(-top, top)
-    mono = st.tuples(*(st.integers(0, deg) for deg in degrees))
-    terms = st.dictionaries(mono, coeff, max_size=6)
-    p = draw(terms)
-    how = draw(st.sampled_from(["same", "one coefficient", "unrelated"]))
-    if how == "same":
-        q = dict(p)
-    elif how == "one coefficient":
-        q = dict(p)
-        m = draw(mono)
-        q[m] = draw(coeff.filter(lambda c: c != p.get(m, 0)))
-    else:
-        q = draw(terms)
-    return arity, bits, degrees, Poly(arity, p), Poly(arity, q)
-
-
-@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(bounded_pairs())
-def test_encoding_is_injective_within_the_bound(case):
-    arity, bits, degrees, p, q = case
-    encode = verify_mod._kronecker(arity, bits, degrees)
-    assert (p == q) == (encode(p) == encode(q))
-
-
-@pytest.mark.parametrize("bits", [2, 5, 11])
-def test_the_bound_is_sharp(bits):
-    # 2^(B-1) and -2^(B-1) + a have the same digits in base 2^B: one past
-    # the bound, the encoding aliases
-    half = 2 ** (bits - 1)
-    encode = verify_mod._kronecker(1, bits, [1])
-    assert encode(Poly(1, {(0,): half})) == encode(Poly(1, {(0,): -half, (1,): 1}))
-    assert encode(Poly(1, {(0,): half - 1})) != encode(Poly(1, {(0,): 1 - half, (1,): 1}))
-
-
-def test_strides_separate_the_variables():
-    # a^(D+1) and b_1 share a digit unless the stride of b_1 exceeds D
-    encode = verify_mod._kronecker(2, 4, [2, 1])
-    assert encode(Poly(2, {(3, 0): 1})) == encode(Poly(2, {(0, 1): 1}))
-    assert encode(Poly(2, {(2, 0): 1})) != encode(Poly(2, {(0, 1): 1}))
-
-
 def width(monkeypatch, hp):
-    """The (bits, degrees) that ``verify_hecke`` chooses on ``hp``."""
+    """The bits of the L1 bound and the width that ``verify_hecke`` uses on
+    ``hp``."""
     seen = []
-    real = verify_mod._kronecker
+    real = verify_mod._relation_width
 
-    def spy(arity, bits, degrees):
-        seen.append((bits, degrees))
-        return real(arity, bits, degrees)
+    def spy(arity, letters, checks, widest):
+        seen.append((real(arity, letters, checks, 1), real(arity, letters, checks, widest)))
+        return seen[-1][1]
 
     with monkeypatch.context() as m:
-        m.setattr(verify_mod, "_kronecker", spy)
+        m.setattr(verify_mod, "_relation_width", spy)
         assert verify_hecke(hp, samples=0)["ok"]
     (found,) = seen
     return found
@@ -104,8 +55,9 @@ def perturb(monkeypatch, hp, letter, error):
 
 
 def test_ok_reports_use_a_width_from_the_columns(monkeypatch):
-    assert width(monkeypatch, H333) == (13, [8])
-    assert width(monkeypatch, H312) == (11, [4, 4, 3])
+    # the bound needs 13 and 11 bits; every state is read at its own 64
+    assert width(monkeypatch, H333) == (13, 64)
+    assert width(monkeypatch, H312) == (11, 64)
 
 
 @pytest.mark.parametrize(
@@ -114,17 +66,15 @@ def test_ok_reports_use_a_width_from_the_columns(monkeypatch):
     ids=str,
 )
 def test_an_error_in_a_high_digit_fails_the_relations(monkeypatch, hp, letter, why):
-    # the error vanishes under the encoding that the unperturbed columns
-    # choose, and has no constant term, so that only a width derived from
-    # the perturbed columns can see it
-    bits, degrees = width(monkeypatch, hp)
+    # the coefficient error vanishes at the width that the unperturbed
+    # columns are read at, and has no constant term, so that only a width
+    # derived from the perturbed columns can see it; the other error is
+    # b_1 - a^5, which a b-monomial kept apart by its key cannot alias
     a = Poly.variable(hp.arity, 0)
-    if why == "coefficient":  # a * (2^B - a), zero at a = 2^B
-        error = a * (Poly.const(hp.arity, 2**bits) - a)
-    else:  # b_1 - a^(D+1), zero where b_1's stride is D + 1
-        error = Poly.variable(hp.arity, 1) - Poly(hp.arity, {(degrees[0] + 1, 0, 0): 1})
-    encode = verify_mod._kronecker(hp.arity, bits, degrees)
-    assert not error.is_zero() and encode(error) == 0
+    if why == "coefficient":  # a * (2^64 - a), zero at a = 2^64
+        error = a * (Poly.const(hp.arity, 2**64) - a)
+    else:
+        error = Poly.variable(hp.arity, 1) - Poly(hp.arity, {(5, 0, 0): 1})
     perturb(monkeypatch, hp, letter, error)
     report = verify_hecke(hp, samples=0)
     assert not report["ok"]
@@ -132,9 +82,50 @@ def test_an_error_in_a_high_digit_fails_the_relations(monkeypatch, hp, letter, w
         H333: "relation t0 t2 = t1 t0 failed on column s3 t1 t0",
         H312: "relation z s2 z s2 = s2 z s2 z failed on column s2 z s2",
     }[hp]
-    # pinned to the unperturbed width, the same columns pass every check
-    monkeypatch.setattr(verify_mod, "_kronecker", lambda arity, *_: encode)
-    assert verify_hecke(hp, samples=0)["ok"]
+    if why == "coefficient":
+        # pinned to the unperturbed width, the same columns pass every check
+        monkeypatch.setattr(verify_mod, "_relation_width", lambda *_: 64)
+        assert verify_hecke(hp, samples=0)["ok"]
+
+
+def test_a_b_degree_that_would_carry_is_refused(monkeypatch):
+    # the cyclotomic side b_1 z^2 has b-degree 1 plus z's; with code
+    # fields of one bit that degree would carry into the next field
+    monkeypatch.setattr(verify_mod, "WIDTH", 1)
+    with pytest.raises(InvariantViolation, match="b-degree"):
+        verify_hecke(H312, samples=0)
+
+
+def test_a_unit_column_with_a_b_monomial_is_no_basis_vector():
+    # the one entry of int 1 sits at position 1 with b-code 1: b * e_1
+    size = 4
+    columns = {Z: (1, [(1 + 1 * size, 1)] * size)}
+    assert verify_mod._unit_path(columns, size, (Z,), 0) is None
+    columns = {Z: (1, [(1, 1)] * size)}
+    assert verify_mod._unit_path(columns, size, (Z,), 0) == 1
+
+
+def test_a_translation_report_lists_positions_as_they_first_appear(monkeypatch):
+    # z * z = b_1 z + 1 in H(2,1,2): z's position first appears at the key
+    # of b_1, then the identity's at b-monomial 1.  Adding 1 * z makes z's
+    # position the second one below |Lambda|; the report still lists it
+    # first, as the position of its first key.  The relations are made to
+    # hold, so that the translation is the failure named.
+    hp, lam = d1n(2, 2), (("zp", 1), ONE)
+    real = verify_mod.leftmul_generator
+
+    def leftmul(hp_, sym, mu):
+        h = real(hp_, sym, mu)
+        return h + hecke_mod.basis_element(hp, lam) if (sym, mu) == (Z, lam) else h
+
+    monkeypatch.setattr(verify_mod, "leftmul_generator", leftmul)
+    monkeypatch.setattr(verify_mod, "_int_side", lambda terms, j: {})
+    failure = verify_hecke(hp, samples=0)["failure"]
+    assert (failure["generator"], failure["basis"]) == ("z", "z")
+    assert list(failure["specialization"].items()) == [
+        ("G(2,1,2)[1->1^1, 2->2^0]", 1),
+        ("G(2,1,2)[1->1^0, 2->2^0]", 1),
+    ]
 
 
 def test_an_index_outside_lambda_is_refused(monkeypatch):

@@ -133,6 +133,14 @@ def test_coefficients_must_be_integers():
             make()
 
 
+def test_a_poly_refuses_every_attribute_write():
+    p = A(2) + Poly.const(2, 1)
+    for name, value in (("terms", {}), ("arity", 3), ("other", 0)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(p, name, value)
+    assert str(p) == "a + 1"
+
+
 def test_copy_and_pickle_round_trip():
     from gdeen import een, reduce_word
 
