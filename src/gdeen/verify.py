@@ -15,11 +15,13 @@ element.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from array import array
 from collections import Counter
-from itertools import chain, product
-from operator import sub
+from itertools import chain, compress, product
+from operator import itemgetter
 
 from .cayley import row_moves
 from .errors import InvariantViolation, ParamsMismatch
@@ -68,6 +70,19 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     tables.  The walk, not a count, names each element's rank, so every
     entry of f starts at a value that no length takes, and a rank that the
     walk reaches twice, or never, is refused.
+
+    The Lipschitz check runs per permutation P, on P's block of f and that
+    of x*P, a letter at a time.  A letter other than s_n rewrites one or two
+    adjacent digits of the exponent rank E, a window, so the pairs (g, x*g)
+    line up as slices of the two blocks: strides for a window low in E, runs
+    for a high one (``_windows``).  s_n, when e > 1, moves the last digit by
+    a map that depends on the sum of the digits above, mod e; it is checked
+    once per residue, on the lanes with that sum.  Each letter's window map
+    comes from its row moves and is checked once against its ``etab``
+    before use.  The slices are compared as ints with a guard bit per lane,
+    all of a block's lanes at once (``_lipschitz``).  Where a lane fails,
+    the entry-by-entry scan of that block names the counterexample
+    (``_scan``): the first in the order permutation, letter, E.
     """
     perms, vecs, tables = _left_action(params, cap)
     width, plan = len(vecs), _plan(params)
@@ -108,26 +123,29 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     if f[0]:
         why = "the identity has a non-empty normal form"
         return _geodesic_failure(params, perms[0], vecs[0], f[0], reason=why)
-    letters = alphabet(params)
-    for p_rank in range(len(perms)):
-        here = f[p_rank * width : (p_rank + 1) * width]
-        for x, (ptab, etab) in enumerate(tables):
-            q_rank = ptab[p_rank]
-            there = f[q_rank * width : (q_rank + 1) * width]
-            if max(map(sub, map(there.__getitem__, etab), here)) > 1:
-                e_rank = next(i for i, j in enumerate(etab) if there[j] > here[i] + 1)
-                g = GroupElement(params, perms[p_rank], vecs[e_rank])
-                shorter = f"{letters[x]} {word_text(normal_form(g).word)}".strip()
-                return _geodesic_failure(
-                    params,
-                    perms[q_rank],
-                    vecs[etab[e_rank]],
-                    there[etab[e_rank]],
-                    reason="a shorter word spells the element",
-                    shorter_word=shorter,
-                )
     histogram = Counter(f)
     max_len = max(histogram)
+    found = _lipschitz(f, max_len, tables, _windows(params, tables, width), width)
+    if found is not None:
+        # the first failing block, in the scan's order; the scan names the rank
+        p_rank, x = found
+        ptab, etab = tables[x]
+        q_rank = ptab[p_rank]
+        here = f[p_rank * width : (p_rank + 1) * width]
+        there = f[q_rank * width : (q_rank + 1) * width]
+        e_rank = _scan(here, there, etab)
+        if e_rank is None:
+            raise InvariantViolation(f"letter {x} fails its lanes on permutation {p_rank} but passes its scan")
+        g = GroupElement(params, perms[p_rank], vecs[e_rank])
+        shorter = f"{alphabet(params)[x]} {word_text(normal_form(g).word)}".strip()
+        return _geodesic_failure(
+            params,
+            perms[q_rank],
+            vecs[etab[e_rank]],
+            there[etab[e_rank]],
+            reason="a shorter word spells the element",
+            shorter_word=shorter,
+        )
     max_count = histogram[max_len]
     report = {
         "ok": True,
@@ -148,6 +166,147 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
 class _Refused(Exception):
     """A normal form that the geodesic certificate refuses: its rank, its
     length and why."""
+
+
+def _windows(params: Params, tables: list, width: int) -> list:
+    """Per letter x, the lanes on which ``_lipschitz`` lines up f(g) with
+    f(x*g) inside one permutation's block of ``width`` entries: (key, here,
+    groups), ``here`` the slices of g's block that hold the lanes, in lane
+    order, shared by the letters of one layout ``key``, and per group
+    (there, flags) the slices of x*g's block whose lanes line up with them,
+    or an ``itemgetter`` of x's ``etab`` that gathers them, and which lanes
+    of each slice the group checks, or None for all.
+
+    E is a mixed-radix number: exps[0..n-2] in base de, then the index of
+    exps[n-1] among its d values (``_rank_order``).  x rewrites the rows
+    that its ``row_moves`` name, a window of one or two adjacent digits,
+    and keeps the digits above (A) and below (C) it.  So the E with window
+    value v go to the E with value m(v) and the same A and C: per v, a run
+    of C for each A, or a stride over A for each C, whichever gives fewer
+    slices.  Where the window holds the last digit and e > 1, m depends on
+    the sum s of the digits above, mod e, since exps[n-1] = e * index +
+    (-s - exps[n-2]) mod e: one group per residue s, over the strides (the
+    last digit is the lowest), its flags picking the A with that residue.
+    A slice costs about what three gathered entries do, so a letter whose
+    slices would hold three lanes or fewer each gathers its block instead,
+    with ``here`` the whole block.
+
+    The slices are anchored to the tables: each group's lanes must pair E
+    with ``etab[E]``, and each layout's ``here`` must cover the block once,
+    or this raises InvariantViolation."""
+    n, d, e, de = params.n, params.d, params.e, params.de
+    radix = [de] * (n - 1) + [d]
+    weight = [d * de ** (n - 2 - r) for r in range(n - 1)] + [1]
+    block = range(width)
+    out, layouts = [], {None: (None, [slice(0, width)])}
+    for mv, (_, etab) in zip(row_moves(params), tables):
+        rows = [r for r, _, _ in mv] + [src for _, src, _ in mv]
+        lo, hi = min(rows, default=0), max(rows, default=0)
+        window, low = radix[lo : hi + 1], weight[hi]
+        span, last = math.prod(window), hi == n - 1
+        high = width // (span * low)
+        if last and e > 1:
+            sums = [sum(a) % e for a in product(range(de), repeat=lo)]
+            groups = [(s, [t == s for t in sums]) for s in sorted(set(sums))]
+        else:
+            groups = [(0, None)]
+        # (an itemgetter of one index returns no tuple: a one-entry block is sliced)
+        if 3 * len(groups) * span * min(high, low) >= width > 1:
+            out.append((None, layouts[None][1], [(itemgetter(*etab), None)]))
+            continue
+        if high < low:
+            cut = lambda v: [slice(a + v * low, a + v * low + low) for a in range(0, width, span * low)]
+        else:
+            cut = lambda v: [slice(v * low + c, None, span * low) for c in range(low)]
+
+        def images(s: int) -> list[int]:
+            # each window value's digits as exponents, moved, and encoded back
+            ms = []
+            for ks in product(*map(range, window)):
+                exps = list(ks)
+                if last:
+                    exps[-1] = e * ks[-1] + (-s - sum(ks[:-1])) % e
+                moved = exps[:]
+                for r, src, k in mv:
+                    moved[r - lo] = (exps[src - lo] + k) % de
+                if last:
+                    moved[-1] //= e
+                m = 0
+                for k, r in zip(moved, window):
+                    m = m * r + k
+                ms.append(m)
+            return ms
+
+        key = (lo, hi)
+        if key not in layouts:
+            cuts = [cut(v) for v in range(span)]
+            here = [sl for c in cuts for sl in c]
+            seen = bytearray(width)  # width lanes that reach every entry reach each once
+            for sl in here:
+                seen[sl] = b"\1" * len(block[sl])
+            if seen.count(0) or sum(len(block[sl]) for sl in here) != width:
+                raise InvariantViolation(f"the lanes of rows {lo + 1}..{hi + 1} do not cover the block once")
+            layouts[key] = cuts, here
+        cuts, here = layouts[key]
+        groups = [([sl for m in images(s) for sl in cuts[m]], flags) for s, flags in groups]
+        for there, flags in groups:
+            for sh, st in zip(here, there):
+                got, want = etab[sh], block[st]
+                if flags is not None:
+                    got, want = compress(got, flags), compress(want, flags)
+                if list(got) != list(want):
+                    raise InvariantViolation(f"the window map of rows {lo + 1}..{hi + 1} disagrees with its table")
+        out.append((key, here, groups))
+    return out
+
+
+def _lipschitz(f: array, top: int, tables: list, windows: list, width: int) -> tuple[int, int] | None:
+    """The first permutation rank and letter x, in that order, whose block
+    has an E with f(x*g) > f(g) + 1, or None.
+
+    Each block's lanes (``_windows``) are read as one int of b-bit lanes,
+    f(g) and f(x*g) at once, b the least of 8, 16, 32 for which the largest
+    length ``top`` is at most 2^(b-1) - 2.  Then every lane of f(g) +
+    2^(b-1) + 1 - f(x*g) lies in [0, 2^b), so no lane borrows, and its guard
+    bit 2^(b-1) is set exactly when f(x*g) <= f(g) + 1."""
+    code = "B" if top < 127 else "H" if top < 32767 else "I"
+    lanes = f if f.typecode == code else array(code, f)
+    guard, order = 1 << (8 * lanes.itemsize - 1), sys.byteorder
+
+    def packed(values: array) -> int:
+        return int.from_bytes(values.tobytes(), order)
+
+    def mask(flags: list, here: list) -> int:
+        # the guard bits of the lanes that a group checks, in lane order
+        return packed(array(code, [guard * t for t in flags]) * len(here))
+
+    ones, full = packed(array(code, [guard + 1]) * width), packed(array(code, [guard]) * width)
+    checks = [
+        (key, here, [(there, full if flags is None else mask(flags, here)) for there, flags in groups])
+        for key, here, groups in windows
+    ]
+    for p_rank in range(len(lanes) // width):
+        block, heres = lanes[p_rank * width : (p_rank + 1) * width], {}
+        for x, ((ptab, _), (key, here, groups)) in enumerate(zip(tables, checks)):
+            h = heres.get(key)
+            if h is None:
+                h = heres[key] = int.from_bytes(b"".join(map(block.__getitem__, here)), order) + ones
+            q_rank = ptab[p_rank]
+            there = lanes[q_rank * width : (q_rank + 1) * width]
+            for pick, guards in groups:
+                if isinstance(pick, list):
+                    lined = b"".join(map(there.__getitem__, pick))
+                else:
+                    lined = array(code, pick(there))
+                if h - int.from_bytes(lined, order) & guards != guards:
+                    return p_rank, x
+    return None
+
+
+def _scan(here: array, there: array, etab: list) -> int | None:
+    """The first E with there[etab[E]] > here[E] + 1, or None: one block of
+    the Lipschitz check, entry by entry."""
+    return next((i for i, j in enumerate(etab) if there[j] > here[i] + 1), None)
 
 
 def _left_action(params: Params, cap: int) -> tuple[list, list, list[tuple[list[int], list[int]]]]:
