@@ -61,6 +61,8 @@ DEFAULT_CAP = 10**6
 
 def _checked_order(params: Params, cap: int) -> int:
     """The group order, refused with EnumerationTooLarge when it exceeds cap."""
+    if not isinstance(params, Params):
+        raise ParamsMismatch(f"{params!r} is not a Params")
     if not _is_int(cap):
         raise ParamsMismatch(f"cap must be an int, got {cap!r}")
     order = params.order()
@@ -96,7 +98,12 @@ def identity(params: Params) -> GroupElement:
 
 def element(params: Params, perm, exps) -> GroupElement:
     """Validated constructor; raises InvariantViolation naming the failure."""
-    perm = tuple(perm)
+    try:
+        perm, exps = tuple(perm), tuple(exps)
+    except TypeError as exc:  # not iterable
+        raise InvariantViolation(f"perm and exps must be sequences of ints: {exc}") from exc
+    if not all(map(_is_int, perm + exps)):
+        raise InvariantViolation(f"perm {perm} and exps {exps} must hold ints only")
     n, de = params.n, params.de
     if len(perm) != n or sorted(perm) != list(range(1, n + 1)):
         raise InvariantViolation(f"perm {perm} is not a bijection of 1..{n}")

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, ParamsMismatch
 from .group import DEFAULT_CAP, GroupElement, Params, _checked_order
 from .words import S, Sym, T, Word, Z, alphabet, make_word
 
@@ -190,6 +190,8 @@ def _grow(parts: tuple, part: tuple) -> tuple:
 
 def _parts(g: GroupElement) -> tuple[_Plan, tuple]:
     """g's plan and the parts of its normal form, lowest level first."""
+    if not isinstance(g, GroupElement):
+        raise ParamsMismatch(f"{g!r} is not a GroupElement")
     plan, found = _plan(g.params), []
     _walk(plan, g.perm, g.exps, (), _grow, lambda parts, _: found.append(parts))
     if not found:  # no k1 leaves k1 + carry a multiple of e
@@ -206,7 +208,8 @@ def _wrap(params: Params, plan: _Plan, parts) -> NormalForm:
 
 
 def normal_form(g: GroupElement) -> NormalForm:
-    return _wrap(g.params, *_parts(g))
+    plan, parts = _parts(g)  # checks g before its params are read
+    return _wrap(g.params, plan, parts)
 
 
 def length(g: GroupElement) -> int:

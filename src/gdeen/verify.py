@@ -30,6 +30,7 @@ from .hecke import (
     HeckeElement,
     HeckeParams,
     _check_params,
+    _engine,
     _index_word,
     _letter_fold,
     _shape_table,
@@ -385,28 +386,32 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     acts on (lambda', lambda'') as on (lambda', 1, .., 1), lambda'' the
     shapes above level l, with lambda'' re-appended.  Each letter's columns
     x * e_lambda are read once, as the packed states that
-    ``leftmul_generator`` returns, and checked against that law as they
-    come back (``_read``).  Where it holds, a letter keeps only the columns
-    at the multiples of its fold, the indices whose shapes above its level
-    are empty (``_letter_fold``); where it fails, it keeps every column,
-    with fold 1.  So each relation and the specialization are certified
-    on the multiples of the least fold among their letters
-    (``_first_failure``): at H(3,3,4) only the relations that contain s_4,
-    and the translations of s_4, run on all |Lambda| columns.  The report
-    names the failure that running every check on every column would name,
-    and its counts are that coverage.
+    ``leftmul_generator`` returns, keyed relative to their position, and
+    checked against that law, now an equality, as they come back
+    (``_read``).  Where it holds, a letter keeps only the columns at the
+    multiples of its fold, the indices whose shapes above its level are
+    empty (``_letter_fold``); where it fails, it keeps every column, with
+    fold 1.  Equal columns are kept once.  So each relation and the
+    specialization are certified on the multiples of the least fold among
+    their letters (``_first_failure``): at H(3,3,4) only the relations that
+    contain s_4, and the translations of s_4, run on all |Lambda| columns.
+    The report names the failure that running every check on every column
+    would name, and its counts are that coverage.
 
-    A column is the state that ``leftmul_generator`` returns, key for key:
-    position + bcode * |Lambda|, bcode the code of a b-monomial (0 for
-    H(e,e,n)), to the polynomial in a at a = 2^B, re-packed where its
-    state's width is not B.  B makes a -> 2^B injective on every side, and
-    no key's b-code may carry (``_relation_width``), so two sides are equal
-    exactly when their ints are, and a coefficient's value at a, b_i -> 0
-    is the lowest balanced digit of its int at a key below |Lambda|.
+    A column at position j is the state that ``leftmul_generator`` returns,
+    key for key, less j: position + bcode * |Lambda| - j, bcode the code of
+    a b-monomial (0 for H(e,e,n)), to the polynomial in a at a = 2^B,
+    re-packed where its state's width is not B; its readers add j back.
+    B makes a -> 2^B injective on every side, and no key's b-code may carry
+    (``_relation_width``), so two sides are equal exactly when their ints
+    are, and a coefficient's value at a, b_i -> 0 is the lowest balanced
+    digit of its int at a key, plus j, below |Lambda|.
     """
     _check_params(hp)
     if not _is_int(samples) or samples < 0:
         raise ParamsMismatch(f"samples must be an int >= 0, got {samples!r}")
+    if not _is_int(seed):
+        raise ParamsMismatch(f"seed must be an int, got {seed!r}")
     gp = hp.group_params()
     perms, vecs, tables = _left_action(gp, cap)
     basis = basis_enumerate(hp)  # counted and spelled here, and not kept
@@ -429,7 +434,7 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
             return report
         at[r] = j
         ranks.append(r)
-    del basis  # from here on an index is read from the shape table (``_index_at``)
+    del basis  # from here on an index is read from its position (``_Engine._index``)
 
     failure = _action_failure(hp, size, perms, vecs, tables, ranks, at, report)
     if failure is not None:
@@ -440,24 +445,13 @@ def verify_hecke(hp: HeckeParams, cap: int = DEFAULT_CAP, samples: int = 100, se
     rng = random.Random(seed)
     for _ in range(samples):
         # randrange(n) draws as choice() does from a sequence of length n
-        x, y, zz = (basis_element(hp, _index_at(hp, rng.randrange(size))) for _ in range(3))
+        x, y, zz = (basis_element(hp, _engine(hp)._index(rng.randrange(size))) for _ in range(3))
         if hecke_mul(hecke_mul(x, y), zz) != hecke_mul(x, hecke_mul(y, zz)):
             report["ok"] = False
             report["failure"] = "associativity sample failed"
             return report
     report["associativity_samples"] = samples
     return report
-
-
-def _index_at(hp: HeckeParams, j: int) -> tuple:
-    """The basis index at position j of ``basis_enumerate``: j is the
-    mixed-radix number of its per-level ranks in the shape table, top level
-    fastest.  For failure texts and samples only."""
-    parts = []
-    for rank in reversed(_shape_table(hp)[0]):
-        j, r = divmod(j, len(rank))
-        parts.append(list(rank)[r])
-    return tuple(reversed(parts))
 
 
 def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, report):
@@ -471,10 +465,10 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
     # each letter's fold and columns, with each int as its id (``_read``);
     # keys below |Lambda| are the ints of one list, shared by all columns
     coeffs: dict = {}
-    positions = list(range(size))
-    packed, sizes = {}, {}
+    offsets = list(range(-size, size))
+    columns, sizes = {}, {}
     for x in alphabet(gp):
-        packed[x], sizes[x] = _read(hp, x, positions, coeffs)
+        columns[x], sizes[x] = _read(hp, x, offsets, coeffs)
 
     # every defining relation holds on every basis column, not just against
     # the identity: this certifies the generator action matrices as a
@@ -494,7 +488,7 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
             [(one, make_word(gp, [x, x]))],
             [(a_poly, make_word(gp, [x])), (one, empty)],
         )
-        for x in packed
+        for x in columns
         if x.kind != "z"
     ]
     if hp.family == "d1n":
@@ -504,10 +498,14 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
         checks.append((cyclotomic, [(one, make_word(gp, [Z] * d))], [(one, empty)] + powers))
     bits = _relation_width(hp.arity, sizes, checks, max(w for w, _ in coeffs))
     ints = [v if w == bits else _rewiden(v, w, bits) for w, v in coeffs]  # by id, in order
-    columns = packed  # each column in place, as flat (key, int) pairs
+    # each distinct column rewritten once, as flat (key, int) pairs, keyed by
+    # id: the columns of ids were all alive at once, so no two share an id
+    new: dict = {}
     for _, cols in columns.values():
         for j, col in enumerate(cols):
-            cols[j] = tuple(chain.from_iterable((q, ints[c]) for q, c in _pairs(col)))
+            if (k := id(col)) not in new:
+                new[k] = tuple(chain.from_iterable((q, ints[c]) for q, c in _pairs(col)))
+            cols[j] = new[k]
 
     def scalar(c: Poly) -> tuple:
         # c as (bcode * |Lambda|, int) pairs, as a column keys it at position 0
@@ -530,18 +528,19 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
     half = 1 << (bits - 1)
 
     def translation(x, j: int):
-        col = _at(columns[x], j)
-        spec = {q: v for q, k in _pairs(col) if q < size and (v := ((k + half) & (2 * half - 1)) - half)}
+        fold, cols = columns[x]
+        col = cols[j // fold]  # keyed relative to j
+        spec = {q + j: v for q, k in _pairs(col) if q + j < size and (v := ((k + half) & (2 * half - 1)) - half)}
         (ptab, etab), (p, e) = tables[x], divmod(ranks[j], width)
         if spec == {at[ptab[p] * width + etab[e]]: 1}:
             return None
         return {
             "generator": str(x),
-            "basis": word_text(as_word(hp, _index_at(hp, j))),
+            "basis": word_text(as_word(hp, _engine(hp)._index(j))),
             # positions in the order of their first keys, over all b-monomials
             "specialization": {
                 str(GroupElement(gp, perms[ranks[q] // width], vecs[ranks[q] % width])): spec[q]
-                for q in dict.fromkeys(q % size for q in col[::2]) if q in spec
+                for q in dict.fromkeys((q + j) % size for q in col[::2]) if q in spec
             },
         }
 
@@ -551,7 +550,7 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
         report["relations_checked"] = len(relations)
         report["relation_columns_checked"] = len(relations) * size
     if found is not None and found[0] == "relation":
-        return checks[found[1]][0].format(word_text(as_word(hp, _index_at(hp, found[2]))))
+        return checks[found[1]][0].format(word_text(as_word(hp, _engine(hp)._index(found[2]))))
     if found is not None:
         return found[2]  # the translation's report
     report["action_entries_checked"] = len(columns) * size
@@ -562,26 +561,27 @@ def _action_failure(hp: HeckeParams, size: int, perms, vecs, tables, ranks, at, 
     return None
 
 
-def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tuple]:
+def _read(hp: HeckeParams, x, offsets: list, coeffs: dict) -> tuple[tuple, tuple]:
     """x * e_lambda for every basis index, in the order of
     ``basis_enumerate``, read from the packed state that
     ``leftmul_generator`` returns: x's fold w and its columns, each as one
     flat tuple of (key, int id) pairs (``_pairs``), in the state's order,
-    keys below |Lambda| taken from ``positions``; and the largest L1 norm of
-    a column (the sum of |coefficient| over its entries and monomials) and
-    the largest total b-degree of a key in any.
+    keyed relative to the column's position as the engine keeps them
+    (``_Engine._fetch``), keys below |Lambda| taken from ``offsets``; and
+    the largest L1 norm of a column (the sum of |coefficient| over its
+    entries and monomials) and the largest total b-degree of a key in any.
 
     x is checked against its parabolic law as its columns come back: its
-    column at each position p is the one at p - r, r = p mod w, with every
-    entry moved by r, where w is its fold (``_letter_fold``), and the one at
-    p - r has its entries at multiples of w.  While that holds, only the
-    columns at multiples of w are kept, and ``_at`` reads the others; from
-    where it fails, the letter keeps every column, with fold 1.
+    column at each position p equals the one at p - p mod w, w its fold
+    (``_letter_fold``), and that one has its keys at multiples of w.  While
+    that holds, x keeps only the columns at multiples of w, the one at p
+    in slot p // w; from where it fails, it keeps every column, with fold 1.
+    Equal columns are kept as one tuple.
 
     ``coeffs`` maps each (width, int) read so far to its id, in the order
     of the ids, and the L1 norm of its polynomial in a (``_digits``)."""
-    size, top, last = len(positions), 0, 0
-    fold, cols = _letter_fold(hp, x), []
+    size, top, last = len(offsets) // 2, 0, 0
+    fold, cols, seen = _letter_fold(hp, x), [], {}
     for j, lam in enumerate(product(*_shape_table(hp)[0])):
         h = leftmul_generator(hp, x, lam)
         if not (isinstance(h, HeckeElement) and h.params == hp):
@@ -593,20 +593,22 @@ def _read(hp: HeckeParams, x, positions: list, coeffs: dict) -> tuple[tuple, tup
                 c = coeffs.get((st.bits, v))
                 if c is None:
                     c = coeffs[st.bits, v] = (len(coeffs), sum(map(abs, _digits(v, st.bits))))
-                col += (positions[q] if q < size else q, c[0])
+                q -= j
+                col += (offsets[q + size] if q < size else q, c[0])
                 l1 += c[1]
         top = max(top, l1)
         col = tuple(col)
-        last = max(last, max(col[::2], default=0))
+        col = seen.setdefault(col, col)
+        last = max(last, max(col[::2], default=0) + j)
         if fold > 1:
-            r = j % fold
-            if r and col == _at((fold, cols), j):
-                continue
-            if not (r or any(q % fold for q in col[::2])):
+            if j % fold:
+                if col == cols[j // fold]:
+                    continue
+            elif not any(q % fold for q in col[::2]):
                 cols.append(col)
                 continue
             # the parabolic law fails at j: keep every column from here on
-            cols, fold = [_at((fold, cols), i) for i in range(j)], 1
+            cols, fold = [cols[i // fold] for i in range(j)], 1
         cols.append(col)
     # codes are in degree-lex order, so the largest key has the largest b-degree
     return (fold, cols), (top, sum(_decode(hp.arity, last // size)))
@@ -620,15 +622,15 @@ def _first_failure(size: int, columns: dict, checks: list, translation):
     Each check runs on the multiples of the least fold f among its letters,
     and each translation on the multiples of its letter's fold f.  The
     folds divide one another, so each of those letters has its column at p
-    equal to the one at p - r, r = p mod f, moved by r, and that one has its
-    entries at multiples of f (``_read``).  A side at p is then the side at
-    p - r, moved, and a check first fails at a multiple of f.  So does a
-    translation: where it holds at p - r, x sends that index to one whose
-    shapes above x's level are empty, and since a basis word spells the
-    product of its parts and distinct words spell distinct elements, x
-    sends the index at p to that one moved by r, as its column is moved.
-    So the failure named is the one that running every check on every
-    position would name."""
+    equal to the one at p - r, r = p mod f, with keys at multiples of f
+    (``_read``), keys relative to the position acted on.  A side at p is
+    then the side at p - r moved by r, and a check first fails at a
+    multiple of f.  So does a translation: where it holds at p - r, x sends
+    that index to one whose shapes above x's level are empty, and since a
+    basis word spells the product of its parts and distinct words spell
+    distinct elements, x sends the index at p to that one moved by r, as
+    the column at p reads.  So the failure named is the one that running
+    every check on every position would name."""
     for r, (_, lhs, rhs) in enumerate(checks):
         fold = min(f for _, letters in chain(lhs, rhs) for f, _ in letters)
         for j in range(0, size, fold):
@@ -675,30 +677,17 @@ def _pairs(col: tuple):
     return zip(it, it)
 
 
-def _at(letter: tuple, p: int) -> tuple:
-    """A letter's column at position p, from its fold w and the columns it
-    keeps (``_read``): the one kept at p - r, r = p mod w, with every entry
-    moved by r."""
-    fold, cols = letter
-    r, col = p % fold, cols[p // fold]
-    if not r:
-        return col
-    out = list(col)
-    out[::2] = [q + r for q in col[::2]]
-    return tuple(out)
-
-
 def _unit_path(columns: dict, size: int, word: tuple, at: int):
     """Where the int columns of ``word``'s letters, from the right, send the
     basis vector at ``at``, if each column on the way is one entry of int 1
-    at a key below ``size``, |Lambda|, so exactly a basis vector; else
-    None."""
+    whose key, added to the position it acts on, is below ``size``,
+    |Lambda|, so exactly a basis vector; else None."""
     for x in reversed(word):
         fold, cols = columns[x]
-        col = cols[at // fold]  # ``_at``, unmoved
-        if len(col) != 2 or col[1] != 1 or col[0] >= size:
+        col = cols[at // fold]  # keyed relative to at
+        if len(col) != 2 or col[1] != 1 or at + col[0] >= size:
             return None
-        at = col[0] + at % fold
+        at += col[0]
     return at
 
 
@@ -706,9 +695,8 @@ def _int_side(terms: list, j: int) -> dict[int, int]:
     """The sum of c * (x_1 .. x_L * e_j) over the terms, each given as c's
     (bcode * |Lambda|, int) pairs and the fold and int columns of
     x_L .. x_1, composed in that order; as a map from key to its nonzero
-    int.  At key p = pos + bcode * |Lambda| the column kept at
-    i = p // fold % len(cols), pos // fold, acts moved by p - i * fold: by
-    pos mod fold, as ``_at`` moves it, and by the b-code."""
+    int.  At key p = pos + bcode * |Lambda| acts pos's column, the one
+    kept at p // fold % len(cols), with p added to each of its keys."""
     acc: dict[int, int] = {}
     for c, letters in terms:
         items = [(j + b, k) for b, k in c]
@@ -716,11 +704,9 @@ def _int_side(terms: list, j: int) -> dict[int, int]:
             out: dict[int, int] = {}
             n = len(cols)
             for p, k in items:
-                i = p // fold % n
-                r = p - i * fold
-                it = iter(cols[i])
+                it = iter(cols[p // fold % n])
                 for q, kq in zip(it, it):  # ``_pairs``, inline
-                    q += r
+                    q += p
                     out[q] = out.get(q, 0) + k * kq
             items = out.items()
         for q, k in items:

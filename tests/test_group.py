@@ -7,10 +7,12 @@ import pytest
 
 from gdeen import (
     BadFormat,
+    GdeenError,
     InvariantViolation,
     Params,
     ParamsMismatch,
     alphabet,
+    een,
     element,
     element_from_json,
     element_to_json,
@@ -18,9 +20,13 @@ from gdeen import (
     generator,
     identity,
     inverse,
+    length,
     make_word,
+    max_length_census,
     mul,
+    normal_form,
     verify_geodesic,
+    verify_hecke,
 )
 from gdeen.normal_form import all_elements
 from gdeen.words import S, T, Z
@@ -168,6 +174,45 @@ def test_json_identity_roundtrip():
 def test_bad_perm_rejected():
     with pytest.raises(InvariantViolation, match="bijection"):
         element(Params(1, 2, 2), [1, 1], [0, 0])
+
+
+@pytest.mark.parametrize(
+    "perm, exps",
+    [
+        ([2, 1], [1.5, 1.5]),
+        ([1.0, 2.0], [0, 0]),
+        ([True, 2], [0, 0]),
+        ([1, 2], [0, False]),
+        (["1", "2"], [0, 0]),
+        ([1, 2], None),
+        (None, [0, 0]),
+        (12, [0, 0]),
+    ],
+    ids=repr,
+)
+def test_element_refuses_entries_that_are_not_ints(perm, exps):
+    # 1.0 == 1 and True == 1, so these passed as a permutation or exponents,
+    # and the element printed as 1->1.0^0 or broke normal_form
+    with pytest.raises(InvariantViolation):
+        element(Params(1, 3, 2), perm, exps)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_geodesic("G(3,3,4)"),
+        lambda: normal_form("x"),
+        lambda: length((1, 2)),
+        lambda: max_length_census("x"),
+        lambda: list(all_elements(None)),
+        lambda: verify_hecke(een(3, 2), samples=1, seed=[1]),
+        lambda: verify_hecke(een(3, 2), samples=1, seed=1.0),
+    ],
+    ids=["verify_geodesic", "normal_form", "length", "max_length_census", "all_elements", "seed-list", "seed-float"],
+)
+def test_a_wrong_typed_argument_is_a_gdeen_error(call):
+    with pytest.raises(GdeenError):
+        call()
 
 
 def test_wrong_number_of_exponents_rejected():

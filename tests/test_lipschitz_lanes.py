@@ -168,3 +168,11 @@ def test_window_maps_are_anchored_to_the_tables(letter):
     etab[5], etab[700] = etab[700], etab[5]
     with pytest.raises(InvariantViolation, match="disagrees with its table"):
         verify_mod._windows(params, tables, len(vecs))
+
+
+def test_a_block_that_fails_its_lanes_but_passes_its_scan_is_refused(monkeypatch):
+    # the lanes and the scan must agree; where they do not, the certificate
+    # raises rather than name a counterexample that the scan cannot find
+    monkeypatch.setattr(verify_mod, "_lipschitz", lambda *args: (0, 0))
+    with pytest.raises(InvariantViolation, match="fails its lanes on permutation 0 but passes its scan"):
+        verify_geodesic(Params(3, 3, 3))

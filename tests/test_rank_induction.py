@@ -30,13 +30,14 @@ from gdeen import (
     een,
     eval_word,
     hecke_relations,
+    leftmul_generator,
     mul,
     verify_hecke,
     word_text,
 )
 from gdeen.cli import main
 from gdeen.hecke import ONE
-from gdeen.words import T, Z, alphabet, generator
+from gdeen.words import S, T, Z, alphabet, generator
 
 H333 = een(3, 3)
 
@@ -151,6 +152,42 @@ def test_a_broken_letter_keeps_every_column_in_the_certificate(monkeypatch):
         "t2": (9, 6),
         "s3": (1, 54),
     }
+
+
+def test_equal_columns_are_kept_once(monkeypatch):
+    # keyed relative to their own position, s4's columns at H(3,3,4)
+    # repeat: its 648 kept columns are 163 distinct tuples, each one object
+    reads = spy_reads(monkeypatch)
+    assert verify_hecke(een(3, 4), samples=0)["ok"]
+    fold, cols = reads[S(4)]
+    assert (fold, len(cols), len(set(cols)), len(set(map(id, cols)))) == (1, 648, 163, 163)
+
+
+def test_a_kept_column_moved_to_a_position_has_that_position_s_keys(monkeypatch):
+    # for each letter, the column kept for position j, its keys plus j, has
+    # the keys of the nonzero entries of x * e_j as the engine returns it
+    hp = een(3, 4)
+    reads = spy_reads(monkeypatch)
+    assert verify_hecke(hp, samples=0)["ok"]
+    basis, rng = basis_enumerate(hp), random.Random(0)
+    for x, (fold, cols) in reads.items():
+        for j in rng.sample(range(len(basis)), 12):
+            vec = leftmul_generator(hp, x, basis[j])._state.vec
+            assert [q + j for q in cols[j // fold][::2]] == [q for q, v in vec.items() if v]
+
+
+def test_a_broken_letter_lists_its_kept_columns_up_to_the_break(monkeypatch):
+    # t0 keeps one column per rank-2 position until its law fails; from
+    # there it keeps every column, and those before the break are the
+    # objects it kept, listed once per position, not moved copies
+    break_top_copy(monkeypatch, T(0))
+    reads = spy_reads(monkeypatch)
+    verify_hecke(H333, samples=0)
+    fold, cols = reads[T(0)]
+    assert (fold, len(cols)) == (1, 54)
+    broken = next(j for j in range(54) if cols[j] != cols[j - j % 9])
+    assert broken > 9
+    assert all(cols[j] is cols[j - j % 9] for j in range(broken))
 
 
 def test_rank_n_checks_only_the_relations_with_s_n_on_every_column(monkeypatch):
