@@ -40,6 +40,7 @@ from .normal_form import (
     all_elements,
     census_expected,
     length,
+    length_polynomial,
     max_length_census,
     normal_form,
 )

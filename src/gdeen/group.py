@@ -59,10 +59,16 @@ class Params:
 DEFAULT_CAP = 10**6
 
 
+def _expect(value, kind: type) -> None:
+    """Refuse an argument that is not a ``kind`` with ParamsMismatch, before
+    any of its fields is read."""
+    if not isinstance(value, kind):
+        raise ParamsMismatch(f"{value!r} is not a {kind.__name__}")
+
+
 def _checked_order(params: Params, cap: int) -> int:
     """The group order, refused with EnumerationTooLarge when it exceeds cap."""
-    if not isinstance(params, Params):
-        raise ParamsMismatch(f"{params!r} is not a Params")
+    _expect(params, Params)
     if not _is_int(cap):
         raise ParamsMismatch(f"cap must be an int, got {cap!r}")
     order = params.order()
@@ -92,12 +98,14 @@ class GroupElement:
 
 
 def identity(params: Params) -> GroupElement:
+    _expect(params, Params)
     n = params.n
     return GroupElement(params, tuple(range(1, n + 1)), (0,) * n)
 
 
 def element(params: Params, perm, exps) -> GroupElement:
     """Validated constructor; raises InvariantViolation naming the failure."""
+    _expect(params, Params)
     try:
         perm, exps = tuple(perm), tuple(exps)
     except TypeError as exc:  # not iterable
@@ -119,6 +127,8 @@ def element(params: Params, perm, exps) -> GroupElement:
 
 
 def mul(g: GroupElement, h: GroupElement) -> GroupElement:
+    _expect(g, GroupElement)
+    _expect(h, GroupElement)
     if g.params != h.params:
         raise ParamsMismatch(f"{g.params} vs {h.params}")
     de = g.params.de
@@ -129,6 +139,7 @@ def mul(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def inverse(g: GroupElement) -> GroupElement:
+    _expect(g, GroupElement)
     n, de = g.params.n, g.params.de
     inv = [0] * n
     for i, c in enumerate(g.perm):

@@ -34,13 +34,16 @@ keyed by (i, c) and k (``_plan``).
 
 So the normal forms of one permutation form a tree by levels: elements
 that agree on the exponents that rows n..i see share their parts of
-levels n..i.  One walk (``_walk``) serves every caller.  It descends the
-rows from n to 2, then the level-1 z-power, branching on each row's
-exponent, or following one element's; each kill's carry into the row
-holding column 1 is added once per node of the tree, not once per
-element.  It hands each part to a callback and each element's rank to
-another.  :func:`normal_form` and :func:`length` follow one element, the
-census and the geodesic certificate walk every element.
+levels n..i.  One walk (``_walk``) serves every caller.  It clears the
+rows from n down to 2, then takes the level-1 z-power, a level at a time
+over a batch of elements: each node branches on its row's exponent, and
+the nodes whose row sits in the same column, of whatever permutation,
+take their parts together.  The kills' carry into the row holding column
+1 is one number per node.  The walk hands each part, with the states of
+the nodes that take it, to one callback, and each batch of elements, with
+their ranks, to another.  :func:`normal_form` and :func:`length` walk a
+batch of one element; the census and the geodesic certificate walk every
+element.
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, compress
 from typing import NamedTuple
 
-from .errors import InvariantViolation, ParamsMismatch
-from .group import DEFAULT_CAP, GroupElement, Params, _checked_order
+from .errors import InvariantViolation
+from .group import DEFAULT_CAP, GroupElement, Params, _checked_order, _expect
 from .words import S, Sym, T, Word, Z, alphabet, make_word
 
 __all__ = [
@@ -60,6 +64,7 @@ __all__ = [
     "length",
     "max_length_census",
     "census_expected",
+    "length_polynomial",
     "all_elements",
     "longest_element_word",
     "max_length_witness_word",
@@ -112,6 +117,13 @@ class _Plan(NamedTuple):
     parts: list  # parts[i][c][k]: the level-i part, row i in column c, exponent k
     z: tuple | None  # (z,): the level-1 part z^q is z * q; None when d = 1
     weights: list[list[int]]  # weights[row][k]: what exponent k of a row adds to E
+    width: int  # the elements of one permutation: d de^(n-1)
+    depth: list[int]  # depth[row]: what exponent 1 of a row above row 0 adds to the depth-first index
+
+
+# the most elements that one batch of the walk holds: the batch's columns,
+# a few hundred bytes an element, stay well below f and the row-move tables
+LEAVES = 3072
 
 
 @lru_cache(maxsize=64)
@@ -139,61 +151,157 @@ def _plan(params: Params) -> _Plan:
     weights = [[k * d * de ** (n - 2 - row) for k in range(de)] for row in range(n - 1)]
     weights.append([k // e for k in range(de)])
     levels = tuple(range(1 if d > 1 else 2, n + 1))
-    return _Plan(letters, levels, de, e, t_kill, parts, z, weights)
+    depth = [0] + [d * de ** (row - 1) for row in range(1, n)]
+    return _Plan(letters, levels, de, e, t_kill, parts, z, weights, d * de ** (n - 1), depth)
 
 
-def _walk(plan: _Plan, perm, exps, state, step, leaf, rank: int = 0) -> None:
-    """Walk the normal forms of the elements with permutation ``perm``, by
-    levels from n down to 1: every element's, or only that of ``exps`` when
-    it is given.
+def _walk(plan: _Plan, perms, exps, start: tuple, step, leaf) -> None:
+    """Walk the normal forms of the elements whose permutations are
+    ``perms``, by levels from n down to 1: every element's, or only that of
+    ``exps`` when it is given (a batch of one).
 
-    Each level's part goes to ``step(state, part)``, which returns the state
-    below it; each element's state then goes to ``leaf(state, rank + E)``,
-    E its exponent rank (``_rank_order``).  Elements that share their upper
-    parts share their states up to there.  Parts are shared tuples: do not
+    The walk is breadth-first, over batches of at most ``LEAVES`` elements:
+    runs of permutations, or runs of one permutation's subtrees where it has
+    more elements than that.  A batch's states are columns, with an entry
+    per node; ``start`` holds each column's entry at the root.  At each
+    level, ``step(part, states)`` gets one part and the states of every node
+    that takes it, and returns the states below them: the nodes whose row
+    sits in the same column, whatever their permutation, take the same part
+    for the same exponent.  Each batch's elements then go to ``leaf(states,
+    ranks, order)``: per element its state and its rank P * width + E (P
+    its permutation's place in ``perms``, E its exponent rank,
+    ``_rank_order``); ``order()`` returns per element a key that sorts them
+    depth-first, in the order in which a walk of one permutation after
+    another, one element at a time, reaches them, and is only reckoned when
+    called.  Batches come in that order.  Parts are shared tuples: do not
     mutate them."""
-    rows = []
+    if exps is not None:
+        (perm,) = perms
+        return _follow(plan, perm, exps, tuple([v] for v in start), step, leaf)
+    n, width, first = len(plan.weights), plan.width, 0
+    perms = iter(perms)
+    while batch := list(itertools.islice(perms, max(1, LEAVES // width))):
+        # per row, the row's column once the rows below it are cleared, by
+        # permutation, P - first
+        columns = [[1 + sum(map(p[r].__gt__, p[:r])) for p in batch] for r in range(n)]
+        roots = [p * width for p in range(first, first + len(batch))]
+        carry = [0] * len(batch) if plan.t_kill else None  # the z-kill carries nothing
+        nodes = (roots, roots, carry, tuple([v] * len(batch) for v in start))
+        _descend(plan, columns, first, n - 1, nodes, step, leaf)
+        first += len(batch)
+
+
+def _follow(plan: _Plan, perm, exps, states: tuple, step, leaf) -> None:
+    """The walk of one element: ``_clear`` and the level-1 rule of
+    ``_descend`` on one node, in plain arithmetic.  A batch of one through
+    the column code took three to five times as long per call, since each
+    column costs a list per level.  The certificate runs only the batch
+    code, so ``test_walk_reaches_every_rank_once`` checks this walk against
+    it on every element of its groups."""
+    de, t_kill = plan.de, plan.t_kill
+    rank = index = carry = 0
     for row in range(len(perm) - 1, 0, -1):
-        v, head = perm[row], perm[:row]
-        c = 1 + sum(u < v for u in head)
-        # the row then holding column 1; the z-kill adds to the spare slot
-        m = head.index(min(head)) if plan.t_kill else len(perm)
-        rows.append((row, m, plan.parts[row + 1][c], plan.weights[row]))
-    _descend(plan, rows, 0, exps, [0] * (len(perm) + 1), state, rank, step, leaf)
+        c, k = 1 + sum(map(perm[row].__gt__, perm[:row])), exps[row]
+        takes = t_kill and c == 1
+        eff = (k + carry) % de if takes else k
+        carry = eff if takes else carry + eff
+        states = step(plan.parts[row + 1][c][eff], states)
+        rank, index = rank + plan.weights[row][k], index + k * plan.depth[row]
+    q, rest = divmod((exps[0] + carry) % de if t_kill else exps[0], plan.e)
+    if not rest:  # else no k1 leaves k1 + carry a multiple of e
+        here = states if plan.z is None else step(plan.z * q, states)
+        leaf(here, [rank + plan.weights[0][exps[0]]], lambda: [index + q])
 
 
-def _descend(plan: _Plan, rows: list, j: int, exps, carry: list[int], state, rank: int, step, leaf) -> None:
-    """``_walk`` from ``rows[j]`` down; ``carry`` holds what the kills above
-    added to each row's exponent.  Below the last row, the level-1 z-powers
-    are walked in place, not by a call per node."""
-    de, e, z, ones = plan.de, plan.e, plan.z, plan.weights[0]
-    row, m, parts, weights = rows[j]
-    for k in range(de) if exps is None else (exps[row],):
-        eff = (k + carry[row]) % de
-        carry[m] += eff  # t_eff also adds eff to the row holding column 1
-        here, at = step(state, parts[eff]), rank + weights[k]
-        if j + 1 < len(rows):
-            _descend(plan, rows, j + 1, exps, carry, here, at, step, leaf)
+def _descend(plan: _Plan, columns: list, first: int, row: int, nodes: tuple, step, leaf) -> None:
+    """``_walk`` from ``row`` down, on ``nodes``: columns of ranks so far,
+    depth-first indices so far, carries (``_clear``) and states.  Nodes
+    that would hold more than ``LEAVES`` elements between them go down in
+    runs, in depth-first order."""
+    de, e = plan.de, plan.e
+    while True:
+        count, below = len(nodes[0]), de // e * de**row  # the elements under each node
+        if count > 1 and count * below > LEAVES:
+            order, run = sorted(range(count), key=nodes[1].__getitem__), max(1, LEAVES // below)
+            for i in range(0, count, run):
+                picked = order[i : i + run]
+                _descend(plan, columns, first, row, _take(nodes, lambda col: [col[j] for j in picked]), step, leaf)
+            return
+        if not row:
+            break
+        nodes = _clear(plan, columns[row], first, row, nodes, step)
+        row -= 1
+    # level 1: the d exponents k1 of row 1 that leave k1 + carry = q e, each
+    # with the part z^q; without a carry, k1 = q e
+    ranks, index, carry, states = nodes
+    ones, qs = plan.weights[0], range(de // e)
+    if carry is None:
+        ranks = [r + ones[q * e] for q in qs for r in ranks]
+    else:
+        gains = [[ones[(q * e - a) % de] for a in range(len(plan.depth) * de)] for q in qs]  # by carry
+        ranks = [r + gain[a] for gain in gains for r, a in zip(ranks, carry)]
+    if plan.z is not None:
+        states = tuple(map(_cat, zip(*[step(plan.z * q, states) for q in qs])))
+    leaf(states, ranks, lambda: [i + q for q in qs for i in index])
+
+
+def _clear(plan: _Plan, column: list, first: int, row: int, nodes: tuple, step) -> tuple:
+    """The nodes below ``nodes`` once ``row`` is cleared: one per exponent
+    k of the row.
+
+    Row r's part is that of its column c and of eff = (k + carry) % de,
+    carry what the kills above added to the row.  Each t-kill adds its eff
+    to the row then holding column 1, which is the row of least sigma left;
+    that row keeps it until it is cleared itself, with c = 1.  So one carry
+    per node serves: read and restarted at eff where c = 1, grown by eff
+    elsewhere.  It stays below n de, the length of level 1's gains."""
+    de, width, parts, weights = plan.de, plan.width, plan.parts[row + 1], plan.weights[row]
+    deeper = [k * plan.depth[row] for k in range(de)]  # what k adds to the depth-first index
+    found = sorted(set(column))
+    if len(found) == 1:
+        groups = [(found[0], nodes)]
+    else:
+        keys = [column[rank // width - first] for rank in nodes[0]]
+        groups = []
+        for c in found:
+            flags = [key == c for key in keys]
+            groups.append((c, _take(nodes, lambda col: list(compress(col, flags)))))
+    # below each group, its nodes once per eff, eff by eff
+    ranks_, index_, carry_, states_ = [], [], [], []
+    for c, (ranks, index, carry, states) in groups:
+        if carry is not None and c == 1:
+            ranks_ += [r + weights[(eff - a) % de] for eff in range(de) for r, a in zip(ranks, carry)]
+            index_ += [i + deeper[(eff - a) % de] for eff in range(de) for i, a in zip(index, carry)]
+            carry_ += [eff for eff in range(de) for _ in carry]
         else:
-            # the d exponents k1 of row 1 that leave k1 + carry = q e: every
-            # one, or only that of ``exps``
-            for q in range(de // e):
-                k1 = (q * e - carry[0]) % de
-                if exps is None or k1 == exps[0]:
-                    leaf(here if z is None else step(here, z * q), at + ones[k1])
-        carry[m] -= eff
+            ranks_ += [r + w for w in weights for r in ranks]
+            index_ += [i + dw for dw in deeper for i in index]
+            carry_ += [] if carry is None else [a + eff for eff in range(de) for a in carry]
+        states_ += [step(parts[c][eff], states) for eff in range(de)]
+    return ranks_, index_, carry_ if plan.t_kill else None, tuple(map(_cat, zip(*states_)))
 
 
-def _grow(parts: tuple, part: tuple) -> tuple:
-    return parts + (part,)
+def _take(nodes: tuple, pick) -> tuple:
+    """``nodes`` with ``pick`` applied to each column."""
+    ranks, index, carry, states = nodes
+    return pick(ranks), pick(index), None if carry is None else pick(carry), tuple(map(pick, states))
+
+
+def _cat(cols) -> list:
+    """The columns one after another."""
+    return list(chain.from_iterable(cols))
+
+
+def _grow(part: tuple, states: tuple) -> tuple:
+    """The parts so far, lowest level last, of each node, grown by ``part``."""
+    return ([parts + (part,) for parts in states[0]],)
 
 
 def _parts(g: GroupElement) -> tuple[_Plan, tuple]:
     """g's plan and the parts of its normal form, lowest level first."""
-    if not isinstance(g, GroupElement):
-        raise ParamsMismatch(f"{g!r} is not a GroupElement")
+    _expect(g, GroupElement)
     plan, found = _plan(g.params), []
-    _walk(plan, g.perm, g.exps, (), _grow, lambda parts, _: found.append(parts))
+    _walk(plan, (g.perm,), g.exps, ((),), _grow, lambda states, ranks, order: found.extend(states[0]))
     if not found:  # no k1 leaves k1 + carry a multiple of e
         raise InvariantViolation(f"the walk reaches no normal form of {g}")
     return plan, found[0][::-1]
@@ -252,20 +360,19 @@ def max_length_census(
     Witnesses come in rank order, which is the (perm, exps) order; the
     closed-form predictions live in :func:`census_expected`.
     """
-    perms, vecs = _rank_order(params, cap)
-    plan, width = _plan(params), len(vecs)
-    best, witnesses = -1, []
+    perms, _ = _rank_order(params, cap)
+    plan, best, witnesses = _plan(params), -1, []
 
-    def leaf(parts: tuple, rank: int) -> None:
+    def leaf(states: tuple, ranks: list, order) -> None:
         nonlocal best, witnesses
-        ln = sum(map(len, parts))
-        if ln > best:
-            best, witnesses = ln, [(rank, parts)]
-        elif ln == best:
-            witnesses.append((rank, parts))
+        lengths = [sum(map(len, parts)) for parts in states[0]]
+        top = max(lengths)
+        if top > best:
+            best, witnesses = top, []
+        if top == best:
+            witnesses += [(rank, parts) for rank, parts, ln in zip(ranks, states[0], lengths) if ln == top]
 
-    for p_rank, perm in enumerate(perms):
-        _walk(plan, perm, None, (), _grow, leaf, p_rank * width)
+    _walk(plan, perms, None, ((),), _grow, leaf)
     witnesses.sort()  # the walk meets them out of rank order
     return best, len(witnesses), [_wrap(params, plan, parts[::-1]) for _, parts in witnesses]
 
@@ -279,12 +386,44 @@ def census_expected(params: Params) -> tuple[int, int] | None:
     diagonal matrix with every entry zeta_d^{d-1}.  No closed form is
     claimed for d = 1.
     """
+    _expect(params, Params)
     d, e, n = params.d, params.e, params.n
     if d > 1 and e > 1:
         return n * (n - 1) + d - 1, (params.de - 1) ** (n - 1)
     if e == 1 and d > 1:
         return n * (n + d - 2), 1
     return None
+
+
+def length_polynomial(params: Params) -> list[int]:
+    """The length generating function, sum over g of q^length(g), as its
+    coefficients from q^0 up: entry L counts the elements of length L.
+
+    A level's part depends only on its row's column c and on the effective
+    exponent, which runs over every residue as the row's exponent does, so
+    the lengths factor by level.  With [m]_q = 1 + q + .. + q^(m-1) this is
+    [d]_q prod_{i=2..n} [i]_q (1 + (de-1) q^(i-1)) in the t-letter
+    presentations, and [d]_q prod_{i=2..n} [i]_q (1 + q^i [d-1]_q) in the
+    z-letter one (e = 1 < d).  It is computed from the product alone, not
+    from the sweep's tables, so it is an oracle for the certified lengths.
+    """
+    _expect(params, Params)
+    d, e, n = params.d, params.e, params.n
+
+    def times(p: list[int], f: list[int]) -> list[int]:
+        out = [0] * (len(p) + len(f) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        return out
+
+    poly = [1] * d
+    for i in range(2, n + 1):
+        kill = [1] + [0] * (i - 1) + [1] * (d - 1) if e == 1 < d else [1] + [0] * (i - 2) + [params.de - 1]
+        poly = times(times(poly, [1] * i), kill)
+    while poly[-1] == 0:  # G(1,1,n): the kill factor is 1 + 0 q^(i-1)
+        poly.pop()
+    return poly
 
 
 def longest_element_word(params: Params) -> Word:

@@ -20,7 +20,7 @@ import random
 import sys
 from array import array
 from collections import Counter
-from itertools import chain, compress, product
+from itertools import chain, compress, count, product
 from operator import itemgetter
 
 from .cayley import row_moves
@@ -41,7 +41,7 @@ from .hecke import (
     hecke_relations,
     leftmul_generator,
 )
-from .normal_form import _plan, _rank_order, _walk, census_expected, length, normal_form
+from .normal_form import _plan, _rank_order, _walk, census_expected, length, length_polynomial, normal_form
 from .polyring import WIDTH, Poly, _a_split, _decode, _digits, _rewiden
 from .words import Z, alphabet, make_word, word_text
 
@@ -64,13 +64,20 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     a geodesic.  No BFS table is built; a group whose order exceeds ``cap``
     is refused.  ``gdeen enumerate`` reports this order and histogram.
 
-    The normal forms come from one level walk per permutation
-    (``normal_form._walk``), from level n down.  Elements that share their
+    The normal forms come from one walk by levels (``normal_form._walk``),
+    from level n down, over batches of elements.  Elements that share their
     upper parts share their spelling: each part's letters are spelled once,
     from the ranks that the parts above it reach, with the same row-move
-    tables.  The walk, not a count, names each element's rank, so every
-    entry of f starts at a value that no length takes, and a rank that the
-    walk reaches twice, or never, is refused.
+    tables, on every node of the batch that takes the part at once, as
+    lists mapped through each letter's tables.  The walk, not a count, names
+    each element's rank, so every entry of f starts at a value that no
+    length takes.  Each batch is checked in one pass that writes f as it
+    goes: the spelled ranks equal the named ones, every length fits the
+    array, and no rank is named twice, in the batch or before it.  A batch
+    that fails is undone and checked again one element at a time, in the
+    order of a depth-first walk of one permutation after another, so the
+    report names the first failure in that order, whatever the batch size.
+    A rank that the walk never reaches is refused after it.
 
     The Lipschitz check runs per permutation P, on P's block of f and that
     of x*P, a letter at a time.  A letter other than s_n rewrites one or two
@@ -84,6 +91,11 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     all of a block's lanes at once (``_lipschitz``).  Where a lane fails,
     the entry-by-entry scan of that block names the counterexample
     (``_scan``): the first in the order permutation, letter, E.
+
+    Last, the histogram of f must be the length generating function's
+    coefficients (``normal_form.length_polynomial``), and its top the
+    closed-form census where there is one; either mismatch sets "ok" to
+    false, the first adding "length_histogram_expected".
     """
     perms, vecs, tables = _left_action(params, cap)
     width, plan = len(vecs), _plan(params)
@@ -93,27 +105,43 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
     code, unset = ("B", 255) if n * (n + 1 + d) < 255 else ("H", 65535)
     f = array(code, [unset]) * params.order()
 
-    def step(state: tuple, part: tuple) -> tuple:
+    def step(part: tuple, states: tuple) -> tuple:
         # the part's letters, from the right, on the ranks of the parts above
-        at, ke, ln = state
+        if not part:
+            return states
+        ats, kes, lns = states
+        if len(ats) == 1:  # an itemgetter of one index returns no tuple
+            ats, kes = ats * 2, kes * 2
         for x in reversed(part):
             ptab, etab = tables[x]
-            at, ke = ptab[at], etab[ke]
-        return at, ke, ln + len(part)
+            ats, kes = itemgetter(*ats)(ptab), itemgetter(*kes)(etab)
+        ln = len(part)
+        return ats[: len(lns)], kes[: len(lns)], [k + ln for k in lns]
 
-    def leaf(state: tuple, rank: int) -> None:
-        at, ke, ln = state
-        if at * width + ke != rank:
-            raise _Refused(rank, ln, "normal form does not evaluate back to the element")
-        if ln >= unset:
-            raise InvariantViolation(f"normal form of length {ln} does not fit the length array")
-        if f[rank] != unset:
-            raise _Refused(rank, ln, "the walk reaches the element twice")
-        f[rank] = ln
+    def leaf(states: tuple, ranks: list, order) -> None:
+        ats, kes, lns = states
+        for i, at, ke, ln, rank in zip(count(), ats, kes, lns, ranks):
+            if at * width + ke != rank or ln >= unset or f[rank] != unset:
+                break
+            f[rank] = ln
+        else:
+            return
+        for rank in ranks[:i]:  # undone: the batch fails, so check it again
+            f[rank] = unset
+        # one element at a time, in the walk's order
+        keys = order()
+        for i in sorted(range(len(ranks)), key=keys.__getitem__):
+            rank, ln = ranks[i], lns[i]
+            if ats[i] * width + kes[i] != rank:
+                raise _Refused(rank, ln, "normal form does not evaluate back to the element")
+            if ln >= unset:
+                raise InvariantViolation(f"normal form of length {ln} does not fit the length array")
+            if f[rank] != unset:
+                raise _Refused(rank, ln, "the walk reaches the element twice")
+            f[rank] = ln
 
     try:
-        for p_rank, perm in enumerate(perms):
-            _walk(plan, perm, None, (0, 0, 0), step, leaf, p_rank * width)
+        _walk(plan, perms, None, (0, 0, 0), step, leaf)
     except _Refused as refused:
         rank, ln, why = refused.args
         return _geodesic_failure(params, perms[rank // width], vecs[rank % width], ln, reason=why)
@@ -161,6 +189,10 @@ def verify_geodesic(params: Params, cap: int = DEFAULT_CAP) -> dict:
         report["census_expected"] = {"max_length": expected[0], "count": expected[1]}
         if expected != (max_len, max_count):
             report["ok"] = False
+    counts = {k: c for k, c in enumerate(length_polynomial(params)) if c}
+    if counts != histogram:
+        report["ok"] = False
+        report["length_histogram_expected"] = {str(k): c for k, c in counts.items()}
     return report
 
 
@@ -318,21 +350,18 @@ def _left_action(params: Params, cap: int) -> tuple[list, list, list[tuple[list[
     perms = list(perms)
     p_rank = {p: i for i, p in enumerate(perms)}
     e_rank = {v: i for i, v in enumerate(vecs)}
-    de = params.de
-    tables = []
+    n, de = params.n, params.de
+    # the vectors' entries row by row, as bytes where every exponent fits one
+    narrow, tables = de <= 256, []
+    rows = [bytes(map(itemgetter(r), vecs)) if narrow else array("I", map(itemgetter(r), vecs)) for r in range(n)]
     for mv in row_moves(params):
-        ptab, etab = [], []
-        for p in perms:
-            q = list(p)
-            for r, src, _ in mv:
-                q[r] = p[src]
-            ptab.append(p_rank[tuple(q)])
-        for v in vecs:
-            w = list(v)
-            for r, src, k in mv:
-                w[r] = (v[src] + k) % de
-            etab.append(e_rank[tuple(w)])
-        tables.append((ptab, etab))
+        sources, moved = list(range(n)), rows[:]
+        for r, src, k in mv:
+            shift = [(j + k) % de for j in range(256 if narrow else de)]  # k' -> (k' + k) % de
+            sources[r] = src
+            moved[r] = rows[src].translate(bytes(shift)) if narrow else array("I", map(shift.__getitem__, rows[src]))
+        ptab = list(map(p_rank.__getitem__, map(itemgetter(*sources), perms)))
+        tables.append((ptab, list(map(e_rank.__getitem__, zip(*moved)))))
     return perms, vecs, tables
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadFormat, UnknownSymbol
-from .group import GroupElement, Params, _is_int
+from .group import GroupElement, Params, _expect, _is_int
 
 __all__ = [
     "Sym",
@@ -79,6 +79,7 @@ class Word:
 
 def alphabet(params: Params) -> list[Sym]:
     """The generating set, in canonical order (z, then t's, then s's)."""
+    _expect(params, Params)
     d, e, n = params.d, params.e, params.n
     if d == 1:
         return [T(k) for k in range(e)] + [S(j) for j in range(3, n + 1)]
@@ -108,6 +109,7 @@ def _check_symbol(params: Params, sym: Sym) -> None:
 
 def generator(params: Params, sym: Sym) -> GroupElement:
     """The matrix of one generator symbol."""
+    _expect(params, Params)
     _check_symbol(params, sym)
     n, de, e = params.n, params.de, params.e
     perm = list(range(1, n + 1))
@@ -128,6 +130,7 @@ def generator(params: Params, sym: Sym) -> GroupElement:
 
 
 def make_word(params: Params, syms) -> Word:
+    _expect(params, Params)
     syms = tuple(syms)
     for sym in syms:
         _check_symbol(params, sym)
@@ -158,11 +161,13 @@ def parse_word(params: Params, text: str) -> Word:
 
 
 def word_text(word: Word) -> str:
+    _expect(word, Word)
     return " ".join(str(s) for s in word.syms)
 
 
 def eval_word(word: Word) -> GroupElement:
     """Fold the generator matrices left to right."""
+    _expect(word, Word)
     p, de = word.params, word.params.de
     mats = _matrices(p)
     perm, exps = list(range(1, p.n + 1)), [0] * p.n

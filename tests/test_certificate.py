@@ -8,6 +8,11 @@ counterexample.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from itertools import chain
+from pathlib import Path
 
 import pytest
 from cayley_oracle import enumerate_group
@@ -20,6 +25,7 @@ from gdeen import (
     Params,
     ParamsMismatch,
     census_expected,
+    length_polynomial,
     verify_geodesic,
 )
 from gdeen.cli import main
@@ -106,13 +112,13 @@ def test_walk_reaches_every_rank_once(params):
     perms, vecs = _rank_order(params, 10**6)
     perms, plan, width, seen = list(perms), _plan(params), len(vecs), []
 
-    def leaf(parts, rank):
-        g = GroupElement(params, perms[rank // width], vecs[rank % width])
-        assert _parts(g)[1] == parts[::-1]
-        seen.append(rank)
+    def leaf(states, ranks, order):
+        for parts, rank in zip(states[0], ranks):
+            g = GroupElement(params, perms[rank // width], vecs[rank % width])
+            assert _parts(g)[1] == parts[::-1]
+            seen.append(rank)
 
-    for p_rank, perm in enumerate(perms):
-        _walk(plan, perm, None, (), _grow, leaf, p_rank * width)
+    _walk(plan, perms, None, ((),), _grow, leaf)
     assert sorted(seen) == list(range(params.order()))
 
 
@@ -132,11 +138,22 @@ def rank_of(target):
 
 def rewalk(monkeypatch, edit_leaf):
     """Run the certificate on a walk whose leaves go through
-    ``edit_leaf(leaf, state, rank)``."""
+    ``edit_leaf(leaf, state, rank)`` one element at a time, in the walk's
+    order; each batch then goes to the certificate whole, as ``leaf`` was
+    handed it."""
     real = verify_mod._walk
 
-    def walk(plan, perm, exps, state, step, leaf, rank=0):
-        real(plan, perm, exps, state, step, lambda st, at: edit_leaf(leaf, st, at), rank)
+    def walk(plan, perms, exps, start, step, leaf):
+        def each(states, ranks, order):
+            keys, kept = order(), []
+            for i in sorted(range(len(ranks)), key=keys.__getitem__):
+                handed = lambda state, rank: kept.append((state, rank, keys[i]))
+                edit_leaf(handed, tuple(col[i] for col in states), ranks[i])
+            if kept:
+                got, at, index = zip(*kept)
+                leaf(tuple(map(list, zip(*got))), list(at), lambda: list(index))
+
+        real(plan, perms, exps, start, step, each)
 
     monkeypatch.setattr(verify_mod, "_walk", walk)
 
@@ -146,16 +163,21 @@ def mutate(monkeypatch, target, edit):
     first, each part a list of alphabet positions."""
     real, goal = verify_mod._walk, rank_of(target)
 
-    def walk(plan, perm, exps, state, step, leaf, rank=0):
-        def replay(parts, at):
-            if at == goal:
-                parts = edit([list(p) for p in reversed(parts)])[::-1]
-            out = state
-            for part in parts:
-                out = step(out, part)
-            leaf(out, at)
+    def walk(plan, perms, exps, start, step, leaf):
+        def replay(states, ranks, order):
+            # each element's parts through the certificate's step, then the
+            # batch to its leaf whole
+            outs = []
+            for parts, at in zip(states[0], ranks):
+                if at == goal:
+                    parts = edit([list(p) for p in reversed(parts)])[::-1]
+                out = tuple([v] for v in start)
+                for part in parts:
+                    out = step(part, out)
+                outs.append(out)
+            leaf(tuple(list(chain.from_iterable(col)) for col in zip(*outs)), ranks, order)
 
-        real(plan, perm, exps, (), _grow, replay, rank)
+        real(plan, perms, exps, ((),), _grow, replay)
 
     monkeypatch.setattr(verify_mod, "_walk", walk)
 
@@ -232,6 +254,43 @@ def test_walk_that_skips_an_element_is_refused(monkeypatch):
     assert "does not reach" in cx["reason"]
 
 
+# two elements of the identity permutation: A comes first by rank, B
+# first in the depth-first order of the walk, which names the failure
+A = ((1, 2, 3), (0, 1, 2))
+B = ((1, 2, 3), (1, 2, 0))
+
+
+def test_of_two_faults_the_first_in_walk_order_is_named(monkeypatch):
+    assert rank_of(A) < rank_of(B)
+    mutate(monkeypatch, A, lambda parts: [[], []])  # both spell the identity
+    mutate(monkeypatch, B, lambda parts: [[], []])
+    cx = counterexample(B, 0)
+    assert "evaluate" in cx["reason"]
+
+
+def test_wrong_lengths_are_refused_by_the_length_polynomial_alone(monkeypatch):
+    # s3 s3 s3 still spells s3; with the Lipschitz step patched out, and no
+    # closed-form census for d = 1, only the histogram's closed form is left
+    mutate(monkeypatch, S3, lambda parts: parts[:-1] + [parts[-1] + [3, 3]])
+    monkeypatch.setattr(verify_mod, "_lipschitz", lambda *args: None)
+    report = verify_geodesic(G333)
+    assert not report["ok"] and "counterexample" not in report and "census_expected" not in report
+    assert report["length_histogram"]["3"] == report["length_histogram_expected"]["3"] + 1
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(ARGV_333) == 1
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("e", range(1, 5))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_length_polynomial_leads_with_the_census(d, e, n):
+    params = Params(d, e, n)
+    poly = length_polynomial(params)
+    assert sum(poly) == params.order() and poly[0] == 1 and poly[-1]
+    if census_expected(params) is not None:
+        assert (len(poly) - 1, poly[-1]) == census_expected(params)
+
+
 def test_census_mismatch_is_refused(monkeypatch):
     monkeypatch.setattr(verify_mod, "census_expected", lambda params: (0, 1))
     report = verify_geodesic(G333)
@@ -261,3 +320,26 @@ def test_g935_census():
 def test_g228_certifies():
     report = verify_geodesic(Params(1, 2, 8), cap=6 * 10**6)
     assert report["ok"] and report["order"] == 5160960
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("d, e, n, cap", [(3, 3, 5, 3 * 10**6), (1, 2, 8, 6 * 10**6)], ids=["G(9,3,5)", "G(2,2,8)"])
+def test_ranks_5_and_8_certify_in_under_40_mib(d, e, n, cap):
+    # in a fresh interpreter, which reads its own peak, VmHWM: its
+    # ru_maxrss would count this process's as well, taken over at the
+    # spawn.  The walk holds at most normal_form.LEAVES elements at once,
+    # so the peak is f, the row-move tables and the rank dicts: about 23 MB
+    # at G(9,3,5) and 30 MB at G(2,2,8) on a 2-core x86-64 VM, Python 3.11
+    if not Path("/proc/self/status").exists():
+        pytest.skip("reads the peak from /proc")
+    code = (
+        "import gdeen; "
+        f"r = gdeen.verify_geodesic(gdeen.Params({d}, {e}, {n}), cap={cap}); "
+        "peak = [line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')]; "
+        "print(r['ok'], r['order'], *peak)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verify_mod.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    ok, order, peak = out.stdout.split()
+    assert ok == "True" and int(order) == Params(d, e, n).order()
+    assert int(peak) < 40 * 2**10  # kB

@@ -12,6 +12,7 @@ from gdeen import (
     Params,
     ParamsMismatch,
     alphabet,
+    census_expected,
     een,
     element,
     element_from_json,
@@ -25,8 +26,10 @@ from gdeen import (
     max_length_census,
     mul,
     normal_form,
+    parse_word,
     verify_geodesic,
     verify_hecke,
+    word_text,
 )
 from gdeen.normal_form import all_elements
 from gdeen.words import S, T, Z
@@ -212,6 +215,42 @@ def test_element_refuses_entries_that_are_not_ints(perm, exps):
 )
 def test_a_wrong_typed_argument_is_a_gdeen_error(call):
     with pytest.raises(GdeenError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: element(None, [1, 2], [0, 0]),
+        lambda: identity(None),
+        lambda: mul("x", "y"),
+        lambda: inverse("x"),
+        lambda: eval_word("x"),
+        lambda: parse_word(None, "t0"),
+        lambda: generator(None, "z"),
+        lambda: alphabet("x"),
+        lambda: word_text("x"),
+        lambda: census_expected("x"),
+        lambda: make_word(None, []),
+    ],
+    ids=[
+        "element",
+        "identity",
+        "mul",
+        "inverse",
+        "eval_word",
+        "parse_word",
+        "generator",
+        "alphabet",
+        "word_text",
+        "census_expected",
+        "make_word",
+    ],
+)
+def test_an_argument_of_the_wrong_type_is_refused_before_it_is_read(call):
+    # each raised AttributeError, and make_word(None, []) returned a Word
+    # without params
+    with pytest.raises(ParamsMismatch, match="is not a"):
         call()
 
 

@@ -7,6 +7,7 @@ counterexample.
 
 import random
 from array import array
+from itertools import chain
 from operator import sub
 
 import pytest
@@ -25,15 +26,15 @@ EDGE_SHAPES = [Params(1, 1, 4), Params(4, 4, 2), Params(1, 3, 3), Params(3, 1, 3
 
 def lengths(params):
     """f by rank: each element's normal-form length, from the level walk."""
-    perms, vecs = _rank_order(params, 10**6)
-    plan, width = _plan(params), len(vecs)
+    perms, _ = _rank_order(params, 10**6)
+    plan = _plan(params)
     f = [None] * params.order()
 
-    def leaf(parts, rank):
-        f[rank] = sum(map(len, parts))
+    def leaf(states, ranks, order):
+        for parts, rank in zip(states[0], ranks):
+            f[rank] = sum(map(len, parts))
 
-    for p_rank, perm in enumerate(perms):
-        _walk(plan, perm, None, (), _grow, leaf, p_rank * width)
+    _walk(plan, perms, None, ((),), _grow, leaf)
     return f
 
 
@@ -77,16 +78,21 @@ def pad(monkeypatch, params, goal):
     test_certificate pads it; return f with that length."""
     real, s = verify_mod._walk, len(alphabet(params)) - 1
 
-    def walk(plan, perm, exps, state, step, leaf, rank=0):
-        def replay(parts, at):
-            if at == goal:
-                parts = (parts[0] + (s, s),) + parts[1:]
-            out = state
-            for part in parts:
-                out = step(out, part)
-            leaf(out, at)
+    def walk(plan, perms, exps, start, step, leaf):
+        def replay(states, ranks, order):
+            # each element's parts through the certificate's step, then the
+            # batch to its leaf whole
+            outs = []
+            for parts, at in zip(states[0], ranks):
+                if at == goal:
+                    parts = (parts[0] + (s, s),) + parts[1:]
+                out = tuple([v] for v in start)
+                for part in parts:
+                    out = step(part, out)
+                outs.append(out)
+            leaf(tuple(list(chain.from_iterable(col)) for col in zip(*outs)), ranks, order)
 
-        real(plan, perm, exps, (), _grow, replay, rank)
+        real(plan, perms, exps, ((),), _grow, replay)
 
     monkeypatch.setattr(verify_mod, "_walk", walk)
     f = lengths(params)

@@ -19,9 +19,11 @@ from gdeen import (  # noqa: E402
     element_to_json,
     eval_word,
     length,
+    length_polynomial,
     make_word,
     normal_form,
     parse_word,
+    verify_geodesic,
 )
 from gdeen.cli import main  # noqa: E402
 
@@ -111,3 +113,20 @@ def test_cli_exits_0_or_2_on_hostile_words(argv, text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main([*argv, f"--word={text}"])
     assert code in (0, 2)
+
+
+@st.composite
+def small_groups(draw):
+    params = Params(draw(st.integers(1, 7)), draw(st.integers(1, 6)), draw(st.integers(2, 5)))
+    hypothesis.assume(params.order() <= 20000)
+    return params
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(small_groups())
+def test_length_polynomial_is_the_certified_histogram(params):
+    poly = length_polynomial(params)
+    assert sum(poly) == params.order()
+    report = verify_geodesic(params)
+    assert report["ok"] and "length_histogram_expected" not in report
+    assert report["length_histogram"] == {str(k): count for k, count in enumerate(poly) if count}
