@@ -118,7 +118,8 @@ class _Plan(NamedTuple):
     z: tuple | None  # (z,): the level-1 part z^q is z * q; None when d = 1
     weights: list[list[int]]  # weights[row][k]: what exponent k of a row adds to E
     width: int  # the elements of one permutation: d de^(n-1)
-    depth: list[int]  # depth[row]: what exponent 1 of a row above row 0 adds to the depth-first index
+    depth: list[list[int]]  # depth[row][k]: what exponent k of a row above row 0 adds to the depth-first index
+    gains: list[list[int]] | None  # gains[q][a]: what row 0 adds to E for the part z^q, under carry a; None without a carry
 
 
 # the most elements that one batch of the walk holds: the batch's columns,
@@ -151,14 +152,15 @@ def _plan(params: Params) -> _Plan:
     weights = [[k * d * de ** (n - 2 - row) for k in range(de)] for row in range(n - 1)]
     weights.append([k // e for k in range(de)])
     levels = tuple(range(1 if d > 1 else 2, n + 1))
-    depth = [0] + [d * de ** (row - 1) for row in range(1, n)]
-    return _Plan(letters, levels, de, e, t_kill, parts, z, weights, d * de ** (n - 1), depth)
+    depth = [[k * d * de ** (row - 1) if row else 0 for k in range(de)] for row in range(n)]
+    gains = [[weights[0][(q * e - a) % de] for a in range(n * de)] for q in range(d)] if t_kill else None
+    return _Plan(letters, levels, de, e, t_kill, parts, z, weights, d * de ** (n - 1), depth, gains)
 
 
 def _walk(plan: _Plan, perms, exps, start: tuple, step, leaf) -> None:
     """Walk the normal forms of the elements whose permutations are
     ``perms``, by levels from n down to 1: every element's, or only that of
-    ``exps`` when it is given (a batch of one).
+    ``exps`` when it is given with one permutation (a batch of one).
 
     The walk is breadth-first, over batches of at most ``LEAVES`` elements:
     runs of permutations, or runs of one permutation's subtrees where it has
@@ -175,9 +177,6 @@ def _walk(plan: _Plan, perms, exps, start: tuple, step, leaf) -> None:
     another, one element at a time, reaches them, and is only reckoned when
     called.  Batches come in that order.  Parts are shared tuples: do not
     mutate them."""
-    if exps is not None:
-        (perm,) = perms
-        return _follow(plan, perm, exps, tuple([v] for v in start), step, leaf)
     n, width, first = len(plan.weights), plan.width, 0
     perms = iter(perms)
     while batch := list(itertools.islice(perms, max(1, LEAVES // width))):
@@ -187,33 +186,11 @@ def _walk(plan: _Plan, perms, exps, start: tuple, step, leaf) -> None:
         roots = [p * width for p in range(first, first + len(batch))]
         carry = [0] * len(batch) if plan.t_kill else None  # the z-kill carries nothing
         nodes = (roots, roots, carry, tuple([v] * len(batch) for v in start))
-        _descend(plan, columns, first, n - 1, nodes, step, leaf)
+        _descend(plan, columns, first, n - 1, exps, nodes, step, leaf)
         first += len(batch)
 
 
-def _follow(plan: _Plan, perm, exps, states: tuple, step, leaf) -> None:
-    """The walk of one element: ``_clear`` and the level-1 rule of
-    ``_descend`` on one node, in plain arithmetic.  A batch of one through
-    the column code took three to five times as long per call, since each
-    column costs a list per level.  The certificate runs only the batch
-    code, so ``test_walk_reaches_every_rank_once`` checks this walk against
-    it on every element of its groups."""
-    de, t_kill = plan.de, plan.t_kill
-    rank = index = carry = 0
-    for row in range(len(perm) - 1, 0, -1):
-        c, k = 1 + sum(map(perm[row].__gt__, perm[:row])), exps[row]
-        takes = t_kill and c == 1
-        eff = (k + carry) % de if takes else k
-        carry = eff if takes else carry + eff
-        states = step(plan.parts[row + 1][c][eff], states)
-        rank, index = rank + plan.weights[row][k], index + k * plan.depth[row]
-    q, rest = divmod((exps[0] + carry) % de if t_kill else exps[0], plan.e)
-    if not rest:  # else no k1 leaves k1 + carry a multiple of e
-        here = states if plan.z is None else step(plan.z * q, states)
-        leaf(here, [rank + plan.weights[0][exps[0]]], lambda: [index + q])
-
-
-def _descend(plan: _Plan, columns: list, first: int, row: int, nodes: tuple, step, leaf) -> None:
+def _descend(plan: _Plan, columns: list, first: int, row: int, exps, nodes: tuple, step, leaf) -> None:
     """``_walk`` from ``row`` down, on ``nodes``: columns of ranks so far,
     depth-first indices so far, carries (``_clear``) and states.  Nodes
     that would hold more than ``LEAVES`` elements between them go down in
@@ -225,29 +202,35 @@ def _descend(plan: _Plan, columns: list, first: int, row: int, nodes: tuple, ste
             order, run = sorted(range(count), key=nodes[1].__getitem__), max(1, LEAVES // below)
             for i in range(0, count, run):
                 picked = order[i : i + run]
-                _descend(plan, columns, first, row, _take(nodes, lambda col: [col[j] for j in picked]), step, leaf)
+                _descend(plan, columns, first, row, exps, _take(nodes, lambda col: [col[j] for j in picked]), step, leaf)
             return
         if not row:
             break
-        nodes = _clear(plan, columns[row], first, row, nodes, step)
+        nodes = _clear(plan, columns[row], first, row, exps, nodes, step)
         row -= 1
     # level 1: the d exponents k1 of row 1 that leave k1 + carry = q e, each
-    # with the part z^q; without a carry, k1 = q e
+    # with the part z^q; without a carry, k1 = q e.  Of one element, the q
+    # of its k1, and none where no q fits
     ranks, index, carry, states = nodes
-    ones, qs = plan.weights[0], range(de // e)
-    if carry is None:
-        ranks = [r + ones[q * e] for q in qs for r in ranks]
+    if exps is None:
+        qs = range(de // e)
     else:
-        gains = [[ones[(q * e - a) % de] for a in range(len(plan.depth) * de)] for q in qs]  # by carry
-        ranks = [r + gain[a] for gain in gains for r, a in zip(ranks, carry)]
+        q, rest = divmod(exps[0] if carry is None else (exps[0] + carry[0]) % de, e)
+        qs = () if rest else (q,)
+    if not qs:
+        return
+    if carry is None:
+        ranks = [r + plan.weights[0][q * e] for q in qs for r in ranks]
+    else:
+        ranks = [r + gain[a] for gain in map(plan.gains.__getitem__, qs) for r, a in zip(ranks, carry)]
     if plan.z is not None:
-        states = tuple(map(_cat, zip(*[step(plan.z * q, states) for q in qs])))
+        states = _join([step(plan.z * q, states) for q in qs])
     leaf(states, ranks, lambda: [i + q for q in qs for i in index])
 
 
-def _clear(plan: _Plan, column: list, first: int, row: int, nodes: tuple, step) -> tuple:
+def _clear(plan: _Plan, column: list, first: int, row: int, exps, nodes: tuple, step) -> tuple:
     """The nodes below ``nodes`` once ``row`` is cleared: one per exponent
-    k of the row.
+    k of the row, or only ``exps[row]``.
 
     Row r's part is that of its column c and of eff = (k + carry) % de,
     carry what the kills above added to the row.  Each t-kill adds its eff
@@ -255,8 +238,7 @@ def _clear(plan: _Plan, column: list, first: int, row: int, nodes: tuple, step) 
     that row keeps it until it is cleared itself, with c = 1.  So one carry
     per node serves: read and restarted at eff where c = 1, grown by eff
     elsewhere.  It stays below n de, the length of level 1's gains."""
-    de, width, parts, weights = plan.de, plan.width, plan.parts[row + 1], plan.weights[row]
-    deeper = [k * plan.depth[row] for k in range(de)]  # what k adds to the depth-first index
+    de, width, parts, weights, deeper = plan.de, plan.width, plan.parts[row + 1], plan.weights[row], plan.depth[row]
     found = sorted(set(column))
     if len(found) == 1:
         groups = [(found[0], nodes)]
@@ -269,16 +251,21 @@ def _clear(plan: _Plan, column: list, first: int, row: int, nodes: tuple, step) 
     # below each group, its nodes once per eff, eff by eff
     ranks_, index_, carry_, states_ = [], [], [], []
     for c, (ranks, index, carry, states) in groups:
-        if carry is not None and c == 1:
-            ranks_ += [r + weights[(eff - a) % de] for eff in range(de) for r, a in zip(ranks, carry)]
-            index_ += [i + deeper[(eff - a) % de] for eff in range(de) for i, a in zip(index, carry)]
-            carry_ += [eff for eff in range(de) for _ in carry]
+        kills = carry is not None and c == 1
+        if exps is None:
+            effs = range(de)
+        else:  # a batch of one: one node, so one carry
+            effs = ((exps[row] + carry[0]) % de if kills else exps[row],)
+        if kills:
+            ranks_ += [r + weights[(eff - a) % de] for eff in effs for r, a in zip(ranks, carry)]
+            index_ += [i + deeper[(eff - a) % de] for eff in effs for i, a in zip(index, carry)]
+            carry_ += [eff for eff in effs for _ in carry]
         else:
-            ranks_ += [r + w for w in weights for r in ranks]
-            index_ += [i + dw for dw in deeper for i in index]
-            carry_ += [] if carry is None else [a + eff for eff in range(de) for a in carry]
-        states_ += [step(parts[c][eff], states) for eff in range(de)]
-    return ranks_, index_, carry_ if plan.t_kill else None, tuple(map(_cat, zip(*states_)))
+            ranks_ += [r + weights[eff] for eff in effs for r in ranks]
+            index_ += [i + deeper[eff] for eff in effs for i in index]
+            carry_ += [] if carry is None else [a + eff for eff in effs for a in carry]
+        states_ += [step(parts[c][eff], states) for eff in effs]
+    return ranks_, index_, carry_ if plan.t_kill else None, _join(states_)
 
 
 def _take(nodes: tuple, pick) -> tuple:
@@ -287,9 +274,11 @@ def _take(nodes: tuple, pick) -> tuple:
     return pick(ranks), pick(index), None if carry is None else pick(carry), tuple(map(pick, states))
 
 
-def _cat(cols) -> list:
-    """The columns one after another."""
-    return list(chain.from_iterable(cols))
+def _join(pieces: list) -> tuple:
+    """The state columns of ``pieces``, each piece's entries after the last's."""
+    if len(pieces) == 1:
+        return pieces[0]
+    return tuple(list(chain.from_iterable(col)) for col in zip(*pieces))
 
 
 def _grow(part: tuple, states: tuple) -> tuple:

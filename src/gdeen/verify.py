@@ -351,15 +351,14 @@ def _left_action(params: Params, cap: int) -> tuple[list, list, list[tuple[list[
     p_rank = {p: i for i, p in enumerate(perms)}
     e_rank = {v: i for i, v in enumerate(vecs)}
     n, de = params.n, params.de
-    # the vectors' entries row by row, as bytes where every exponent fits one
-    narrow, tables = de <= 256, []
-    rows = [bytes(map(itemgetter(r), vecs)) if narrow else array("I", map(itemgetter(r), vecs)) for r in range(n)]
+    # the vectors' entries row by row
+    rows, tables = [list(map(itemgetter(r), vecs)) for r in range(n)], []
     for mv in row_moves(params):
         sources, moved = list(range(n)), rows[:]
         for r, src, k in mv:
-            shift = [(j + k) % de for j in range(256 if narrow else de)]  # k' -> (k' + k) % de
+            shift = [(j + k) % de for j in range(de)]  # k' -> (k' + k) % de
             sources[r] = src
-            moved[r] = rows[src].translate(bytes(shift)) if narrow else array("I", map(shift.__getitem__, rows[src]))
+            moved[r] = list(map(shift.__getitem__, rows[src]))
         ptab = list(map(p_rank.__getitem__, map(itemgetter(*sources), perms)))
         tables.append((ptab, list(map(e_rank.__getitem__, zip(*moved)))))
     return perms, vecs, tables
